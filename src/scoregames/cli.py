@@ -33,6 +33,7 @@ from .arena import (
     MullerCondition,
     ParityCondition,
     RequestResponseCondition,
+    SizeLimitError,
     bit,
     iter_bits,
     mask_of,
@@ -216,6 +217,7 @@ def parse_strategy(text: str, arena: Arena):
     names a single successor, a PermissiveStrategy otherwise."""
     player = None
     states: list = []
+    declared: set = set()
     init: dict = {}
     update: dict = {}
     moves: dict = {}
@@ -227,7 +229,7 @@ def parse_strategy(text: str, arena: Arena):
             raise GameParseError(f"line {lineno}: unknown vertex {name!r}") from None
 
     def sid(lineno, label):
-        if label not in states:
+        if label not in declared:
             raise GameParseError(f"line {lineno}: undeclared state {label!r}")
         return label
 
@@ -241,6 +243,7 @@ def parse_strategy(text: str, arena: Arena):
             if len(parts) != 2:
                 raise GameParseError(f"line {lineno}: expected 'state <label>'")
             states.append(parts[1])
+            declared.add(parts[1])
         elif head == "init":
             if len(parts) != 3:
                 raise GameParseError(f"line {lineno}: expected 'init <vertex> <state>'")
@@ -269,9 +272,9 @@ def parse_strategy(text: str, arena: Arena):
 
     if player is None:
         raise GameParseError("missing 'player' line")
-    if any(v for v in init.values() if v not in states):
+    if any(v for v in init.values() if v not in declared):
         raise GameParseError("init references undeclared states")
-    if len(set(states)) != len(states):
+    if len(declared) != len(states):
         raise GameParseError("duplicate state labels")
     if all(len(t) == 1 for t in moves.values()):
         return MemoryStrategy(
@@ -326,15 +329,7 @@ def export_dot(obj) -> str:
         nodes = [_node(obj.names[v], obj.owner[v]) for v in range(obj.n)]
         edges = [f'"{obj.names[u]}" -> "{obj.names[v]}"' for u, v in obj.edges()]
         return _dot_lines(nodes, edges)
-    if isinstance(obj, SafetyReduction):
-        quotient = obj.game.arena
-        nodes = [
-            _node(quotient.names[c], quotient.owner[c], doubled=bool(obj.game.safe & bit(c)))
-            for c in range(quotient.n)
-        ]
-        edges = [f'"{quotient.names[u]}" -> "{quotient.names[v]}"' for u, v in quotient.edges()]
-        return _dot_lines(nodes, edges)
-    if isinstance(obj, ProductGame):
+    if isinstance(obj, (SafetyReduction, ProductGame)):
         quotient = obj.game.arena
         nodes = [
             _node(quotient.names[c], quotient.owner[c], doubled=bool(obj.game.safe & bit(c)))
@@ -592,6 +587,9 @@ def main(argv=None) -> int:
     except (GameParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SizeLimitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

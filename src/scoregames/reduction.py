@@ -3,26 +3,55 @@
 The quotient arena is explored breadth-first from the single-vertex sheets;
 every class whose tracked scores stay below the threshold is safe, and all
 classes that reach the threshold are merged into one absorbing sink.
+``explore`` is the package's one breadth-first engine: it also builds the
+monitor products of ``safety_framework`` (the quotient is the arena times
+the Muller monitor) and the strategy products of ``strategy``.
 """
 from __future__ import annotations
 
-from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from math import comb, factorial
-from typing import Optional
+from typing import Callable, Iterable, Optional
 
 from .arena import Arena, MullerCondition, SizeLimitError, Word, f1_loops, is_path
-from .scoring import (
-    ScoreSheet,
-    family_of,
-    flat_init,
-    flat_step,
-    flat_to_entries,
-    lar_update,
-    sheet_init,
-)
+from .scoring import ScoreSheet, family_of, flat_members, flat_step, lar_update
 
 DEFAULT_MAX_STATES = 500_000
+
+
+def explore(seeds: Iterable, expand: Callable, max_states: int = DEFAULT_MAX_STATES) -> tuple:
+    """Breadth-first search over hashable keys, numbered in discovery order
+    with the seeds first.  ``expand(key)`` lists the successor keys of a key.
+
+    Returns ``(keys, index, parents, rows)``: the key of each number, the
+    number of each key, the number whose expansion first found each key
+    (-1 for the seeds) and each number's successor numbers in the order
+    ``expand`` listed them.  Finding a key beyond ``max_states`` raises
+    SizeLimitError.
+    """
+    keys: list = []
+    index: dict = {}
+    parents: list = []
+
+    def number(key, parent):
+        i = index.get(key)
+        if i is None:
+            i = len(keys)
+            if i >= max_states:
+                raise SizeLimitError(f"state space exceeds the cap of {max_states} states")
+            index[key] = i
+            keys.append(key)
+            parents.append(parent)
+        return i
+
+    for key in seeds:
+        number(key, -1)
+    rows = []
+    # keys grows while it is read, so reading it in order is the FIFO queue
+    for i, key in enumerate(keys):
+        rows.append(tuple([number(k, i) for k in expand(key)]))
+    return keys, index, parents, rows
 
 
 @dataclass(frozen=True)
@@ -33,6 +62,23 @@ class SafetyGame:
     safe: int
 
 
+class _ClassView(Sequence):
+    """A read-only sequence over the classes whose items are built on access."""
+
+    def __init__(self, n: int, item: Callable):
+        self._n = n
+        self._item = item
+
+    def __len__(self):
+        return self._n
+
+    def __getitem__(self, c):
+        return self._item(range(self._n)[c])
+
+    def __eq__(self, other):
+        return isinstance(other, (tuple, _ClassView)) and tuple(self) == tuple(other)
+
+
 @dataclass
 class SafetyReduction:
     """The quotient safety game together with the embedding of the original
@@ -41,22 +87,35 @@ class SafetyReduction:
     ``base_arena`` is the original arena with roles swapped when the tracked
     player is 0, so quotient Player 0 is always the player avoiding the sink.
     Class numbering is breadth-first discovery order and therefore
-    reproducible; ``rep_words`` holds the first play prefix that reached each
-    class (the sink's is the first prefix that crossed the threshold).
+    reproducible.
+
+    Stored per class: ``keys[c]``, the pair (last vertex, flat entry vector)
+    of ``scoring.flat_step`` (None for the sink), with ``_index`` mapping keys
+    back to classes; ``parents[c]``, the class whose expansion found ``c``
+    (-1 for the embedded vertices); and ``rows[c]``, the successor classes
+    aligned with ``base_arena.succ`` of the last vertex (the sink's row is
+    its self-loop).  ``_unsafe`` maps
+    each distinct key that reached the threshold to the key of the class
+    that first stepped into it.
+
+    Derived on access: ``sheets`` (the sink's is None, the latest appearance
+    records come from the parent chain), ``rep_words`` (the first play
+    prefix that reached each class; the sink's is the first prefix that
+    crossed the threshold), ``unsafe_sheets`` and ``unsafe_class_count``.
     """
 
     game: SafetyGame
     base_arena: Arena
     embed: tuple
-    sheets: tuple
-    rep_words: tuple
+    keys: list
+    parents: list
+    rows: list
     tracked_player: int
     threshold: int
     family: tuple
     sink: Optional[int]
-    unsafe_sheets: tuple
     _index: dict = field(repr=False)
-    _delta: dict = field(repr=False)
+    _unsafe: dict = field(repr=False)
 
     @property
     def n_classes(self) -> int:
@@ -64,14 +123,56 @@ class SafetyReduction:
 
     @property
     def unsafe_class_count(self) -> int:
-        return len(self.unsafe_sheets)
+        return len(self._unsafe)
+
+    @property
+    def sheets(self) -> Sequence:
+        return _ClassView(self.n_classes, self._sheet)
+
+    @property
+    def rep_words(self) -> Sequence:
+        return _ClassView(self.n_classes, self._rep_word)
+
+    @property
+    def unsafe_sheets(self) -> tuple:
+        return tuple(
+            _flat_sheet(v, flat, lar_update(self._lar(self._index[parent]), v))
+            for (v, flat), parent in self._unsafe.items()
+        )
+
+    def _lar(self, c: int) -> tuple:
+        """The latest appearance record of ``rep_words[c]``, newest last."""
+        newest_first: list = []
+        while c >= 0 and len(newest_first) < self.base_arena.n:
+            v = self.keys[c][0]
+            if v not in newest_first:
+                newest_first.append(v)
+            c = self.parents[c]
+        return tuple(reversed(newest_first))
+
+    def _sheet(self, c: int) -> Optional[ScoreSheet]:
+        if c == self.sink:
+            return None
+        last, flat = self.keys[c]
+        return _flat_sheet(last, flat, self._lar(c))
+
+    def _rep_word(self, c: int) -> Word:
+        if c == self.sink:
+            crossing = next(iter(self._unsafe))[0]
+            return self._rep_word(self.parents[c]) + (crossing,)
+        out = []
+        while c >= 0:
+            out.append(self.keys[c][0])
+            c = self.parents[c]
+        return tuple(reversed(out))
 
     def step_class(self, c: int, v: int) -> int:
         """The quotient successor of class ``c`` under vertex ``v``."""
-        try:
-            return self._delta[c, v]
-        except KeyError:
-            raise ValueError(f"no quotient edge from class {c} labelled {v}") from None
+        if 0 <= c < self.n_classes and c != self.sink:
+            succ = self.base_arena.succ[self.keys[c][0]]
+            if v in succ:
+                return self.rows[c][succ.index(v)]
+        raise ValueError(f"no quotient edge from class {c} labelled {v}")
 
     def class_of(self, word: Word) -> int:
         """The class of a play prefix whose proper prefixes stay below the
@@ -80,21 +181,17 @@ class SafetyReduction:
             raise ValueError("empty play prefix")
         if not is_path(self.base_arena, word):
             raise ValueError("word is not a path of the arena")
-        flat = flat_init(self.family, word[0])
-        terminal = False
+        c = self.embed[word[0]]
         for v in word[1:]:
-            if terminal:
+            if c == self.sink:
                 raise ValueError("a proper prefix already reached the threshold")
-            flat, hit = flat_step(self.family, flat, v)
-            terminal = hit >= self.threshold
-        if terminal:
-            if self.sink is None:
-                raise ValueError("threshold crossed but the reduction has no sink")
-            return self.sink
-        try:
-            return self._index[word[-1], flat]
-        except KeyError:
-            raise ValueError("the prefix's class was not constructed") from None
+            c = self.step_class(c, v)
+        return c
+
+
+def _flat_sheet(last: int, flat: tuple, lar: tuple) -> ScoreSheet:
+    # plain (score, acc) pairs; they compare and hash like ScoreState
+    return ScoreSheet(last, tuple(zip(flat[::2], flat[1::2])), lar)
 
 
 def lar_sum_bound(n: int) -> int:
@@ -130,110 +227,55 @@ def build_safety_game(
         base = arena.swap_roles()
         family = family_of(muller.f0)
 
-    sheets: list = []
-    flats: list = []
-    rep_words: list = []
-    index: dict = {}
-    delta: dict = {}
-    succ_lists: list = []
-    embed = []
-    sink = None
-    unsafe_sheets: dict = {}
+    members = flat_members(family, base.n)
+    unsafe: dict = {}
 
-    def new_class(sheet, flat, word):
-        cid = len(sheets)
-        if cid >= max_states:
-            raise SizeLimitError(f"quotient exceeds the state cap of {max_states}")
-        sheets.append(sheet)
-        flats.append(flat)
-        rep_words.append(word)
-        succ_lists.append([])
-        if sheet is not None:
-            index[sheet.last, flat] = cid
-        return cid
-
-    for v in range(base.n):
-        cid = new_class(sheet_init(family, v), flat_init(family, v), (v,))
-        embed.append(cid)
-
-    # per-vertex view of the family: positions whose set contains v, with the
-    # residual mask to test for a completed traversal; all other positions
-    # reset to (0, 0), which the step starts from
-    zeros = [0] * (2 * len(family))
-    members = []
-    for v in range(base.n):
-        b = 1 << v
-        members.append(tuple((2 * i, f & ~b, b) for i, f in enumerate(family) if f & b))
-
-    work = deque(range(len(sheets)))
-    while work:
-        cid = work.popleft()
-        sheet = sheets[cid]
-        word = rep_words[cid]
-        flat = flats[cid]
-        lst = succ_lists[cid]
-        for v in base.succ[sheet.last]:
-            out = zeros.copy()
-            hit = 0
-            for i2, rem, b in members[v]:
-                a = flat[i2 + 1]
-                if a == rem:
-                    s = flat[i2] + 1
-                    if s > hit:
-                        hit = s
-                    out[i2] = s
-                else:
-                    out[i2] = flat[i2]
-                    out[i2 + 1] = a | b
-            nxt = tuple(out)
+    def expand(key):
+        if key is None:
+            return (None,)  # the sink is absorbing
+        last, flat = key
+        out = []
+        for v in base.succ[last]:
+            nxt, hit = flat_step(members, flat, v)
             if hit >= threshold:
-                if (v, nxt) not in unsafe_sheets:
-                    unsafe_sheets[v, nxt] = ScoreSheet(
-                        v, flat_to_entries(nxt), lar_update(sheet.lar, v)
-                    )
-                if sink is None:
-                    sink = new_class(None, None, word + (v,))
-                target = sink
+                unsafe.setdefault((v, nxt), key)
+                out.append(None)
             else:
-                target = index.get((v, nxt))
-                if target is None:
-                    target = new_class(
-                        ScoreSheet(v, flat_to_entries(nxt), lar_update(sheet.lar, v)),
-                        nxt,
-                        word + (v,),
-                    )
-                    work.append(target)
-            delta[cid, v] = target
-            if target not in lst:
-                lst.append(target)
+                out.append((v, nxt))
+        return out
+
+    zero = (0,) * (2 * len(family))
+    seeds = [(v, flat_step(members, zero, v)[0]) for v in range(base.n)]
+    keys, index, parents, rows = explore(seeds, expand, max_states)
+    sink = index.get(None)
 
     owner = []
     names = []
     joiner = "" if all(len(nm) == 1 for nm in base.names) else "."
-    for cid, sheet in enumerate(sheets):
-        if sheet is None:
+    for c, key in enumerate(keys):
+        if key is None:
             owner.append(1)  # absorbing, the owner never matters
             names.append("unsafe")
-            succ_lists[cid] = [cid]
         else:
-            owner.append(base.owner[sheet.last])
-            names.append("[" + joiner.join(base.names[v] for v in rep_words[cid]) + "]")
+            owner.append(base.owner[key[0]])
+            prefix = "[" if parents[c] < 0 else names[parents[c]][:-1] + joiner
+            names.append(prefix + base.names[key[0]] + "]")
 
-    quotient = Arena(tuple(names), tuple(owner), tuple(tuple(sorted(s)) for s in succ_lists))
-    safe = (1 << len(sheets)) - 1
+    quotient = Arena(tuple(names), tuple(owner), tuple(tuple(sorted(set(r))) for r in rows))
+    safe = (1 << len(keys)) - 1
     if sink is not None:
         safe &= ~(1 << sink)
     return SafetyReduction(
         game=SafetyGame(quotient, safe),
         base_arena=base,
-        embed=tuple(embed),
-        sheets=tuple(sheets),
-        rep_words=tuple(rep_words),
+        embed=tuple(index[k] for k in seeds),
+        keys=keys,
+        parents=parents,
+        rows=rows,
         tracked_player=tracked_player,
         threshold=threshold,
         family=family,
         sink=sink,
-        unsafe_sheets=tuple(unsafe_sheets.values()),
         _index=index,
-        _delta=delta,
+        _unsafe=unsafe,
     )

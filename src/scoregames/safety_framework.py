@@ -9,7 +9,6 @@ reaches them.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -26,7 +25,7 @@ from .arena import (
     f1_loops,
     mask_of,
 )
-from .reduction import SafetyGame
+from .reduction import SafetyGame, explore
 from .safety_solver import solve_safety
 from .scoring import ZERO, entries_step, entries_terminal, family_of
 from .strategy import MemoryStrategy
@@ -91,20 +90,9 @@ def run_dfa(dfa: MonitorDFA, word: Sequence[int]):
 def reachable_states(dfa: MonitorDFA, max_states: int = 100_000) -> tuple:
     """All states reachable from the start over the full alphabet, in
     breadth-first order."""
-    seen = {dfa.start: 0}
-    order = [dfa.start]
-    queue = deque([dfa.start])
-    while queue:
-        q = queue.popleft()
-        for v in range(dfa.alphabet_size):
-            q2 = dfa.step(q, v)
-            if q2 not in seen:
-                if len(seen) >= max_states:
-                    raise RuntimeError(f"monitor exceeds {max_states} states")
-                seen[q2] = len(order)
-                order.append(q2)
-                queue.append(q2)
-    return tuple(order)
+    letters = range(dfa.alphabet_size)
+    states, _, _, _ = explore([dfa.start], lambda q: [dfa.step(q, v) for v in letters], max_states)
+    return tuple(states)
 
 
 @dataclass
@@ -123,32 +111,27 @@ class ProductGame:
 
 def product_game(arena: Arena, dfa: MonitorDFA) -> ProductGame:
     """The reachable part of the product, seeded with (v, step(start, v))
-    for every vertex v."""
+    for every vertex v and capped at ``DEFAULT_MAX_STATES`` positions."""
     if dfa.alphabet_size < arena.n:
         raise ValueError("monitor alphabet does not cover the arena")
-    states = []
-    index = {}
-    queue = deque()
 
-    def intern(v, q):
-        node = (v, q)
-        if node not in index:
-            index[node] = len(states)
-            states.append(node)
-            queue.append(node)
-        return index[node]
+    def expand(node):
+        v, q = node
+        return [(u, dfa.step(q, u)) for u in arena.succ[v]]
 
-    seeds = tuple(intern(v, dfa.step(dfa.start, v)) for v in range(arena.n))
-    succ_lists = []
-    while queue:
-        v, q = queue.popleft()
-        succ_lists.append([intern(u, dfa.step(q, u)) for u in arena.succ[v]])
+    seeds = [(v, dfa.step(dfa.start, v)) for v in range(arena.n)]
+    states, index, _, rows = explore(seeds, expand)
 
     owner = tuple(arena.owner[v] for v, _ in states)
     names = tuple(f"{arena.names[v]}|{q!r}" for v, q in states)
-    succ = tuple(tuple(sorted(set(s))) for s in succ_lists)
+    succ = tuple(tuple(sorted(set(r))) for r in rows)
     safe = mask_of(i for i, (_, q) in enumerate(states) if dfa.is_accepting(q))
-    return ProductGame(SafetyGame(Arena(names, owner, succ), safe), tuple(states), seeds, index)
+    return ProductGame(
+        SafetyGame(Arena(names, owner, succ), safe),
+        tuple(states),
+        tuple(index[node] for node in seeds),
+        index,
+    )
 
 
 def solve_via_safety(arena: Arena, condition: Condition, dfa: MonitorDFA) -> tuple:

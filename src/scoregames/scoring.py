@@ -108,53 +108,35 @@ def entries_terminal(entries: Sequence[ScoreState], cap: int = 3) -> bool:
 # Flat alternating (score, acc, score, acc, ...) tuples for the quotient
 # construction, where hashing and stepping dominate the running time.
 
-def flat_init(family: Sequence[int], v: int) -> tuple:
+def flat_members(family: Sequence[int], n: int) -> tuple:
+    """Per-vertex view of ``family`` for ``flat_step``: for each vertex v, the
+    (position, residual mask, bit) of every set containing v.  Every other
+    set resets to (0, 0) on v."""
     out = []
-    for f in family:
-        s, a = score_step(f, ZERO, v)
-        out.append(s)
-        out.append(a)
+    for v in range(n):
+        b = 1 << v
+        out.append(tuple((2 * i, f & ~b, b) for i, f in enumerate(family) if f & b))
     return tuple(out)
 
 
-def flat_step(family: Sequence[int], flat: tuple, v: int) -> tuple:
-    """One letter over a flat entry vector; returns (vector, highest score
-    produced by an increment) so callers detect threshold hits for free."""
-    b = 1 << v
-    out = []
-    push = out.append
+def flat_step(members: tuple, flat: tuple, v: int) -> tuple:
+    """``entries_step`` over a flat entry vector, with ``members`` from
+    ``flat_members``; returns (vector, highest score produced by an
+    increment) so callers detect threshold hits for free.  Stepping the
+    all-zero vector gives the single-letter vector of ``v``."""
+    out = [0] * len(flat)
     hit = 0
-    i = 0
-    for f in family:
-        s = flat[i]
+    for i, rem, b in members[v]:
         a = flat[i + 1]
-        i += 2
-        if not f & b:
-            push(0)
-            push(0)
-        elif a == f & ~b:
-            s += 1
+        if a == rem:
+            s = flat[i] + 1
             if s > hit:
                 hit = s
-            push(s)
-            push(0)
+            out[i] = s
         else:
-            push(s)
-            push(a | b)
+            out[i] = flat[i]
+            out[i + 1] = a | b
     return tuple(out), hit
-
-
-def flat_to_entries(flat: tuple) -> tuple:
-    # plain pairs; they compare and hash like ScoreState
-    return tuple(zip(flat[::2], flat[1::2]))
-
-
-def entries_to_flat(entries: Sequence[ScoreState]) -> tuple:
-    out = []
-    for s, a in entries:
-        out.append(s)
-        out.append(a)
-    return tuple(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,7 +169,7 @@ class ScoreSheet:
         return self._hash
 
     def max_score(self) -> int:
-        return max((st.score for st in self.entries), default=0)
+        return max((st[0] for st in self.entries), default=0)
 
 
 def sheet_init(family: Sequence[int], v: int) -> ScoreSheet:

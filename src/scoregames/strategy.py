@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .arena import Arena, MullerCondition, Word, bit, f1_loops, iter_bits, mask_of, swap_roles
-from .reduction import SafetyReduction, build_safety_game
+from .reduction import SafetyReduction, build_safety_game, explore
 from .safety_solver import SafetySolution, solve_safety
 from .scoring import entries_init, entries_step, entries_terminal, family_of, sheet_le
 
@@ -112,19 +112,11 @@ def _reachable_under(red: SafetyReduction, sol: SafetySolution) -> list:
     seeds = sorted(
         {red.embed[v] for v in range(red.base_arena.n) if sol.w0 & bit(red.embed[v])}
     )
-    seen = set(seeds)
-    queue = deque(seeds)
-    while queue:
-        c = queue.popleft()
-        if quotient.owner[c] == 0:
-            targets = (sol.strategy0[c],)
-        else:
-            targets = quotient.succ[c]
-        for t in targets:
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
-    return sorted(seen)
+
+    def expand(c):
+        return (sol.strategy0[c],) if quotient.owner[c] == 0 else quotient.succ[c]
+
+    return sorted(explore(seeds, expand, red.n_classes)[0])
 
 
 def build_antichain_strategy(red: SafetyReduction, sol: SafetySolution) -> MemoryStrategy:
@@ -137,26 +129,27 @@ def build_antichain_strategy(red: SafetyReduction, sol: SafetySolution) -> Memor
     """
     base = red.base_arena
     reachable = _reachable_under(red, sol)
+    sheets = {c: red.sheets[c] for c in reachable}
 
     # maximal elements, per last vertex: sweeping in descending score order
     # guarantees that anything above the current element was seen before it
     by_last: dict = {}
     for c in reachable:
-        by_last.setdefault(red.sheets[c].last, []).append(c)
+        by_last.setdefault(sheets[c].last, []).append(c)
 
     def dominance_key(c):
-        sheet = red.sheets[c]
+        entries = sheets[c].entries
         return (
-            sum(st[0] for st in sheet.entries),
-            sum(st[1].bit_count() for st in sheet.entries),
+            sum(st[0] for st in entries),
+            sum(st[1].bit_count() for st in entries),
         )
 
     maximal_by_last: dict = {}
     for last, group in by_last.items():
         maxima: list = []
         for c in sorted(group, key=dominance_key, reverse=True):
-            sheet = red.sheets[c]
-            if not any(sheet_le(red.family, sheet, red.sheets[m]) for m in maxima):
+            sheet = sheets[c]
+            if not any(sheet_le(red.family, sheet, sheets[m]) for m in maxima):
                 maxima.append(c)
         maximal_by_last[last] = sorted(maxima)
     maximal = sorted(c for group in maximal_by_last.values() for c in group)
@@ -172,7 +165,7 @@ def build_antichain_strategy(red: SafetyReduction, sol: SafetySolution) -> Memor
             sheet = red.sheets[cls]
             hit = BOTTOM
             for r in maximal_by_last.get(sheet.last, ()):
-                if sheet_le(red.family, sheet, red.sheets[r]):
+                if sheet_le(red.family, sheet, sheets[r]):
                     hit = r
                     break
             above_cache[cls] = hit
@@ -186,17 +179,17 @@ def build_antichain_strategy(red: SafetyReduction, sol: SafetySolution) -> Memor
     update = {}
     next_move = {}
     for m in maximal:
+        last = red.keys[m][0]
+        targets = dict(zip(base.succ[last], red.rows[m]))
         for v in range(base.n):
-            target = red._delta.get((m, v))
-            update[m, v] = above(target) if target is not None else BOTTOM
-        last = red.sheets[m].last
+            update[m, v] = above(targets.get(v))
         for v in range(base.n):
             if base.owner[v] != 0:
                 continue
             choice = base.succ[v][0]
             if v == last:
                 for u in base.succ[v]:
-                    if above(red._delta[m, u]) is not BOTTOM:
+                    if above(targets[u]) is not BOTTOM:
                         choice = u
                         break
             next_move[v, m] = choice
@@ -227,15 +220,16 @@ def build_permissive_strategy(red: SafetyReduction, sol: SafetySolution) -> Perm
     update = {}
     next_move = {}
     for c in classes:
-        last = red.sheets[c].last
+        last = red.keys[c][0]
+        targets = dict(zip(base.succ[last], red.rows[c]))
         for v in range(base.n):
-            target = red._delta.get((c, v))
+            target = targets.get(v)
             update[c, v] = target if target is not None and w0 & bit(target) else BOTTOM
         for v in range(base.n):
             if base.owner[v] != 0:
                 continue
             if v == last:
-                allowed = tuple(u for u in base.succ[v] if w0 & bit(red._delta[c, u]))
+                allowed = tuple(u for u in base.succ[v] if w0 & bit(targets[u]))
                 next_move[v, c] = allowed if allowed else (base.succ[v][0],)
             else:
                 next_move[v, c] = (base.succ[v][0],)
@@ -390,28 +384,11 @@ class StrategyProduct:
 
 
 def consistent_product(arena: Arena, strat: _FiniteStateStrategy, start: int) -> StrategyProduct:
-    nodes = []
-    index = {}
-    edges = []
-    queue = deque()
-    for v in iter_bits(start):
-        node = (v, strat.initial(v))
-        if node not in index:
-            index[node] = len(nodes)
-            nodes.append(node)
-            queue.append(node)
-    while queue:
-        node = queue.popleft()
+    def expand(node):
         v, m = node
-        if arena.owner[v] == strat.owner_player:
-            targets = strat.moves(v, m)
-        else:
-            targets = arena.succ[v]
-        for u in targets:
-            child = (u, strat.step(m, u))
-            if child not in index:
-                index[child] = len(nodes)
-                nodes.append(child)
-                queue.append(child)
-            edges.append((node, child))
-    return StrategyProduct(arena, tuple(nodes), tuple(edges))
+        targets = strat.moves(v, m) if arena.owner[v] == strat.owner_player else arena.succ[v]
+        return [(u, strat.step(m, u)) for u in targets]
+
+    nodes, _, _, rows = explore([(v, strat.initial(v)) for v in iter_bits(start)], expand)
+    edges = tuple((nodes[i], nodes[j]) for i, row in enumerate(rows) for j in row)
+    return StrategyProduct(arena, tuple(nodes), edges)

@@ -92,6 +92,8 @@ def test_parse_strategy_validates(example4):
         parse_strategy("state s\n", arena)
     with pytest.raises(GameParseError, match="undeclared state"):
         parse_strategy("player 0\ninit 0 nope\n", arena)
+    with pytest.raises(GameParseError, match="duplicate state labels"):
+        parse_strategy("player 0\nstate s\nstate s\n", arena)
 
 
 def test_export_dot_arena(example4):
@@ -237,6 +239,12 @@ def test_cli_errors(tmp_path, capsys):
     assert code == 2
     code, _, _ = run(capsys, "nonsense")
     assert code == 2
+    # a construction over its state cap is its own exit code, with one line
+    for command in ("solve", "reduce"):
+        code, out, err = run(capsys, command, game_file(tmp_path), "--max-states", "3")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cli_determinism(tmp_path, capsys):

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from scoregames.arena import Arena, MullerCondition, SizeLimitError, bit, mask_of
 from scoregames.reduction import build_safety_game, lar_sum_bound
-from scoregames.scoring import sheet_terminal
+from scoregames.scoring import sheet_init, sheet_terminal, sheet_update
 
 from conftest import m, random_muller_game, word
 
@@ -31,6 +31,11 @@ def test_example4_embedding(ex4_reduction):
         assert red.game.safe & bit(c)
         assert red.class_of((v,)) == c
         assert red.sheets[c].max_score() <= 1
+    for c in range(red.n_classes):
+        if c != red.sink:
+            assert red.sheets[c].max_score() < red.threshold
+    for sheet in red.unsafe_sheets:
+        assert sheet.max_score() >= red.threshold
 
 
 def test_example4_class_merging(ex4_reduction):
@@ -160,16 +165,26 @@ def test_random_reductions_respect_bounds_and_edges(seed):
             continue
         sheet = red.sheets[c]
         assert not sheet_terminal(sheet, red.threshold)
+        assert sheet.max_score() < red.threshold
         for v in arena.succ[sheet.last]:
             red.step_class(c, v)
+    for sheet in red.unsafe_sheets:
+        assert sheet.max_score() >= red.threshold
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 5_000))
 def test_transitions_agree_with_class_lookup(seed):
-    # folding the stored transition table along a walk lands on the same
-    # class as recomputing the walk's scores from scratch
+    # folding the stored transition table along a walk lands on the class
+    # whose sheet the spec kernel computes for the walk; each class's sheet,
+    # LAR included, is the spec fold along its representative prefix
     import random as rnd
+
+    def fold(path):
+        sheet = sheet_init(red.family, path[0])
+        for u in path[1:]:
+            sheet = sheet_update(red.family, sheet, u, red.threshold)
+        return sheet
 
     arena, muller = random_muller_game(seed, max_n=4)
     red = build_safety_game(arena, muller)
@@ -177,13 +192,20 @@ def test_transitions_agree_with_class_lookup(seed):
     v = rng.randrange(arena.n)
     path = (v,)
     c = red.embed[v]
+    sheet = sheet_init(red.family, v)
     for _ in range(12):
         v = rng.choice(arena.succ[path[-1]])
         path = path + (v,)
         c = red.step_class(c, v)
+        sheet = sheet_update(red.family, sheet, v, red.threshold)
         assert c == red.class_of(path)
+        assert red.class_of(red.rep_words[c]) == c
         if c == red.sink:
+            assert sheet_terminal(sheet, red.threshold)
             break
+        assert red.sheets[c].key() == sheet.key()
+        rep = fold(red.rep_words[c])
+        assert (red.sheets[c].key(), red.sheets[c].lar) == (rep.key(), rep.lar)
 
 
 @settings(max_examples=20, deadline=None)

@@ -10,6 +10,8 @@ from scoregames.scoring import (
     ZERO,
     entries_terminal,
     family_of,
+    flat_members,
+    flat_step,
     lar_of,
     lar_update,
     maxscore,
@@ -149,12 +151,19 @@ def test_congruence_of_scores(w, w2, u, f):
 @settings(max_examples=120, deadline=None)
 @given(w=words3)
 def test_sheet_matches_recomputation(w):
+    # the flat kernel of the quotient steps in lockstep with the sheet
     family = family_of([1, 2, 3, 4, 5, 6, 7])
+    members = flat_members(family, 3)
     sheet = sheet_init(family, w[0])
+    flat, _ = flat_step(members, (0,) * (2 * len(family)), w[0])
+    assert flat == tuple(x for st_ in sheet.entries for x in st_)
     for i, v in enumerate(w[1:], start=2):
         if sheet_terminal(sheet):
             return
         sheet = sheet_update(family, sheet, v)
+        flat, hit = flat_step(members, flat, v)
+        assert flat == tuple(x for st_ in sheet.entries for x in st_)
+        assert (hit >= 3) == sheet_terminal(sheet)
         for f, st_ in zip(family, sheet.entries):
             expected = score_word(f, w[:i])
             assert st_[0] == min(expected.score, 3)
