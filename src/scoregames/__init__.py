@@ -45,10 +45,8 @@ from .reduction import SafetyGame, SafetyReduction, build_safety_game, lar_sum_b
 from .safety_solver import SafetySolution, attractor, solve_safety
 from .strategy import (
     BOTTOM,
-    AntichainMemory,
-    MemoryStrategy,
+    FiniteStateStrategy,
     MullerSolution,
-    PermissiveStrategy,
     StrategyProduct,
     build_antichain_strategy,
     build_permissive_strategy,

@@ -51,8 +51,7 @@ from .safety_framework import (
 from .safety_solver import solve_safety
 from .strategy import (
     BOTTOM,
-    MemoryStrategy,
-    PermissiveStrategy,
+    FiniteStateStrategy,
     StrategyProduct,
     build_antichain_strategy,
     build_permissive_strategy,
@@ -212,9 +211,9 @@ def serialize_game(arena: Arena, condition: Condition) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_strategy(text: str, arena: Arena):
-    """Parse a strategy file; returns a MemoryStrategy when every move line
-    names a single successor, a PermissiveStrategy otherwise."""
+def parse_strategy(text: str, arena: Arena) -> FiniteStateStrategy:
+    """Parse a strategy file.  Entries it leaves out are only missed when a
+    play needs them: the strategy then raises ValueError."""
     player = None
     states: list = []
     declared: set = set()
@@ -276,11 +275,7 @@ def parse_strategy(text: str, arena: Arena):
         raise GameParseError("init references undeclared states")
     if len(declared) != len(states):
         raise GameParseError("duplicate state labels")
-    if all(len(t) == 1 for t in moves.values()):
-        return MemoryStrategy(
-            player, tuple(states), init, update, {k: t[0] for k, t in moves.items()}
-        )
-    return PermissiveStrategy(player, tuple(states), init, update, moves)
+    return FiniteStateStrategy(player, tuple(states), init, update, moves)
 
 
 def serialize_strategy(strat, arena: Arena) -> str:
@@ -365,9 +360,20 @@ def _fmt_region(arena: Arena, mask: int) -> str:
     return "{" + ",".join(arena.names[v] for v in iter_bits(mask)) + "}"
 
 
+def _read_text(path: str) -> str:
+    """The contents of a UTF-8 text file; a file that cannot be read is a
+    usage error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise GameParseError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise GameParseError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+
+
 def _load_game(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_game(fh.read())
+    return parse_game(_read_text(path))
 
 
 def _cmd_solve(args) -> int:
@@ -376,7 +382,8 @@ def _cmd_solve(args) -> int:
         sol = solve_muller(arena, condition, max_states=args.max_states)
         w0, w1 = sol.w0, sol.w1
     else:
-        w0, _ = solve_via_safety(arena, condition, monitor_for(arena, condition))
+        dfa = monitor_for(arena, condition)
+        w0, _ = solve_via_safety(arena, condition, dfa, args.max_states)
         w1 = arena.full_mask & ~w0
     print(f"W0 = {_fmt_region(arena, w0)}")
     print(f"W1 = {_fmt_region(arena, w1)}")
@@ -415,18 +422,16 @@ def _cmd_reduce(args) -> int:
 def _cmd_strategy(args) -> int:
     arena, condition = _load_game(args.game)
     muller = _require_muller(condition)
-    if args.kind == "permissive":
-        if args.player != 0:
-            raise GameParseError("permissive strategies are computed for player 0")
-        red = build_safety_game(arena, muller, tracked_player=1, max_states=args.max_states)
-        strat = build_permissive_strategy(red, solve_safety(red.game))
-    else:
-        tracked = 1 if args.player == 0 else 0
-        red = build_safety_game(arena, muller, tracked_player=tracked, max_states=args.max_states)
-        strat = build_antichain_strategy(red, solve_safety(red.game))
+    if args.kind == "permissive" and args.player != 0:
+        raise GameParseError("permissive strategies are computed for player 0")
+    tracked = 1 if args.player == 0 else 0
+    red = build_safety_game(arena, muller, tracked_player=tracked, max_states=args.max_states)
+    sol = solve_safety(red.game)
+    build = build_permissive_strategy if args.kind == "permissive" else build_antichain_strategy
+    strat = build(red, sol)
     if args.out == "dot":
-        sol = solve_muller(arena, muller, max_states=args.max_states)
-        start = sol.w0 if strat.owner_player == 0 else sol.w1
+        # the embedded vertices the reduction wins are the owner's region
+        start = mask_of(v for v in range(arena.n) if sol.w0 & bit(red.embed[v]))
         sys.stdout.write(export_dot(consistent_product(arena, strat, start)))
         return 0
     sys.stdout.write(serialize_strategy(strat, arena))
@@ -436,8 +441,7 @@ def _cmd_strategy(args) -> int:
 def _cmd_verify(args) -> int:
     arena, condition = _load_game(args.game)
     muller = _require_muller(condition)
-    with open(args.strategy, "r", encoding="utf-8") as fh:
-        strat = parse_strategy(fh.read(), arena)
+    strat = parse_strategy(_read_text(args.strategy), arena)
     if args.start is not None:
         try:
             start = mask_of(arena.index(nm) for nm in args.start.split(","))
@@ -446,7 +450,10 @@ def _cmd_verify(args) -> int:
     else:
         sol = solve_muller(arena, muller)
         start = sol.w0 if strat.owner_player == 0 else sol.w1
-    ok, witness = verify_bounded_scores(arena, muller, strat, start, args.bound)
+    try:
+        ok, witness = verify_bounded_scores(arena, muller, strat, start, args.bound)
+    except ValueError as exc:
+        raise GameParseError(f"strategy file: {exc}") from None
     if ok:
         print(f"verified: scores bounded by {args.bound} from {_fmt_region(arena, start)}")
         return 0
@@ -518,6 +525,17 @@ def _cmd_monitor(args) -> int:
     return 0
 
 
+def _at_least_one(text: str) -> int:
+    """argparse type of ``--max-states`` and ``--bound``."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scoregames",
@@ -527,7 +545,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="winning regions of a game")
     p.add_argument("game")
-    p.add_argument("--max-states", type=int, default=500_000)
+    p.add_argument("--max-states", type=_at_least_one, default=500_000)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("reduce", help="score-class safety reduction of a muller game")
@@ -535,7 +553,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--track-player", type=int, choices=(0, 1), default=1)
     p.add_argument("--threshold", type=int, choices=(2, 3), default=3)
     p.add_argument("--out", choices=("text", "dot"), default="text")
-    p.add_argument("--max-states", type=int, default=500_000)
+    p.add_argument("--max-states", type=_at_least_one, default=500_000)
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("strategy", help="synthesize a finite-state strategy")
@@ -543,13 +561,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("antichain", "permissive"), default="antichain")
     p.add_argument("--player", type=int, choices=(0, 1), default=0)
     p.add_argument("--out", choices=("table", "dot"), default="table")
-    p.add_argument("--max-states", type=int, default=500_000)
+    p.add_argument("--max-states", type=_at_least_one, default=500_000)
     p.set_defaults(func=_cmd_strategy)
 
     p = sub.add_parser("verify", help="check that a strategy bounds the opponent's scores")
     p.add_argument("game")
     p.add_argument("strategy")
-    p.add_argument("--bound", type=int, default=2)
+    p.add_argument("--bound", type=_at_least_one, default=2)
     p.add_argument("--start", help="comma separated start vertices (default: winning region)")
     p.set_defaults(func=_cmd_verify)
 
@@ -571,7 +589,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("game")
     p.add_argument("--kind", choices=("buchi", "cobuchi", "parity", "rr", "muller"))
     p.add_argument("--out", choices=("text", "dot"), default="text")
-    p.add_argument("--max-states", type=int, default=10_000)
+    p.add_argument("--max-states", type=_at_least_one, default=10_000)
     p.set_defaults(func=_cmd_monitor)
     return parser
 
@@ -584,7 +602,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (GameParseError, FileNotFoundError) as exc:
+    except GameParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SizeLimitError as exc:

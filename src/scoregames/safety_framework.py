@@ -25,10 +25,10 @@ from .arena import (
     f1_loops,
     mask_of,
 )
-from .reduction import SafetyGame, explore
+from .reduction import DEFAULT_MAX_STATES, SafetyGame, explore
 from .safety_solver import solve_safety
 from .scoring import ZERO, entries_step, entries_terminal, family_of
-from .strategy import MemoryStrategy
+from .strategy import FiniteStateStrategy
 
 
 class _Reject:
@@ -109,9 +109,12 @@ class ProductGame:
         return self._index[v, q]
 
 
-def product_game(arena: Arena, dfa: MonitorDFA) -> ProductGame:
+def product_game(
+    arena: Arena, dfa: MonitorDFA, max_states: int = DEFAULT_MAX_STATES
+) -> ProductGame:
     """The reachable part of the product, seeded with (v, step(start, v))
-    for every vertex v and capped at ``DEFAULT_MAX_STATES`` positions."""
+    for every vertex v; more than ``max_states`` positions raise
+    SizeLimitError."""
     if dfa.alphabet_size < arena.n:
         raise ValueError("monitor alphabet does not cover the arena")
 
@@ -120,7 +123,7 @@ def product_game(arena: Arena, dfa: MonitorDFA) -> ProductGame:
         return [(u, dfa.step(q, u)) for u in arena.succ[v]]
 
     seeds = [(v, dfa.step(dfa.start, v)) for v in range(arena.n)]
-    states, index, _, rows = explore(seeds, expand)
+    states, index, _, rows = explore(seeds, expand, max_states)
 
     owner = tuple(arena.owner[v] for v, _ in states)
     names = tuple(f"{arena.names[v]}|{q!r}" for v, q in states)
@@ -134,15 +137,17 @@ def product_game(arena: Arena, dfa: MonitorDFA) -> ProductGame:
     )
 
 
-def solve_via_safety(arena: Arena, condition: Condition, dfa: MonitorDFA) -> tuple:
+def solve_via_safety(
+    arena: Arena, condition: Condition, dfa: MonitorDFA, max_states: int = DEFAULT_MAX_STATES
+) -> tuple:
     """Solve a safety-reducible game through its monitor: returns Player 0's
     winning region and a finite-state winning strategy whose memory is the
-    monitor state space.
+    monitor state space.  The product is capped at ``max_states`` positions.
 
     The caller is responsible for the monitor actually witnessing safety
     reducibility of ``condition``; the builders in this module do.
     """
-    prod = product_game(arena, dfa)
+    prod = product_game(arena, dfa, max_states)
     sol = solve_safety(prod.game)
     w0 = mask_of(v for v in range(arena.n) if sol.w0 & bit(prod.seeds[v]))
 
@@ -168,10 +173,10 @@ def solve_via_safety(arena: Arena, condition: Condition, dfa: MonitorDFA) -> tup
             pid = prod._index.get((v, q))
             if pid is not None and pid in sol.strategy0:
                 target_v, _ = prod.states[sol.strategy0[pid]]
-                next_move[v, q] = target_v
+                next_move[v, q] = (target_v,)
             else:
-                next_move[v, q] = arena.succ[v][0]
-    return w0, MemoryStrategy(0, tuple(memory), init, update, next_move)
+                next_move[v, q] = arena.succ[v][:1]
+    return w0, FiniteStateStrategy(0, tuple(memory), init, update, next_move)
 
 
 def buchi_monitor(arena: Arena, target: int) -> MonitorDFA:

@@ -41,16 +41,14 @@ class SafetySolution:
     """Winning regions of a safety game with positional strategies.
 
     ``strategy0`` picks, for each Player 0 vertex in its region, the lowest
-    indexed successor that stays in the region; ``allowed0`` lists all such
-    successors (the raw material for permissive strategies).  ``strategy1``
-    is the attractor strategy towards the unsafe vertices.
+    indexed successor that stays in the region.  ``strategy1`` is the
+    attractor strategy towards the unsafe vertices.
     """
 
     w0: int
     w1: int
     strategy0: dict
     strategy1: dict
-    allowed0: dict
 
 
 def solve_safety(game: SafetyGame) -> SafetySolution:
@@ -59,10 +57,7 @@ def solve_safety(game: SafetyGame) -> SafetySolution:
     w1, strategy1 = attractor(arena, 1, unsafe)
     w0 = arena.full_mask & ~w1
     strategy0: dict = {}
-    allowed0: dict = {}
     for v in iter_bits(w0):
         if arena.owner[v] == 0:
-            allowed = tuple(u for u in arena.succ[v] if w0 & bit(u))
-            allowed0[v] = allowed
-            strategy0[v] = allowed[0]
-    return SafetySolution(w0, w1, strategy0, strategy1, allowed0)
+            strategy0[v] = next(u for u in arena.succ[v] if w0 & bit(u))
+    return SafetySolution(w0, w1, strategy0, strategy1)

@@ -1,10 +1,11 @@
 """Finite-state strategies for Muller games.
 
-The antichain strategy keeps only the maximal score classes reachable under
-a fixed positional safety strategy; the permissive strategy keeps the whole
+Every strategy is a ``FiniteStateStrategy``.  The antichain strategy keeps
+only the maximal score classes reachable under a fixed positional safety
+strategy and makes one move; the permissive strategy keeps the whole
 winning region of the quotient and allows every move that stays inside it.
-Both are certified by an explicit product search bounding the opponent's
-scores.
+One table routine builds both, and both are certified by an explicit
+product search bounding the opponent's scores.
 """
 from __future__ import annotations
 
@@ -30,12 +31,14 @@ BOTTOM = _Bottom()
 
 
 @dataclass
-class _FiniteStateStrategy:
+class FiniteStateStrategy:
     """A memory structure (states, init, update) with a next-move table.
 
-    ``init`` maps vertices to memory states, ``update`` is total on
-    states x vertices, and ``next_move`` is keyed by (vertex, state) for the
-    vertices of ``owner_player``.
+    ``init`` maps vertices to memory states, ``update`` is keyed by
+    (state, vertex), and ``next_move`` by (vertex, state) for the vertices
+    of ``owner_player``.  Every move is a non-empty tuple of successors: one
+    for a deterministic strategy, several for a multi-strategy.  A missing
+    entry raises ValueError.
     """
 
     owner_player: int
@@ -45,7 +48,10 @@ class _FiniteStateStrategy:
     next_move: dict
 
     def initial(self, v: int):
-        return self.init[v]
+        try:
+            return self.init[v]
+        except KeyError:
+            raise ValueError(f"strategy has no initial state for vertex {v}") from None
 
     def step(self, m, v: int):
         try:
@@ -54,7 +60,10 @@ class _FiniteStateStrategy:
             raise ValueError(f"strategy update undefined for state {m!r}, vertex {v}") from None
 
     def moves(self, v: int, m) -> tuple:
-        raise NotImplementedError
+        try:
+            return self.next_move[v, m]
+        except KeyError:
+            raise ValueError(f"strategy has no move for vertex {v} in state {m!r}") from None
 
     def run(self, word: Word):
         """The memory state after reading a play prefix."""
@@ -64,44 +73,12 @@ class _FiniteStateStrategy:
         return m
 
 
-class MemoryStrategy(_FiniteStateStrategy):
-    """Deterministic finite-state strategy: one successor per move."""
-
-    def moves(self, v, m):
-        try:
-            return (self.next_move[v, m],)
-        except KeyError:
-            raise ValueError(f"strategy has no move for vertex {v} in state {m!r}") from None
-
-
-class PermissiveStrategy(_FiniteStateStrategy):
-    """Multi-strategy: every move yields a non-empty set of successors."""
-
-    def moves(self, v, m):
-        try:
-            return self.next_move[v, m]
-        except KeyError:
-            raise ValueError(f"strategy has no move for vertex {v} in state {m!r}") from None
-
-
-@dataclass(frozen=True)
-class AntichainMemory:
-    """The quotient classes used as memory states, pairwise incomparable in
-    the score preorder."""
-
-    elements: tuple
-
-    @staticmethod
-    def from_strategy(strategy: MemoryStrategy) -> "AntichainMemory":
-        return AntichainMemory(tuple(m for m in strategy.states if m is not BOTTOM))
-
-
 @dataclass
 class MullerSolution:
     w0: int
     w1: int
-    strategy_p0: MemoryStrategy
-    strategy_p1: MemoryStrategy
+    strategy_p0: FiniteStateStrategy
+    strategy_p1: FiniteStateStrategy
 
 
 def _reachable_under(red: SafetyReduction, sol: SafetySolution) -> list:
@@ -119,7 +96,7 @@ def _reachable_under(red: SafetyReduction, sol: SafetySolution) -> list:
     return sorted(explore(seeds, expand, red.n_classes)[0])
 
 
-def build_antichain_strategy(red: SafetyReduction, sol: SafetySolution) -> MemoryStrategy:
+def build_antichain_strategy(red: SafetyReduction, sol: SafetySolution) -> FiniteStateStrategy:
     """The finite-state winning strategy whose memory states are the maximal
     score classes reachable under the positional safety strategy.
 
@@ -127,7 +104,6 @@ def build_antichain_strategy(red: SafetyReduction, sol: SafetySolution) -> Memor
     a maximal class above it, ties broken by lowest class index.  BOTTOM
     absorbs every situation that cannot occur in consistent play.
     """
-    base = red.base_arena
     reachable = _reachable_under(red, sol)
     sheets = {c: red.sheets[c] for c in reachable}
 
@@ -158,7 +134,7 @@ def build_antichain_strategy(red: SafetyReduction, sol: SafetySolution) -> Memor
 
     def above(cls):
         """The lowest-indexed maximal class dominating ``cls`` (BOTTOM if none)."""
-        if cls is None or cls == red.sink:
+        if cls == red.sink:
             return BOTTOM
         hit = above_cache.get(cls)
         if hit is None:
@@ -171,74 +147,64 @@ def build_antichain_strategy(red: SafetyReduction, sol: SafetySolution) -> Memor
             above_cache[cls] = hit
         return hit
 
-    init = {}
-    for v in range(base.n):
-        e = red.embed[v]
-        init[v] = above(e) if sol.w0 & bit(e) else BOTTOM
-
-    update = {}
-    next_move = {}
-    for m in maximal:
-        last = red.keys[m][0]
-        targets = dict(zip(base.succ[last], red.rows[m]))
-        for v in range(base.n):
-            update[m, v] = above(targets.get(v))
-        for v in range(base.n):
-            if base.owner[v] != 0:
-                continue
-            choice = base.succ[v][0]
-            if v == last:
-                for u in base.succ[v]:
-                    if above(targets[u]) is not BOTTOM:
-                        choice = u
-                        break
-            next_move[v, m] = choice
-    for v in range(base.n):
-        update[BOTTOM, v] = BOTTOM
-        if base.owner[v] == 0:
-            next_move[v, BOTTOM] = base.succ[v][0]
-
-    owner_player = 0 if red.tracked_player == 1 else 1
-    return MemoryStrategy(owner_player, tuple(maximal) + (BOTTOM,), init, update, next_move)
+    return _class_table(red, sol, maximal, above, every_move=False)
 
 
-def build_permissive_strategy(red: SafetyReduction, sol: SafetySolution) -> PermissiveStrategy:
+def build_permissive_strategy(red: SafetyReduction, sol: SafetySolution) -> FiniteStateStrategy:
     """The most general multi-strategy bounding the opponent's scores: its
     memory is the full winning region of the quotient and it allows exactly
     the moves whose class stays in that region."""
     if red.tracked_player != 1:
         raise ValueError("permissive strategies are built from the Player-1-tracking reduction")
-    base = red.base_arena
-    w0 = sol.w0
-    classes = [c for c in range(red.n_classes) if w0 & bit(c)]
+    classes = [c for c in range(red.n_classes) if sol.w0 & bit(c)]
+    winning = set(classes)
+    return _class_table(
+        red, sol, classes, lambda c: c if c in winning else BOTTOM, every_move=True
+    )
 
+
+def _class_table(
+    red: SafetyReduction, sol: SafetySolution, memory: list, lift, every_move: bool
+) -> FiniteStateStrategy:
+    """The strategy whose memory states are the quotient classes ``memory``
+    plus BOTTOM.
+
+    From state ``m``, vertex ``v`` follows the quotient edge of ``m``
+    labelled ``v`` and ``lift`` maps the class it reaches to a memory state
+    or BOTTOM; without such an edge the update is BOTTOM.  At the last
+    vertex of ``m`` the owner may take every successor whose update is not
+    BOTTOM (``every_move``) or only the first of them.  Where there is none,
+    and at every other vertex, which consistent play never reaches in state
+    ``m``, the table holds the first successor.
+    """
+    base = red.base_arena
     init = {}
     for v in range(base.n):
         e = red.embed[v]
-        init[v] = e if w0 & bit(e) else BOTTOM
+        init[v] = lift(e) if sol.w0 & bit(e) else BOTTOM
 
     update = {}
     next_move = {}
-    for c in classes:
-        last = red.keys[c][0]
-        targets = dict(zip(base.succ[last], red.rows[c]))
+    for m in memory:
+        last = red.keys[m][0]
+        targets = dict(zip(base.succ[last], red.rows[m]))
         for v in range(base.n):
             target = targets.get(v)
-            update[c, v] = target if target is not None and w0 & bit(target) else BOTTOM
+            update[m, v] = BOTTOM if target is None else lift(target)
         for v in range(base.n):
             if base.owner[v] != 0:
                 continue
+            allowed = ()
             if v == last:
-                allowed = tuple(u for u in base.succ[v] if w0 & bit(targets[u]))
-                next_move[v, c] = allowed if allowed else (base.succ[v][0],)
-            else:
-                next_move[v, c] = (base.succ[v][0],)
+                allowed = tuple(u for u in base.succ[v] if update[m, u] is not BOTTOM)
+            next_move[v, m] = (allowed if every_move else allowed[:1]) or base.succ[v][:1]
     for v in range(base.n):
         update[BOTTOM, v] = BOTTOM
         if base.owner[v] == 0:
-            next_move[v, BOTTOM] = (base.succ[v][0],)
+            next_move[v, BOTTOM] = base.succ[v][:1]
 
-    return PermissiveStrategy(0, tuple(classes) + (BOTTOM,), init, update, next_move)
+    owner_player = 0 if red.tracked_player == 1 else 1
+    return FiniteStateStrategy(owner_player, tuple(memory) + (BOTTOM,), init, update, next_move)
 
 
 def solve_muller(arena: Arena, muller: MullerCondition, max_states: int = None) -> MullerSolution:
@@ -269,7 +235,7 @@ def solve_muller(arena: Arena, muller: MullerCondition, max_states: int = None) 
 def verify_bounded_scores(
     arena: Arena,
     muller: MullerCondition,
-    strat: _FiniteStateStrategy,
+    strat: FiniteStateStrategy,
     start: int,
     bound: int,
 ) -> tuple:
@@ -332,8 +298,8 @@ def verify_bounded_scores(
 def check_subsumption_bounded(
     arena: Arena,
     muller: MullerCondition,
-    sigma: _FiniteStateStrategy,
-    sigma_prime: PermissiveStrategy,
+    sigma: FiniteStateStrategy,
+    sigma_prime: FiniteStateStrategy,
     start: int,
     depth: int,
 ) -> bool:
@@ -383,7 +349,7 @@ class StrategyProduct:
     edges: tuple
 
 
-def consistent_product(arena: Arena, strat: _FiniteStateStrategy, start: int) -> StrategyProduct:
+def consistent_product(arena: Arena, strat: FiniteStateStrategy, start: int) -> StrategyProduct:
     def expand(node):
         v, m = node
         targets = strat.moves(v, m) if arena.owner[v] == strat.owner_player else arena.succ[v]

@@ -66,7 +66,7 @@ def random_muller_game(seed: int, max_n: int = 5):
 def alternating_strategy():
     """For the running example: two memory states remembering which outer
     vertex was visited last; from the middle vertex it alternates."""
-    from scoregames.strategy import MemoryStrategy
+    from scoregames.strategy import FiniteStateStrategy
 
     states = ("go0", "go2")
     init = {v: "go0" for v in range(3)}
@@ -75,5 +75,5 @@ def alternating_strategy():
         update[s, 0] = "go2"
         update[s, 2] = "go0"
         update[s, 1] = s
-    next_move = {(1, "go0"): 0, (1, "go2"): 2}
-    return MemoryStrategy(0, states, init, update, next_move)
+    next_move = {(1, "go0"): (0,), (1, "go2"): (2,)}
+    return FiniteStateStrategy(0, states, init, update, next_move)

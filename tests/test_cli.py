@@ -12,7 +12,11 @@ from scoregames.cli import (
 from scoregames.oracle import GeneratorConfig, random_game
 from scoregames.reduction import build_safety_game
 from scoregames.safety_solver import solve_safety
-from scoregames.strategy import build_permissive_strategy, consistent_product
+from scoregames.strategy import (
+    build_antichain_strategy,
+    build_permissive_strategy,
+    consistent_product,
+)
 
 from conftest import EXAMPLE4_GAME_TEXT, m
 
@@ -31,6 +35,17 @@ update go2 1 go2
 update go2 2 go0
 move 1 go0 { 0 }
 move 1 go2 { 2 }
+"""
+
+PARITY_TEXT = """\
+vertex a 0
+vertex b 1
+edge a b
+edge b a
+edge b b
+condition parity
+priority a 0
+priority b 1
 """
 
 
@@ -73,15 +88,17 @@ def test_roundtrip_random_corpus(kind, seed):
 def test_strategy_roundtrip(example4):
     arena, muller = example4
     red = build_safety_game(arena, muller)
-    perm = build_permissive_strategy(red, solve_safety(red.game))
-    text = serialize_strategy(perm, arena)
-    back = parse_strategy(text, arena)
-    assert back.owner_player == 0
-    # behaviour agrees along consistent plays
-    orig = consistent_product(arena, perm, m(0, 1, 2))
-    copy = consistent_product(arena, back, m(0, 1, 2))
-    assert len(orig.nodes) == len(copy.nodes)
-    assert len(orig.edges) == len(copy.edges)
+    sol = solve_safety(red.game)
+    # a multi-strategy and a deterministic one
+    for strat in (build_permissive_strategy(red, sol), build_antichain_strategy(red, sol)):
+        text = serialize_strategy(strat, arena)
+        back = parse_strategy(text, arena)
+        assert back.owner_player == 0
+        # behaviour agrees along consistent plays
+        orig = consistent_product(arena, strat, m(0, 1, 2))
+        copy = consistent_product(arena, back, m(0, 1, 2))
+        assert len(orig.nodes) == len(copy.nodes)
+        assert len(orig.edges) == len(copy.edges)
 
 
 def test_parse_strategy_validates(example4):
@@ -239,12 +256,46 @@ def test_cli_errors(tmp_path, capsys):
     assert code == 2
     code, _, _ = run(capsys, "nonsense")
     assert code == 2
+    # unreadable game files are usage errors, with one line
+    not_utf8 = tmp_path / "latin1.txt"
+    not_utf8.write_bytes(b"vertex \xe9 0\n")
+    for path in (str(tmp_path), str(not_utf8)):
+        code, out, err = run(capsys, "solve", path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
     # a construction over its state cap is its own exit code, with one line
-    for command in ("solve", "reduce"):
-        code, out, err = run(capsys, command, game_file(tmp_path), "--max-states", "3")
+    parity = game_file(tmp_path, PARITY_TEXT, "parity.txt")
+    for command, path, cap in (
+        ("solve", game_file(tmp_path), "3"),
+        ("reduce", game_file(tmp_path), "3"),
+        ("solve", parity, "1"),
+    ):
+        code, out, err = run(capsys, command, path, "--max-states", cap)
         assert code == 3
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+    # caps and bounds below 1 are usage errors
+    for argv in (
+        ("solve", parity, "--max-states", "-1"),
+        ("solve", game_file(tmp_path), "--max-states", "0"),
+        ("reduce", game_file(tmp_path), "--max-states", "0"),
+        ("strategy", game_file(tmp_path), "--max-states", "0"),
+        ("monitor", game_file(tmp_path), "--max-states", "-1"),
+        ("verify", game_file(tmp_path), str(tmp_path / "any.txt"), "--bound", "0"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.count("error: ") == 1
+    # a strategy file without an entry that a play needs
+    for missing in ("init 0 go0\n", "update go0 1 go0\n", "move 1 go2 { 2 }\n"):
+        strat = tmp_path / "partial.txt"
+        strat.write_text(ALTERNATING_TEXT.replace(missing, ""))
+        code, out, err = run(capsys, "verify", game_file(tmp_path), str(strat))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: strategy file: ") and err.count("\n") == 1
 
 
 def test_cli_determinism(tmp_path, capsys):

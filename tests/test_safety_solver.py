@@ -65,8 +65,7 @@ def check_solution(game: SafetyGame):
         if arena.owner[v] == 0:
             u = sol.strategy0[v]
             assert arena.has_edge(v, u) and sol.w0 & bit(u)
-            assert all(sol.w0 & bit(t) for t in sol.allowed0[v])
-            assert sol.strategy0[v] == sol.allowed0[v][0]
+            assert sol.strategy0[v] == min(t for t in arena.succ[v] if sol.w0 & bit(t))
         else:
             assert all(sol.w0 & bit(t) for t in arena.succ[v])
 

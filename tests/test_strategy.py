@@ -10,8 +10,7 @@ from scoregames.safety_solver import solve_safety
 from scoregames.scoring import maxscore, sheet_le
 from scoregames.strategy import (
     BOTTOM,
-    AntichainMemory,
-    MemoryStrategy,
+    FiniteStateStrategy,
     build_antichain_strategy,
     build_permissive_strategy,
     check_subsumption_bounded,
@@ -27,7 +26,7 @@ def stubborn_strategy():
     """Always moves from the middle vertex to 0."""
     states = ("s",)
     update = {("s", v): "s" for v in range(3)}
-    return MemoryStrategy(0, states, {v: "s" for v in range(3)}, update, {(1, "s"): 0})
+    return FiniteStateStrategy(0, states, {v: "s" for v in range(3)}, update, {(1, "s"): (0,)})
 
 
 @pytest.fixture
@@ -65,10 +64,11 @@ def test_solve_muller_empty_family(example4):
 def test_antichain_memory_is_an_antichain(ex4_pipeline):
     arena, muller, red, sol = ex4_pipeline
     strat = build_antichain_strategy(red, sol)
-    chain = AntichainMemory.from_strategy(strat)
-    assert chain.elements
-    for a in chain.elements:
-        for b in chain.elements:
+    assert strat.states[-1] is BOTTOM
+    chain = strat.states[:-1]
+    assert chain
+    for a in chain:
+        for b in chain:
             if a != b:
                 assert not sheet_le(red.family, red.sheets[a], red.sheets[b])
 
