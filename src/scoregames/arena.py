@@ -92,11 +92,13 @@ class Arena:
             for v in targets:
                 yield u, v
 
-    def predecessors(self) -> tuple:
+    def predecessors(self) -> list:
+        """The predecessors of each vertex, in increasing order."""
         pred = [[] for _ in range(self.n)]
-        for u, v in self.edges():
-            pred[v].append(u)
-        return tuple(tuple(p) for p in pred)
+        for u, targets in enumerate(self.succ):
+            for v in targets:
+                pred[v].append(u)
+        return pred
 
     def swap_roles(self) -> "Arena":
         """The same graph with the players exchanged."""

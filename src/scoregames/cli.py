@@ -212,8 +212,10 @@ def serialize_game(arena: Arena, condition: Condition) -> str:
 
 
 def parse_strategy(text: str, arena: Arena) -> FiniteStateStrategy:
-    """Parse a strategy file.  Entries it leaves out are only missed when a
-    play needs them: the strategy then raises ValueError."""
+    """Parse a strategy file.  The label ``bot`` is reserved: it reads back
+    as BOTTOM, the label ``serialize_strategy`` gives it.  Entries the file
+    leaves out are only missed when a play needs them: the strategy then
+    raises ValueError naming the game's vertex."""
     player = None
     states: list = []
     declared: set = set()
@@ -230,7 +232,7 @@ def parse_strategy(text: str, arena: Arena) -> FiniteStateStrategy:
     def sid(lineno, label):
         if label not in declared:
             raise GameParseError(f"line {lineno}: undeclared state {label!r}")
-        return label
+        return BOTTOM if label == "bot" else label
 
     for lineno, parts in _tokens(text):
         head = parts[0]
@@ -241,8 +243,8 @@ def parse_strategy(text: str, arena: Arena) -> FiniteStateStrategy:
         elif head == "state":
             if len(parts) != 2:
                 raise GameParseError(f"line {lineno}: expected 'state <label>'")
-            states.append(parts[1])
             declared.add(parts[1])
+            states.append(sid(lineno, parts[1]))
         elif head == "init":
             if len(parts) != 3:
                 raise GameParseError(f"line {lineno}: expected 'init <vertex> <state>'")
@@ -271,11 +273,9 @@ def parse_strategy(text: str, arena: Arena) -> FiniteStateStrategy:
 
     if player is None:
         raise GameParseError("missing 'player' line")
-    if any(v for v in init.values() if v not in declared):
-        raise GameParseError("init references undeclared states")
     if len(declared) != len(states):
         raise GameParseError("duplicate state labels")
-    return FiniteStateStrategy(player, tuple(states), init, update, moves)
+    return FiniteStateStrategy(player, tuple(states), init, update, moves, arena.names)
 
 
 def serialize_strategy(strat, arena: Arena) -> str:

@@ -15,7 +15,7 @@ from math import comb, factorial
 from typing import Callable, Iterable, Optional
 
 from .arena import Arena, MullerCondition, SizeLimitError, Word, f1_loops, is_path
-from .scoring import ScoreSheet, family_of, flat_members, flat_step, lar_update
+from .scoring import PackedKernel, ScoreSheet, family_of, lar_update
 
 DEFAULT_MAX_STATES = 500_000
 
@@ -89,19 +89,23 @@ class SafetyReduction:
     Class numbering is breadth-first discovery order and therefore
     reproducible.
 
-    Stored per class: ``keys[c]``, the pair (last vertex, flat entry vector)
-    of ``scoring.flat_step`` (None for the sink), with ``_index`` mapping keys
-    back to classes; ``parents[c]``, the class whose expansion found ``c``
-    (-1 for the embedded vertices); and ``rows[c]``, the successor classes
-    aligned with ``base_arena.succ`` of the last vertex (the sink's row is
-    its self-loop).  ``_unsafe`` maps
-    each distinct key that reached the threshold to the key of the class
-    that first stepped into it.
+    Stored per class: ``keys[c]``, the pair (last vertex, packed score
+    vector) of ``scoring.PackedKernel`` (None for the sink), with ``_index``
+    mapping keys back to classes.  The packed vector is one int in which
+    tracked set i owns the field of n + 2 bits at offset i * (n + 2): its
+    accumulator in the low n bits and its score in the next two.  Also
+    stored: ``parents[c]``, the class whose expansion found ``c`` (-1 for
+    the embedded vertices); ``rows[c]``, the successor classes aligned with
+    ``base_arena.succ`` of the last vertex (the sink's row is its
+    self-loop); ``_unsafe``, which maps each distinct key that reached the
+    threshold to the key of the class that first stepped into it; and
+    ``_kernel``, which decodes packed vectors.
 
-    Derived on access: ``sheets`` (the sink's is None, the latest appearance
-    records come from the parent chain), ``rep_words`` (the first play
-    prefix that reached each class; the sink's is the first prefix that
-    crossed the threshold), ``unsafe_sheets`` and ``unsafe_class_count``.
+    Derived on access, with the entries decoded from the packed vectors:
+    ``sheets`` (the sink's is None, the latest appearance records come from
+    the parent chain), ``rep_words`` (the first play prefix that reached
+    each class; the sink's is the first prefix that crossed the threshold),
+    ``unsafe_sheets`` and ``unsafe_class_count``.
     """
 
     game: SafetyGame
@@ -116,6 +120,7 @@ class SafetyReduction:
     sink: Optional[int]
     _index: dict = field(repr=False)
     _unsafe: dict = field(repr=False)
+    _kernel: PackedKernel = field(repr=False)
 
     @property
     def n_classes(self) -> int:
@@ -136,8 +141,8 @@ class SafetyReduction:
     @property
     def unsafe_sheets(self) -> tuple:
         return tuple(
-            _flat_sheet(v, flat, lar_update(self._lar(self._index[parent]), v))
-            for (v, flat), parent in self._unsafe.items()
+            ScoreSheet(v, self._kernel.entries(x), lar_update(self._lar(self._index[parent]), v))
+            for (v, x), parent in self._unsafe.items()
         )
 
     def _lar(self, c: int) -> tuple:
@@ -153,8 +158,8 @@ class SafetyReduction:
     def _sheet(self, c: int) -> Optional[ScoreSheet]:
         if c == self.sink:
             return None
-        last, flat = self.keys[c]
-        return _flat_sheet(last, flat, self._lar(c))
+        last, x = self.keys[c]
+        return ScoreSheet(last, self._kernel.entries(x), self._lar(c))
 
     def _rep_word(self, c: int) -> Word:
         if c == self.sink:
@@ -187,11 +192,6 @@ class SafetyReduction:
                 raise ValueError("a proper prefix already reached the threshold")
             c = self.step_class(c, v)
         return c
-
-
-def _flat_sheet(last: int, flat: tuple, lar: tuple) -> ScoreSheet:
-    # plain (score, acc) pairs; they compare and hash like ScoreState
-    return ScoreSheet(last, tuple(zip(flat[::2], flat[1::2])), lar)
 
 
 def lar_sum_bound(n: int) -> int:
@@ -227,25 +227,25 @@ def build_safety_game(
         base = arena.swap_roles()
         family = family_of(muller.f0)
 
-    members = flat_members(family, base.n)
+    kernel = PackedKernel(family, base.n)
+    step, reaches = kernel.step, kernel.reaches
     unsafe: dict = {}
 
     def expand(key):
         if key is None:
             return (None,)  # the sink is absorbing
-        last, flat = key
+        last, x = key
         out = []
         for v in base.succ[last]:
-            nxt, hit = flat_step(members, flat, v)
-            if hit >= threshold:
-                unsafe.setdefault((v, nxt), key)
+            y = step(x, v)
+            if reaches(y, threshold):
+                unsafe.setdefault((v, y), key)
                 out.append(None)
             else:
-                out.append((v, nxt))
+                out.append((v, y))
         return out
 
-    zero = (0,) * (2 * len(family))
-    seeds = [(v, flat_step(members, zero, v)[0]) for v in range(base.n)]
+    seeds = [(v, step(0, v)) for v in range(base.n)]
     keys, index, parents, rows = explore(seeds, expand, max_states)
     sink = index.get(None)
 
@@ -278,4 +278,5 @@ def build_safety_game(
         sink=sink,
         _index=index,
         _unsafe=unsafe,
+        _kernel=kernel,
     )

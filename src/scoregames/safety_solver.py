@@ -1,39 +1,63 @@
-"""Linear-time attractor-based solving of safety games."""
+"""Linear-time attractor-based solving of safety games.
+
+Regions are kept as one flag byte per vertex while the attractor runs, so
+marking or testing a vertex costs O(1) however large the arena is; the
+public results are vertex bitmasks, converted once at the end.
+"""
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from .arena import Arena, bit, iter_bits
+from .arena import Arena
 from .reduction import SafetyGame
 
+# flag bytes <-> the characters of a binary numeral, least significant first
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
-def attractor(arena: Arena, player: int, target: int) -> tuple:
-    """The least set from which ``player`` can force a visit to ``target``,
-    plus a positional strategy on the attracted vertices outside the target.
 
-    Runs in O(V + E) using per-vertex out-degree counters.
-    """
+def _flags(mask: int, n: int) -> bytearray:
+    digits = format(mask, "b").encode()[::-1].translate(_TO_FLAGS)
+    return bytearray(digits[:n].ljust(n, b"\x00"))
+
+
+def _mask(flags: bytearray) -> int:
+    return int(flags.translate(_TO_DIGITS)[::-1] or b"0", 2)
+
+
+def _attract(arena: Arena, player: int, flags: bytearray) -> dict:
+    """Grow ``flags`` in place from the target to its ``player`` attractor
+    and return the positional strategy on the attracted vertices outside
+    the target.  Runs in O(V + E) using per-vertex out-degree counters."""
     pred = arena.predecessors()
+    owner = arena.owner
     remaining = [len(s) for s in arena.succ]
-    attr = target
     strategy: dict = {}
-    queue = deque(iter_bits(target))
-    while queue:
-        u = queue.popleft()
+    queue = [v for v in range(arena.n) if flags[v]]
+    # queue grows while it is read, so reading it in order is the FIFO
+    for u in queue:
         for w in pred[u]:
-            if attr & bit(w):
+            if flags[w]:
                 continue
-            if arena.owner[w] == player:
-                attr |= bit(w)
+            if owner[w] == player:
+                flags[w] = 1
                 strategy[w] = u
                 queue.append(w)
             else:
                 remaining[w] -= 1
                 if remaining[w] == 0:
-                    attr |= bit(w)
+                    flags[w] = 1
                     queue.append(w)
-    return attr, strategy
+    return strategy
+
+
+def attractor(arena: Arena, player: int, target: int) -> tuple:
+    """The least set from which ``player`` can force a visit to ``target``,
+    plus a positional strategy on the attracted vertices outside the target.
+    """
+    flags = _flags(target, arena.n)
+    strategy = _attract(arena, player, flags)
+    return _mask(flags), strategy
 
 
 @dataclass
@@ -53,11 +77,11 @@ class SafetySolution:
 
 def solve_safety(game: SafetyGame) -> SafetySolution:
     arena = game.arena
-    unsafe = arena.full_mask & ~game.safe
-    w1, strategy1 = attractor(arena, 1, unsafe)
-    w0 = arena.full_mask & ~w1
+    lost = _flags(arena.full_mask & ~game.safe, arena.n)
+    strategy1 = _attract(arena, 1, lost)
     strategy0: dict = {}
-    for v in iter_bits(w0):
-        if arena.owner[v] == 0:
-            strategy0[v] = next(u for u in arena.succ[v] if w0 & bit(u))
-    return SafetySolution(w0, w1, strategy0, strategy1)
+    for v, succ in enumerate(arena.succ):
+        if not lost[v] and arena.owner[v] == 0:
+            strategy0[v] = next(u for u in succ if not lost[u])
+    w1 = _mask(lost)
+    return SafetySolution(arena.full_mask & ~w1, w1, strategy0, strategy1)

@@ -5,6 +5,11 @@ completely since the last visit outside F, and ``acc`` collects the vertices
 of F seen since the last score increase or reset.  Score sheets bundle the
 states of a whole family of tracked sets together with the last vertex and
 are the canonical representatives of score-equivalence classes.
+
+The quotient construction keeps a family's states packed into one int
+instead (``PackedKernel``): with n vertices, tracked set i owns the field of
+n + 2 bits at offset i * (n + 2), holding its accumulator in the low n bits
+and its score in the next two, and one step updates every field at once.
 """
 from __future__ import annotations
 
@@ -105,38 +110,74 @@ def entries_terminal(entries: Sequence[ScoreState], cap: int = 3) -> bool:
     return any(st[0] >= cap for st in entries)
 
 
-# Flat alternating (score, acc, score, acc, ...) tuples for the quotient
-# construction, where hashing and stepping dominate the running time.
+class PackedKernel:
+    """``entries_step`` for a whole tracked family on one packed int, the
+    score vector of the quotient construction, where hashing and stepping
+    dominate the running time.
 
-def flat_members(family: Sequence[int], n: int) -> tuple:
-    """Per-vertex view of ``family`` for ``flat_step``: for each vertex v, the
-    (position, residual mask, bit) of every set containing v.  Every other
-    set resets to (0, 0) on v."""
-    out = []
-    for v in range(n):
-        b = 1 << v
-        out.append(tuple((2 * i, f & ~b, b) for i, f in enumerate(family) if f & b))
-    return tuple(out)
+    Tracked set i owns the field of n + 2 bits at offset i * (n + 2): its
+    accumulator in the low n bits and its score in the next two.  Vectors
+    below the threshold have scores of at most 2, so one increment still
+    fits in the field; the all-zero vector is the empty play, so stepping
+    it gives the single-letter vector of a vertex.
+    """
 
+    def __init__(self, family: Sequence[int], n: int):
+        self.family = tuple(family)
+        self.n = n
+        width = n + 2
+        ones = (1 << n) - 1
+        accm = slo = 0
+        for i in range(len(self.family)):
+            accm |= ones << i * width
+            slo |= 1 << i * width + n
+        self._accm, self._slo, self._shi = accm, slo, slo << 1
+        # per vertex v: keep (the fields of sets containing v), rem (f minus
+        # v, and all ones for the other fields, which never match) and bv
+        # (bit v in the fields of keep)
+        self._masks = []
+        for v in range(n):
+            b = 1 << v
+            keep = rem = bv = 0
+            for i, f in enumerate(self.family):
+                if f & b:
+                    keep |= ((1 << width) - 1) << i * width
+                    rem |= (f & ~b) << i * width
+                    bv |= b << i * width
+                else:
+                    rem |= ones << i * width
+            self._masks.append((keep, rem, bv))
 
-def flat_step(members: tuple, flat: tuple, v: int) -> tuple:
-    """``entries_step`` over a flat entry vector, with ``members`` from
-    ``flat_members``; returns (vector, highest score produced by an
-    increment) so callers detect threshold hits for free.  Stepping the
-    all-zero vector gives the single-letter vector of ``v``."""
-    out = [0] * len(flat)
-    hit = 0
-    for i, rem, b in members[v]:
-        a = flat[i + 1]
-        if a == rem:
-            s = flat[i] + 1
-            if s > hit:
-                hit = s
-            out[i] = s
-        else:
-            out[i] = flat[i]
-            out[i + 1] = a | b
-    return tuple(out), hit
+    def step(self, x: int, v: int) -> int:
+        """The vector after ``v``: sets without v reset, a set whose
+        accumulator is f minus v scores and empties it, the others add v to
+        the accumulator.  Equality of each field with f minus v is read off
+        the carry of ``d + accm`` into the field's score bit."""
+        keep, rem, bv = self._masks[v]
+        accm = self._accm
+        slo = self._slo
+        x &= keep
+        d = (x ^ rem) & accm
+        eq = slo & ~((d + accm) & slo)
+        eq_acc = eq - (eq >> self.n)  # the accumulator bits of the eq fields
+        return ((x & ~eq_acc) + eq) | (bv & ~eq_acc)
+
+    def reaches(self, x: int, cap: int) -> bool:
+        """Whether some score of ``x`` is at least ``cap`` (2 or 3)."""
+        if cap == 2:
+            return bool(x & self._shi)
+        return bool((x & self._shi) >> 1 & x)
+
+    def entries(self, x: int) -> tuple:
+        """The (score, acc) pair of each tracked set, as ``entries_step``
+        gives them."""
+        width = self.n + 2
+        ones = (1 << self.n) - 1
+        out = []
+        for i in range(len(self.family)):
+            field_ = x >> i * width
+            out.append((field_ >> self.n & 3, field_ & ones))
+        return tuple(out)
 
 
 @dataclass(frozen=True, eq=False)

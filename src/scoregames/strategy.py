@@ -10,7 +10,7 @@ product search bounding the opponent's scores.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .arena import Arena, MullerCondition, Word, bit, f1_loops, iter_bits, mask_of, swap_roles
 from .reduction import SafetyReduction, build_safety_game, explore
@@ -38,7 +38,7 @@ class FiniteStateStrategy:
     (state, vertex), and ``next_move`` by (vertex, state) for the vertices
     of ``owner_player``.  Every move is a non-empty tuple of successors: one
     for a deterministic strategy, several for a multi-strategy.  A missing
-    entry raises ValueError.
+    entry raises ValueError, naming the vertex by ``names`` when given.
     """
 
     owner_player: int
@@ -46,24 +46,32 @@ class FiniteStateStrategy:
     init: dict
     update: dict
     next_move: dict
+    names: tuple = field(default=(), compare=False, repr=False)
+
+    def _vertex(self, v: int):
+        return self.names[v] if self.names else v
 
     def initial(self, v: int):
         try:
             return self.init[v]
         except KeyError:
-            raise ValueError(f"strategy has no initial state for vertex {v}") from None
+            raise ValueError(f"strategy has no initial state for vertex {self._vertex(v)}") from None
 
     def step(self, m, v: int):
         try:
             return self.update[m, v]
         except KeyError:
-            raise ValueError(f"strategy update undefined for state {m!r}, vertex {v}") from None
+            raise ValueError(
+                f"strategy update undefined for state {m!r}, vertex {self._vertex(v)}"
+            ) from None
 
     def moves(self, v: int, m) -> tuple:
         try:
             return self.next_move[v, m]
         except KeyError:
-            raise ValueError(f"strategy has no move for vertex {v} in state {m!r}") from None
+            raise ValueError(
+                f"strategy has no move for vertex {self._vertex(v)} in state {m!r}"
+            ) from None
 
     def run(self, word: Word):
         """The memory state after reading a play prefix."""

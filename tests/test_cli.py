@@ -13,6 +13,7 @@ from scoregames.oracle import GeneratorConfig, random_game
 from scoregames.reduction import build_safety_game
 from scoregames.safety_solver import solve_safety
 from scoregames.strategy import (
+    BOTTOM,
     build_antichain_strategy,
     build_permissive_strategy,
     consistent_product,
@@ -94,6 +95,9 @@ def test_strategy_roundtrip(example4):
         text = serialize_strategy(strat, arena)
         back = parse_strategy(text, arena)
         assert back.owner_player == 0
+        # the reserved label reads back as BOTTOM, so the file round-trips
+        assert back.states[-1] is BOTTOM
+        assert serialize_strategy(back, arena) == text
         # behaviour agrees along consistent plays
         orig = consistent_product(arena, strat, m(0, 1, 2))
         copy = consistent_product(arena, back, m(0, 1, 2))
@@ -296,6 +300,16 @@ def test_cli_errors(tmp_path, capsys):
         assert code == 2
         assert out == ""
         assert err.startswith("error: strategy file: ") and err.count("\n") == 1
+    # the message names the game's vertex, not its index
+    named = game_file(
+        tmp_path, "vertex a 0\nvertex b 1\nedge a b\nedge b a\ncondition muller\nf0 { a b }\n", "ab.txt"
+    )
+    strat = tmp_path / "named-strategy.txt"
+    strat.write_text("player 0\nstate s\ninit a s\nupdate s a s\nupdate s b s\nmove a s { b }\n")
+    code, out, err = run(capsys, "verify", named, str(strat))
+    assert code == 2
+    assert out == ""
+    assert err == "error: strategy file: strategy has no initial state for vertex b\n"
 
 
 def test_cli_determinism(tmp_path, capsys):

@@ -136,12 +136,14 @@ def test_product_isomorphic_to_reduction(example4):
     arena, muller = example4
     red = build_safety_game(arena, muller)
     prod = product_game(arena, muller_monitor(arena, muller))
-    # safe product states correspond one-to-one to safe quotient classes
+    # safe product states correspond one-to-one to safe quotient classes,
+    # looked up through the classes' decoded sheets
+    classes = {sheet.key(): c for c, sheet in enumerate(red.sheets) if sheet is not None}
     mapping = {}
     for i, (v, q) in enumerate(prod.states):
         if q is REJECT:
             continue
-        cls = red._index[v, tuple(x for st_ in q for x in st_)]
+        cls = classes[v, q]
         assert cls not in mapping.values()
         mapping[i] = cls
     assert len(mapping) == 19

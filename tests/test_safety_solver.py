@@ -1,7 +1,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scoregames.arena import Arena, bit, iter_bits
+from scoregames.arena import Arena, bit, iter_bits, mask_of
+from scoregames.oracle import GeneratorConfig, random_game
 from scoregames.reduction import SafetyGame, build_safety_game
 from scoregames.safety_solver import attractor, solve_safety
 
@@ -88,6 +89,31 @@ def check_solution(game: SafetyGame):
         reach |= add
     assert reach & sol.w1 == sol.w1
     return sol
+
+
+def test_large_quotient_matches_naive_fixpoint():
+    # corpus game 42, Player-0 side: 5,132 classes, so each region spans
+    # about 80 machine words
+    arena, muller = random_game(GeneratorConfig(n=5, density=0.65, seed=42, kind="muller"))
+    game = build_safety_game(arena, muller, tracked_player=0).game
+    quotient = game.arena
+    assert quotient.n > 5000
+    # greatest fixpoint: keep the safe classes whose owner can stay inside
+    win = {v for v in range(quotient.n) if game.safe & bit(v)}
+    while True:
+        kept = {
+            v
+            for v in win
+            if (any if quotient.owner[v] == 0 else all)(u in win for u in quotient.succ[v])
+        }
+        if kept == win:
+            break
+        win = kept
+    sol = check_solution(game)
+    assert sol.w0 == mask_of(win)
+    assert 0 < len(win) < quotient.n
+    unsafe = quotient.full_mask & ~game.safe
+    assert attractor(quotient, 1, unsafe) == (sol.w1, sol.strategy1)
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,12 +6,12 @@ from hypothesis import strategies as st
 
 from scoregames.arena import is_loop
 from scoregames.scoring import (
+    PackedKernel,
     ScoreState,
     ZERO,
+    entries_step,
     entries_terminal,
     family_of,
-    flat_members,
-    flat_step,
     lar_of,
     lar_update,
     maxscore,
@@ -148,22 +148,30 @@ def test_congruence_of_scores(w, w2, u, f):
         assert a2.score < b2.score or (a2.score == b2.score and a2.acc & ~b2.acc == 0)
 
 
+def _pack(n, entries):
+    # tracked set i owns the field of n + 2 bits at offset i * (n + 2):
+    # accumulator in the low n bits, score in the next two
+    return sum((score << n | acc) << i * (n + 2) for i, (score, acc) in enumerate(entries))
+
+
 @settings(max_examples=120, deadline=None)
 @given(w=words3)
 def test_sheet_matches_recomputation(w):
-    # the flat kernel of the quotient steps in lockstep with the sheet
+    # the packed kernel of the quotient steps in lockstep with the sheet
     family = family_of([1, 2, 3, 4, 5, 6, 7])
-    members = flat_members(family, 3)
+    kernel = PackedKernel(family, 3)
     sheet = sheet_init(family, w[0])
-    flat, _ = flat_step(members, (0,) * (2 * len(family)), w[0])
-    assert flat == tuple(x for st_ in sheet.entries for x in st_)
+    x = kernel.step(0, w[0])
+    assert x == _pack(3, sheet.entries)
+    assert kernel.entries(x) == sheet.entries
     for i, v in enumerate(w[1:], start=2):
         if sheet_terminal(sheet):
             return
         sheet = sheet_update(family, sheet, v)
-        flat, hit = flat_step(members, flat, v)
-        assert flat == tuple(x for st_ in sheet.entries for x in st_)
-        assert (hit >= 3) == sheet_terminal(sheet)
+        x = kernel.step(x, v)
+        assert x == _pack(3, sheet.entries)
+        assert kernel.entries(x) == sheet.entries
+        assert kernel.reaches(x, 3) == sheet_terminal(sheet)
         for f, st_ in zip(family, sheet.entries):
             expected = score_word(f, w[:i])
             assert st_[0] == min(expected.score, 3)
@@ -171,6 +179,38 @@ def test_sheet_matches_recomputation(w):
                 assert st_ == expected
     assert sheet.last == w[-1]
     assert sheet.lar == lar_of(w)
+
+
+def _below(cap, n, f):
+    # a score below ``cap`` with an accumulator that is a proper subset of f
+    def state(pair):
+        score, acc = pair
+        acc &= f
+        return (score, acc & (acc - 1) if acc == f else acc)
+
+    return st.tuples(st.integers(0, cap - 1), st.integers(0, 2**n - 1)).map(state)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_packed_step_matches_entries_step(data):
+    # from any vector below the threshold, the packed step and the threshold
+    # test agree with entries_step and entries_terminal
+    n = data.draw(st.integers(1, 8), label="n")
+    family = family_of(data.draw(st.lists(st.integers(1, 2**n - 1), min_size=1, max_size=10)))
+    cap = data.draw(st.sampled_from((2, 3)), label="cap")
+    kernel = PackedKernel(family, n)
+    entries = data.draw(st.tuples(*(_below(cap, n, f) for f in family)), label="entries")
+    x = _pack(n, entries)
+    assert kernel.entries(x) == entries
+    for v in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=20), label="word"):
+        entries = entries_step(family, entries, v)
+        x = kernel.step(x, v)
+        assert kernel.entries(x) == entries
+        assert x == _pack(n, entries)
+        assert kernel.reaches(x, cap) == entries_terminal(entries, cap)
+        if entries_terminal(entries, cap):
+            break
 
 
 @settings(max_examples=150, deadline=None)
