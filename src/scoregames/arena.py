@@ -46,11 +46,13 @@ class Arena:
     """A finite directed game graph with a vertex partition between two players.
 
     ``owner[v]`` is 0 or 1, ``succ[v]`` the sorted successor indices of ``v``.
-    Every vertex is expected to have at least one successor; ``validate``
-    reports vertices that do not.
+    ``names[v]`` is the external name of ``v``; ``names`` is a tuple, or for
+    the arenas built by a reduction or a monitor product a sequence whose
+    names are built on access.  Every vertex is expected to have at least
+    one successor; ``validate`` reports vertices that do not.
     """
 
-    names: tuple
+    names: Sequence
     owner: tuple
     succ: tuple
 

@@ -136,7 +136,8 @@ def parse_game(text: str) -> tuple:
         elif head == "priority":
             if kind != "parity":
                 raise GameParseError(f"line {lineno}: 'priority' outside a parity condition")
-            if len(parts) != 3 or not parts[2].isdigit():
+            # isdigit() also accepts digits such as '²' that int() rejects
+            if len(parts) != 3 or not (parts[2].isascii() and parts[2].isdigit()):
                 raise GameParseError(f"line {lineno}: expected 'priority <id> <nat>'")
             priorities[vertex_id(lineno, parts[1])] = int(parts[2])
         elif head == "final":
@@ -526,7 +527,7 @@ def _cmd_monitor(args) -> int:
 
 
 def _at_least_one(text: str) -> int:
-    """argparse type of ``--max-states`` and ``--bound``."""
+    """argparse type of ``--max-states``, ``--bound`` and ``--vertices``."""
     try:
         value = int(text)
     except ValueError:
@@ -576,7 +577,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("random", help="generate a seeded random game")
-    p.add_argument("--vertices", type=int, default=4)
+    p.add_argument("--vertices", type=_at_least_one, default=4)
     p.add_argument("--density", type=float, default=0.4)
     p.add_argument("--owner-bias", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)

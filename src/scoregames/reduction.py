@@ -63,7 +63,9 @@ class SafetyGame:
 
 
 class _ClassView(Sequence):
-    """A read-only sequence over the classes whose items are built on access."""
+    """A read-only sequence of ``n`` items, item ``i`` built on access as
+    ``item(i)``: per-class data of a reduction and the vertex names of
+    quotient and product arenas."""
 
     def __init__(self, n: int, item: Callable):
         self._n = n
@@ -73,10 +75,24 @@ class _ClassView(Sequence):
         return self._n
 
     def __getitem__(self, c):
+        if isinstance(c, slice):
+            return tuple(map(self._item, range(self._n)[c]))
         return self._item(range(self._n)[c])
 
     def __eq__(self, other):
         return isinstance(other, (tuple, _ClassView)) and tuple(self) == tuple(other)
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+
+def _path(keys: list, parents: list, c: int) -> Word:
+    """The last vertices along the parent chain of class ``c``, oldest first."""
+    out = []
+    while c >= 0:
+        out.append(keys[c][0])
+        c = parents[c]
+    return tuple(reversed(out))
 
 
 @dataclass
@@ -90,22 +106,27 @@ class SafetyReduction:
     reproducible.
 
     Stored per class: ``keys[c]``, the pair (last vertex, packed score
-    vector) of ``scoring.PackedKernel`` (None for the sink), with ``_index``
-    mapping keys back to classes.  The packed vector is one int in which
-    tracked set i owns the field of n + 2 bits at offset i * (n + 2): its
-    accumulator in the low n bits and its score in the next two.  Also
-    stored: ``parents[c]``, the class whose expansion found ``c`` (-1 for
-    the embedded vertices); ``rows[c]``, the successor classes aligned with
-    ``base_arena.succ`` of the last vertex (the sink's row is its
-    self-loop); ``_unsafe``, which maps each distinct key that reached the
-    threshold to the key of the class that first stepped into it; and
-    ``_kernel``, which decodes packed vectors.
+    vector) of ``scoring.PackedKernel`` (None for the sink), and
+    ``parents[c]``, the class whose expansion found ``c`` (-1 for the
+    embedded vertices).  The packed vector is one int in which tracked set i
+    owns the field of n + 2 bits at offset i * (n + 2): its accumulator in
+    the low n bits and its score in the next two.  The quotient arena is the
+    only successor table: a successor ``t`` of ``c`` other than the sink is
+    the edge labelled ``keys[t][0]``, and every other successor of the last
+    vertex leads to the sink (whose only successor is itself).  Also stored:
+    ``unsafe_class_count``, the number of distinct keys that reached the
+    threshold, and ``_kernel``, which steps and decodes packed vectors.
 
     Derived on access, with the entries decoded from the packed vectors:
-    ``sheets`` (the sink's is None, the latest appearance records come from
-    the parent chain), ``rep_words`` (the first play prefix that reached
-    each class; the sink's is the first prefix that crossed the threshold),
-    ``unsafe_sheets`` and ``unsafe_class_count``.
+    the quotient's vertex names (``[`` + the base vertex names along
+    ``rep_words[c]`` + ``]``, joined by ``.`` when a name is longer than one
+    character; the sink's is ``unsafe``), ``sheets`` (the sink's is None,
+    the latest appearance records come from the parent chain),
+    ``rep_words`` (the first play prefix that reached each class; the
+    sink's is the first prefix that crossed the threshold) and
+    ``unsafe_sheets`` (one per distinct key that reached the threshold,
+    with the record of the first class, in class order, that stepped into
+    it).
     """
 
     game: SafetyGame
@@ -113,22 +134,16 @@ class SafetyReduction:
     embed: tuple
     keys: list
     parents: list
-    rows: list
     tracked_player: int
     threshold: int
     family: tuple
     sink: Optional[int]
-    _index: dict = field(repr=False)
-    _unsafe: dict = field(repr=False)
+    unsafe_class_count: int
     _kernel: PackedKernel = field(repr=False)
 
     @property
     def n_classes(self) -> int:
         return self.game.arena.n
-
-    @property
-    def unsafe_class_count(self) -> int:
-        return len(self._unsafe)
 
     @property
     def sheets(self) -> Sequence:
@@ -140,10 +155,25 @@ class SafetyReduction:
 
     @property
     def unsafe_sheets(self) -> tuple:
+        first: dict = {}
+        for c, targets in enumerate(self.game.arena.succ):
+            if c != self.sink and self.sink in targets:
+                for crossing in self._crossings(c):
+                    first.setdefault(crossing, c)
         return tuple(
-            ScoreSheet(v, self._kernel.entries(x), lar_update(self._lar(self._index[parent]), v))
-            for (v, x), parent in self._unsafe.items()
+            ScoreSheet(v, self._kernel.entries(y), lar_update(self._lar(c), v))
+            for (v, y), c in first.items()
         )
+
+    def _crossings(self, c: int):
+        """The successors ``v`` of class ``c``'s last vertex whose step
+        reaches the threshold, each with the packed vector ``y`` it reaches,
+        as (v, y) in successor order."""
+        last, x = self.keys[c]
+        for v in self.base_arena.succ[last]:
+            y = self._kernel.step(x, v)
+            if self._kernel.reaches(y, self.threshold):
+                yield v, y
 
     def _lar(self, c: int) -> tuple:
         """The latest appearance record of ``rep_words[c]``, newest last."""
@@ -163,20 +193,19 @@ class SafetyReduction:
 
     def _rep_word(self, c: int) -> Word:
         if c == self.sink:
-            crossing = next(iter(self._unsafe))[0]
-            return self._rep_word(self.parents[c]) + (crossing,)
-        out = []
-        while c >= 0:
-            out.append(self.keys[c][0])
-            c = self.parents[c]
-        return tuple(reversed(out))
+            parent = self.parents[c]
+            crossing, _ = next(self._crossings(parent))
+            return _path(self.keys, self.parents, parent) + (crossing,)
+        return _path(self.keys, self.parents, c)
 
     def step_class(self, c: int, v: int) -> int:
         """The quotient successor of class ``c`` under vertex ``v``."""
         if 0 <= c < self.n_classes and c != self.sink:
-            succ = self.base_arena.succ[self.keys[c][0]]
-            if v in succ:
-                return self.rows[c][succ.index(v)]
+            if v in self.base_arena.succ[self.keys[c][0]]:
+                for t in self.game.arena.succ[c]:
+                    if t != self.sink and self.keys[t][0] == v:
+                        return t
+                return self.sink
         raise ValueError(f"no quotient edge from class {c} labelled {v}")
 
     def class_of(self, word: Word) -> int:
@@ -229,7 +258,7 @@ def build_safety_game(
 
     kernel = PackedKernel(family, base.n)
     step, reaches = kernel.step, kernel.reaches
-    unsafe: dict = {}
+    unsafe: set = set()
 
     def expand(key):
         if key is None:
@@ -239,7 +268,7 @@ def build_safety_game(
         for v in base.succ[last]:
             y = step(x, v)
             if reaches(y, threshold):
-                unsafe.setdefault((v, y), key)
+                unsafe.add((v, y))
                 out.append(None)
             else:
                 out.append((v, y))
@@ -248,20 +277,17 @@ def build_safety_game(
     seeds = [(v, step(0, v)) for v in range(base.n)]
     keys, index, parents, rows = explore(seeds, expand, max_states)
     sink = index.get(None)
-
-    owner = []
-    names = []
     joiner = "" if all(len(nm) == 1 for nm in base.names) else "."
-    for c, key in enumerate(keys):
-        if key is None:
-            owner.append(1)  # absorbing, the owner never matters
-            names.append("unsafe")
-        else:
-            owner.append(base.owner[key[0]])
-            prefix = "[" if parents[c] < 0 else names[parents[c]][:-1] + joiner
-            names.append(prefix + base.names[key[0]] + "]")
 
-    quotient = Arena(tuple(names), tuple(owner), tuple(tuple(sorted(set(r))) for r in rows))
+    def name(c):
+        if c == sink:
+            return "unsafe"
+        return "[" + joiner.join(base.names[v] for v in _path(keys, parents, c)) + "]"
+
+    # the sink is absorbing, so its owner never matters
+    owner = tuple(1 if key is None else base.owner[key[0]] for key in keys)
+    succ = tuple(tuple(sorted(set(r))) for r in rows)
+    quotient = Arena(_ClassView(len(keys), name), owner, succ)
     safe = (1 << len(keys)) - 1
     if sink is not None:
         safe &= ~(1 << sink)
@@ -271,12 +297,10 @@ def build_safety_game(
         embed=tuple(index[k] for k in seeds),
         keys=keys,
         parents=parents,
-        rows=rows,
         tracked_player=tracked_player,
         threshold=threshold,
         family=family,
         sink=sink,
-        _index=index,
-        _unsafe=unsafe,
+        unsafe_class_count=len(unsafe),
         _kernel=kernel,
     )

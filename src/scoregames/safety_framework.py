@@ -25,7 +25,7 @@ from .arena import (
     f1_loops,
     mask_of,
 )
-from .reduction import DEFAULT_MAX_STATES, SafetyGame, explore
+from .reduction import DEFAULT_MAX_STATES, SafetyGame, _ClassView, explore
 from .safety_solver import solve_safety
 from .scoring import ZERO, entries_step, entries_terminal, family_of
 from .strategy import FiniteStateStrategy
@@ -124,14 +124,18 @@ def product_game(
 
     seeds = [(v, dfa.step(dfa.start, v)) for v in range(arena.n)]
     states, index, _, rows = explore(seeds, expand, max_states)
+    states = tuple(states)
+
+    def name(i):
+        v, q = states[i]
+        return f"{arena.names[v]}|{q!r}"
 
     owner = tuple(arena.owner[v] for v, _ in states)
-    names = tuple(f"{arena.names[v]}|{q!r}" for v, q in states)
     succ = tuple(tuple(sorted(set(r))) for r in rows)
     safe = mask_of(i for i, (_, q) in enumerate(states) if dfa.is_accepting(q))
     return ProductGame(
-        SafetyGame(Arena(names, owner, succ), safe),
-        tuple(states),
+        SafetyGame(Arena(_ClassView(len(states), name), owner, succ), safe),
+        states,
         tuple(index[node] for node in seeds),
         index,
     )

@@ -179,13 +179,15 @@ def _class_table(
 
     From state ``m``, vertex ``v`` follows the quotient edge of ``m``
     labelled ``v`` and ``lift`` maps the class it reaches to a memory state
-    or BOTTOM; without such an edge the update is BOTTOM.  At the last
-    vertex of ``m`` the owner may take every successor whose update is not
-    BOTTOM (``every_move``) or only the first of them.  Where there is none,
-    and at every other vertex, which consistent play never reaches in state
-    ``m``, the table holds the first successor.
+    or BOTTOM; without such an edge, or along an edge into the sink, the
+    update is BOTTOM.  At the last vertex of ``m`` the owner may take every
+    successor whose update is not BOTTOM (``every_move``) or only the first
+    of them.  Where there is none, and at every other vertex, which
+    consistent play never reaches in state ``m``, the table holds the first
+    successor.
     """
     base = red.base_arena
+    quotient = red.game.arena
     init = {}
     for v in range(base.n):
         e = red.embed[v]
@@ -195,7 +197,8 @@ def _class_table(
     next_move = {}
     for m in memory:
         last = red.keys[m][0]
-        targets = dict(zip(base.succ[last], red.rows[m]))
+        # an edge into the sink has no entry, so its update is BOTTOM too
+        targets = {red.keys[t][0]: t for t in quotient.succ[m] if t != red.sink}
         for v in range(base.n):
             target = targets.get(v)
             update[m, v] = BOTTOM if target is None else lift(target)

@@ -67,6 +67,9 @@ def test_parse_errors_carry_line_numbers():
         parse_game("frobnicate\n")
     with pytest.raises(GameParseError, match="not a loop"):
         parse_game("vertex a 0\nvertex b 1\nedge a b\nedge b a\ncondition muller\nf0 { a }\n")
+    # '²' is a Unicode digit that int() does not read
+    with pytest.raises(GameParseError, match="line 7: expected 'priority <id> <nat>'"):
+        parse_game(PARITY_TEXT.replace("priority a 0", "priority a \u00b2"))
 
 
 def test_roundtrip_example4(example4):
@@ -186,7 +189,8 @@ def test_cli_reduce_text(tmp_path, capsys):
     assert "classes 20" in lines
     assert "safe 19" in lines
     assert "unsafe-pre-merge 4" in lines
-    assert any(line.startswith("embed 0 ") for line in lines)
+    assert "sink unsafe" in lines
+    assert lines[-3:] == ["embed 0 [0]", "embed 1 [1]", "embed 2 [2]"]
 
 
 def test_cli_reduce_dot(tmp_path, capsys):
@@ -287,6 +291,8 @@ def test_cli_errors(tmp_path, capsys):
         ("strategy", game_file(tmp_path), "--max-states", "0"),
         ("monitor", game_file(tmp_path), "--max-states", "-1"),
         ("verify", game_file(tmp_path), str(tmp_path / "any.txt"), "--bound", "0"),
+        ("random", "--vertices", "0"),
+        ("random", "--vertices", "-1"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2

@@ -170,6 +170,26 @@ def test_random_reductions_respect_bounds_and_edges(seed):
             red.step_class(c, v)
     for sheet in red.unsafe_sheets:
         assert sheet.max_score() >= red.threshold
+    # one unsafe sheet per distinct key that reached the threshold
+    assert len(red.unsafe_sheets) == red.unsafe_class_count
+    assert len({sheet.key() for sheet in red.unsafe_sheets}) == red.unsafe_class_count
+    if red.sink is not None:
+        assert red.class_of(red.rep_words[red.sink]) == red.sink
+
+
+@pytest.mark.parametrize(
+    "names, joiner", [(("0", "1", "2"), ""), (("left", "mid", "right"), ".")]
+)
+def test_class_names_follow_rep_words(example4, names, joiner):
+    arena, muller = example4
+    red = build_safety_game(Arena(names, arena.owner, arena.succ), muller)
+    quotient = red.game.arena
+    assert quotient.names[red.sink] == "unsafe"
+    assert quotient.names[1:3] == (quotient.names[1], quotient.names[2])
+    for c in range(red.n_classes):
+        if c != red.sink:
+            expected = "[" + joiner.join(names[v] for v in red.rep_words[c]) + "]"
+            assert quotient.names[c] == expected
 
 
 @settings(max_examples=25, deadline=None)

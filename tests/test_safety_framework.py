@@ -123,6 +123,8 @@ def test_product_with_trivial_monitor(example4):
         pv = prod.seeds[v]
         assert prod.game.arena.owner[pv] == arena.owner[v]
         assert set(prod.game.arena.succ[pv]) == {prod.seeds[u] for u in arena.succ[v]}
+    for i, (v, q) in enumerate(prod.states):
+        assert prod.game.arena.names[i] == f"{arena.names[v]}|{q!r}"
 
 
 def test_product_with_instant_reject(example4):
