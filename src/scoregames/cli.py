@@ -346,19 +346,24 @@ def export_dot(obj) -> str:
     raise TypeError(f"cannot export a {type(obj).__name__}")
 
 
-def monitor_dot(dfa: MonitorDFA, arena: Arena, max_states: int = 10_000) -> str:
+def _monitor_table(dfa: MonitorDFA, arena: Arena, max_states: int) -> tuple:
+    """The monitor's reachable states in breadth-first order, labelled
+    ``q0``, ``q1``, ...: a (label, accepting) pair per state and every
+    transition as (source label, vertex name, target label)."""
     order = reachable_states(dfa, max_states)
     labels = {q: f"q{i}" for i, q in enumerate(order)}
-    nodes = [_node(labels[q], 0, doubled=dfa.is_accepting(q)) for q in order]
-    edges = []
-    for q in order:
-        for v in range(arena.n):
-            edges.append(f'"{labels[q]}" -> "{labels[dfa.step(q, v)]}" [label="{arena.names[v]}"]')
+    states = [(labels[q], dfa.is_accepting(q)) for q in order]
+    trans = [
+        (labels[q], arena.names[v], labels[dfa.step(q, v)]) for q in order for v in range(arena.n)
+    ]
+    return states, trans
+
+
+def monitor_dot(dfa: MonitorDFA, arena: Arena, max_states: int = 10_000) -> str:
+    states, trans = _monitor_table(dfa, arena, max_states)
+    nodes = [_node(q, 0, doubled=accepting) for q, accepting in states]
+    edges = [f'"{q}" -> "{t}" [label="{v}"]' for q, v, t in trans]
     return _dot_lines(nodes, edges)
-
-
-def _fmt_region(arena: Arena, mask: int) -> str:
-    return "{" + ",".join(arena.names[v] for v in iter_bits(mask)) + "}"
 
 
 def _read_text(path: str) -> str:
@@ -386,8 +391,8 @@ def _cmd_solve(args) -> int:
         dfa = monitor_for(arena, condition)
         w0, _ = solve_via_safety(arena, condition, dfa, args.max_states)
         w1 = arena.full_mask & ~w0
-    print(f"W0 = {_fmt_region(arena, w0)}")
-    print(f"W1 = {_fmt_region(arena, w1)}")
+    print(f"W0 = {arena.set_str(w0)}")
+    print(f"W1 = {arena.set_str(w1)}")
     return 0
 
 
@@ -456,7 +461,7 @@ def _cmd_verify(args) -> int:
     except ValueError as exc:
         raise GameParseError(f"strategy file: {exc}") from None
     if ok:
-        print(f"verified: scores bounded by {args.bound} from {_fmt_region(arena, start)}")
+        print(f"verified: scores bounded by {args.bound} from {arena.set_str(start)}")
         return 0
     print(f"violation: {''.join(arena.names[v] for v in witness)}")
     return 1
@@ -475,10 +480,10 @@ def _cmd_oracle(args) -> int:
         zw0, zw1 = zielonka(arena, muller)
         sw0, _ = solve_via_safety(arena, condition, monitor_for(arena, condition))
         sw1 = arena.full_mask & ~sw0
-    print(f"oracle W0 = {_fmt_region(arena, zw0)}")
-    print(f"oracle W1 = {_fmt_region(arena, zw1)}")
-    print(f"solver W0 = {_fmt_region(arena, sw0)}")
-    print(f"solver W1 = {_fmt_region(arena, sw1)}")
+    print(f"oracle W0 = {arena.set_str(zw0)}")
+    print(f"oracle W1 = {arena.set_str(zw1)}")
+    print(f"solver W0 = {arena.set_str(sw0)}")
+    print(f"solver W1 = {arena.set_str(sw1)}")
     if (zw0, zw1) == (sw0, sw1):
         print("agreement: yes")
         return 0
@@ -515,14 +520,12 @@ def _cmd_monitor(args) -> int:
     if args.out == "dot":
         sys.stdout.write(monitor_dot(dfa, arena, args.max_states))
         return 0
-    order = reachable_states(dfa, args.max_states)
-    labels = {q: f"q{i}" for i, q in enumerate(order)}
-    print(f"states {len(order)}")
-    print(f"start {labels[order[0]]}")
-    print("accepting " + " ".join(labels[q] for q in order if dfa.is_accepting(q)))
-    for q in order:
-        for v in range(arena.n):
-            print(f"trans {labels[q]} {arena.names[v]} {labels[dfa.step(q, v)]}")
+    states, trans = _monitor_table(dfa, arena, args.max_states)
+    print(f"states {len(states)}")
+    print(f"start {states[0][0]}")
+    print("accepting " + " ".join(q for q, accepting in states if accepting))
+    for q, v, t in trans:
+        print(f"trans {q} {v} {t}")
     return 0
 
 

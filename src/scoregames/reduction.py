@@ -24,11 +24,11 @@ def explore(seeds: Iterable, expand: Callable, max_states: int = DEFAULT_MAX_STA
     """Breadth-first search over hashable keys, numbered in discovery order
     with the seeds first.  ``expand(key)`` lists the successor keys of a key.
 
-    Returns ``(keys, index, parents, rows)``: the key of each number, the
-    number of each key, the number whose expansion first found each key
-    (-1 for the seeds) and each number's successor numbers in the order
-    ``expand`` listed them.  Finding a key beyond ``max_states`` raises
-    SizeLimitError.
+    Returns ``(keys, parents, succ)``: the key of each number, the number
+    whose expansion first found each key (-1 for the seeds) and each
+    number's successor numbers, sorted and distinct, so ``succ`` is an
+    ``Arena.succ`` table.  The key-to-number index lives only while the
+    search runs.  Finding a key beyond ``max_states`` raises SizeLimitError.
     """
     keys: list = []
     index: dict = {}
@@ -47,11 +47,12 @@ def explore(seeds: Iterable, expand: Callable, max_states: int = DEFAULT_MAX_STA
 
     for key in seeds:
         number(key, -1)
-    rows = []
+    succ = []
     # keys grows while it is read, so reading it in order is the FIFO queue
     for i, key in enumerate(keys):
-        rows.append(tuple([number(k, i) for k in expand(key)]))
-    return keys, index, parents, rows
+        succ.append(tuple(sorted({number(k, i) for k in expand(key)})))
+    del index  # freed before the table is copied into a tuple
+    return keys, parents, tuple(succ)
 
 
 @dataclass(frozen=True)
@@ -274,9 +275,9 @@ def build_safety_game(
                 out.append((v, y))
         return out
 
-    seeds = [(v, step(0, v)) for v in range(base.n)]
-    keys, index, parents, rows = explore(seeds, expand, max_states)
-    sink = index.get(None)
+    # the seeds differ in their vertex, so vertex v is class v
+    keys, parents, succ = explore([(v, step(0, v)) for v in range(base.n)], expand, max_states)
+    sink = next((c for c, key in enumerate(keys) if key is None), None)
     joiner = "" if all(len(nm) == 1 for nm in base.names) else "."
 
     def name(c):
@@ -286,7 +287,6 @@ def build_safety_game(
 
     # the sink is absorbing, so its owner never matters
     owner = tuple(1 if key is None else base.owner[key[0]] for key in keys)
-    succ = tuple(tuple(sorted(set(r))) for r in rows)
     quotient = Arena(_ClassView(len(keys), name), owner, succ)
     safe = (1 << len(keys)) - 1
     if sink is not None:
@@ -294,7 +294,7 @@ def build_safety_game(
     return SafetyReduction(
         game=SafetyGame(quotient, safe),
         base_arena=base,
-        embed=tuple(index[k] for k in seeds),
+        embed=tuple(range(base.n)),
         keys=keys,
         parents=parents,
         tracked_player=tracked_player,

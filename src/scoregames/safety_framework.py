@@ -44,37 +44,23 @@ _CLOSED = -1  # request-response: no open request for the pair
 
 
 class MonitorDFA:
-    """A deterministic automaton over the vertex alphabet with an absorbing
-    reject state; every other reachable state accepts unless a separate
-    acceptance predicate is supplied."""
+    """A deterministic automaton over the vertex alphabet with the absorbing
+    reject state REJECT; every other state accepts."""
 
-    def __init__(
-        self,
-        alphabet_size: int,
-        start,
-        step: Callable,
-        accepting: Callable = None,
-        reject=REJECT,
-    ):
+    def __init__(self, alphabet_size: int, start, step: Callable):
         self.alphabet_size = alphabet_size
         self.start = start
-        self.reject = reject
         self._step = step
-        self._accepting = accepting
 
     def step(self, q, v: int):
         if not 0 <= v < self.alphabet_size:
             raise ValueError(f"letter {v} outside the alphabet")
-        if q == self.reject:
-            return self.reject
+        if q is REJECT:
+            return REJECT
         return self._step(q, v)
 
     def is_accepting(self, q) -> bool:
-        if q == self.reject:
-            return False
-        if self._accepting is None:
-            return True
-        return self._accepting(q)
+        return q is not REJECT
 
     def run(self, word: Sequence[int]):
         q = self.start
@@ -91,22 +77,20 @@ def reachable_states(dfa: MonitorDFA, max_states: int = 100_000) -> tuple:
     """All states reachable from the start over the full alphabet, in
     breadth-first order."""
     letters = range(dfa.alphabet_size)
-    states, _, _, _ = explore([dfa.start], lambda q: [dfa.step(q, v) for v in letters], max_states)
+    states, _, _ = explore([dfa.start], lambda q: [dfa.step(q, v) for v in letters], max_states)
     return tuple(states)
 
 
 @dataclass
 class ProductGame:
     """The arena unfolded against a monitor: positions are (vertex, state)
-    pairs, the safe positions are those with an accepting state."""
+    pairs, the safe positions are those with an accepting state.  Position
+    ``v`` is vertex ``v``'s seed (v, step(start, v)), so ``seeds`` is
+    ``tuple(range(n))``."""
 
     game: SafetyGame
     states: tuple
     seeds: tuple
-    _index: dict
-
-    def position(self, v: int, q) -> int:
-        return self._index[v, q]
 
 
 def product_game(
@@ -123,7 +107,7 @@ def product_game(
         return [(u, dfa.step(q, u)) for u in arena.succ[v]]
 
     seeds = [(v, dfa.step(dfa.start, v)) for v in range(arena.n)]
-    states, index, _, rows = explore(seeds, expand, max_states)
+    states, _, succ = explore(seeds, expand, max_states)
     states = tuple(states)
 
     def name(i):
@@ -131,13 +115,11 @@ def product_game(
         return f"{arena.names[v]}|{q!r}"
 
     owner = tuple(arena.owner[v] for v, _ in states)
-    succ = tuple(tuple(sorted(set(r))) for r in rows)
     safe = mask_of(i for i, (_, q) in enumerate(states) if dfa.is_accepting(q))
     return ProductGame(
         SafetyGame(Arena(_ClassView(len(states), name), owner, succ), safe),
         states,
-        tuple(index[node] for node in seeds),
-        index,
+        tuple(range(arena.n)),
     )
 
 
@@ -169,17 +151,13 @@ def solve_via_safety(
     for u, q in prod.states:
         for v in arena.succ[u]:
             update[q, v] = dfa.step(q, v)
-    next_move = {}
-    for v in range(arena.n):
-        if arena.owner[v] != 0:
-            continue
-        for q in memory:
-            pid = prod._index.get((v, q))
-            if pid is not None and pid in sol.strategy0:
-                target_v, _ = prod.states[sol.strategy0[pid]]
-                next_move[v, q] = (target_v,)
-            else:
-                next_move[v, q] = arena.succ[v][:1]
+    # the first successor, except where the product's positional strategy
+    # moves; those pairs are Player 0's, so they already have an entry
+    next_move = {
+        (v, q): arena.succ[v][:1] for v in range(arena.n) if arena.owner[v] == 0 for q in memory
+    }
+    for pid, target in sol.strategy0.items():
+        next_move[prod.states[pid]] = (prod.states[target][0],)
     return w0, FiniteStateStrategy(0, tuple(memory), init, update, next_move)
 
 

@@ -366,6 +366,7 @@ def consistent_product(arena: Arena, strat: FiniteStateStrategy, start: int) -> 
         targets = strat.moves(v, m) if arena.owner[v] == strat.owner_player else arena.succ[v]
         return [(u, strat.step(m, u)) for u in targets]
 
-    nodes, _, _, rows = explore([(v, strat.initial(v)) for v in iter_bits(start)], expand)
-    edges = tuple((nodes[i], nodes[j]) for i, row in enumerate(rows) for j in row)
+    nodes, _, _ = explore([(v, strat.initial(v)) for v in iter_bits(start)], expand)
+    # expanded again, so the edges keep expand's order for export
+    edges = tuple((node, child) for node in nodes for child in expand(node))
     return StrategyProduct(arena, tuple(nodes), edges)

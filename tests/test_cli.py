@@ -151,7 +151,20 @@ def test_export_dot_strategy_product(example4):
     perm = build_permissive_strategy(red, solve_safety(red.game))
     dot = export_dot(consistent_product(arena, perm, m(0, 1, 2)))
     assert dot.startswith("digraph")
-    assert " -> " in dot
+    # each node's edges in the order the strategy lists its moves, not
+    # sorted by node number: "1,3" reaches "0,7" before "2,5"
+    edges = [line.strip() for line in dot.splitlines() if " -> " in line]
+    assert edges == [
+        f'"{a}" -> "{b}";'
+        for a, b in [
+            ("0,0", "0,0"), ("0,0", "1,3"), ("1,1", "0,4"), ("1,1", "2,5"),
+            ("2,2", "1,6"), ("2,2", "2,2"), ("1,3", "0,7"), ("1,3", "2,5"),
+            ("0,4", "0,7"), ("0,4", "1,8"), ("2,5", "1,9"), ("2,5", "2,10"),
+            ("1,6", "0,4"), ("1,6", "2,10"), ("0,7", "0,7"), ("0,7", "1,11"),
+            ("1,8", "2,5"), ("1,9", "0,4"), ("2,10", "1,14"), ("2,10", "2,10"),
+            ("1,11", "2,5"), ("1,14", "0,4"),
+        ]
+    ]
 
 
 def game_file(tmp_path, text=EXAMPLE4_GAME_TEXT, name="game.txt"):

@@ -1,8 +1,12 @@
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scoregames.arena import Arena, MullerCondition, SizeLimitError, bit, mask_of
+from scoregames.oracle import GeneratorConfig, random_game
 from scoregames.reduction import build_safety_game, lar_sum_bound
 from scoregames.scoring import sheet_init, sheet_terminal, sheet_update
 
@@ -160,6 +164,10 @@ def test_random_reductions_respect_bounds_and_edges(seed):
     arena, muller = random_muller_game(seed, max_n=4)
     red = build_safety_game(arena, muller)
     assert red.n_classes <= lar_sum_bound(arena.n)
+    # the seeds are numbered first, and every successor row is sorted and distinct
+    assert red.embed == tuple(range(arena.n))
+    for row in red.game.arena.succ:
+        assert list(row) == sorted(set(row))
     for c in range(red.n_classes):
         if c == red.sink:
             continue
@@ -242,3 +250,21 @@ def test_threshold_two_region_is_contained(seed):
             v for v in range(arena.n) if sol.w0 & bit(red.embed[v])
         )
     assert w0[2] & ~w0[3] == 0
+
+
+def test_build_peak_stays_near_what_the_reduction_keeps():
+    # corpus game 7, Player-1 side (10,346 classes): the search's key index
+    # is dropped before the successor table is copied, and no second copy
+    # of the edges is built, so the peak stays close to what is kept
+    arena, muller = random_game(GeneratorConfig(n=6, density=0.4, seed=7, kind="muller"))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        red = build_safety_game(arena, muller, tracked_player=1)
+        gc.collect()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert red.n_classes == 10_346
+    assert peak - base <= 1.4 * (kept - base)

@@ -119,6 +119,9 @@ def test_product_with_trivial_monitor(example4):
     prod = product_game(arena, dfa)
     assert prod.game.arena.n == arena.n
     assert prod.game.safe == prod.game.arena.full_mask
+    assert prod.seeds == tuple(range(arena.n))
+    for row in prod.game.arena.succ:
+        assert list(row) == sorted(set(row))
     for v in range(arena.n):
         pv = prod.seeds[v]
         assert prod.game.arena.owner[pv] == arena.owner[v]
@@ -157,6 +160,27 @@ def test_product_isomorphic_to_reduction(example4):
         }
         red_targets = set(red.game.arena.succ[cls])
         assert prod_targets == red_targets
+
+
+@pytest.mark.parametrize("kind", ["buchi", "cobuchi", "parity", "rr"])
+def test_next_move_follows_the_product_strategy(kind):
+    for seed in range(1000, 1012):
+        density = (0.3, 0.5, 0.7, 0.9)[(seed // 4) % 4]
+        cfg = GeneratorConfig(n=2 + seed % 4, density=density, seed=seed, kind=kind)
+        arena, condition = random_game(cfg)
+        dfa = monitor_for(arena, condition)
+        prod = product_game(arena, dfa)
+        sol = solve_safety(prod.game)
+        position = {node: i for i, node in enumerate(prod.states)}
+        _, strat = solve_via_safety(arena, condition, dfa)
+        player0 = [v for v in range(arena.n) if arena.owner[v] == 0]
+        assert list(strat.next_move) == [(v, q) for v in player0 for q in strat.states]
+        for (v, q), move in strat.next_move.items():
+            pid = position.get((v, q))
+            if pid is not None and sol.w0 & bit(pid):
+                assert move == (prod.states[sol.strategy0[pid]][0],)
+            else:
+                assert move == arena.succ[v][:1]
 
 
 def test_solve_via_safety_buchi_alternation():
