@@ -109,6 +109,13 @@ class Arena:
     def set_str(self, mask: int) -> str:
         return "{" + ",".join(self.names[v] for v in iter_bits(mask)) + "}"
 
+    def word_str(self, word: Sequence[int]) -> str:
+        """The names along ``word``, joined by nothing when every name is one
+        character long and by ``.`` otherwise, so the word reads back
+        unambiguously."""
+        sep = "" if all(len(nm) == 1 for nm in self.names) else "."
+        return sep.join(self.names[v] for v in word)
+
 
 @dataclass(frozen=True)
 class MullerCondition:

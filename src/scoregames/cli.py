@@ -40,12 +40,11 @@ from .arena import (
     validate,
 )
 from .oracle import GeneratorConfig, encode_as_muller, random_game, zielonka
-from .reduction import SafetyReduction, build_safety_game
+from .reduction import DEFAULT_MAX_STATES, SafetyReduction, build_safety_game, explore
 from .safety_framework import (
     MonitorDFA,
     ProductGame,
     monitor_for,
-    reachable_states,
     solve_via_safety,
 )
 from .safety_solver import solve_safety
@@ -216,7 +215,9 @@ def parse_strategy(text: str, arena: Arena) -> FiniteStateStrategy:
     """Parse a strategy file.  The label ``bot`` is reserved: it reads back
     as BOTTOM, the label ``serialize_strategy`` gives it.  Entries the file
     leaves out are only missed when a play needs them: the strategy then
-    raises ValueError naming the game's vertex."""
+    raises ValueError naming the game's vertex.  A second ``player`` line
+    and a repeated state label, ``init`` vertex, ``update`` pair or
+    ``move`` pair are errors."""
     player = None
     states: list = []
     declared: set = set()
@@ -240,6 +241,8 @@ def parse_strategy(text: str, arena: Arena) -> FiniteStateStrategy:
         if head == "player":
             if len(parts) != 2 or parts[1] not in ("0", "1"):
                 raise GameParseError(f"line {lineno}: expected 'player <0|1>'")
+            if player is not None:
+                raise GameParseError(f"line {lineno}: duplicate 'player'")
             player = int(parts[1])
         elif head == "state":
             if len(parts) != 2:
@@ -249,16 +252,22 @@ def parse_strategy(text: str, arena: Arena) -> FiniteStateStrategy:
         elif head == "init":
             if len(parts) != 3:
                 raise GameParseError(f"line {lineno}: expected 'init <vertex> <state>'")
-            init[vid(lineno, parts[1])] = sid(lineno, parts[2])
+            if (v := vid(lineno, parts[1])) in init:
+                raise GameParseError(f"line {lineno}: duplicate 'init {parts[1]}'")
+            init[v] = sid(lineno, parts[2])
         elif head == "update":
             if len(parts) != 4:
                 raise GameParseError(f"line {lineno}: expected 'update <state> <vertex> <state>'")
-            update[sid(lineno, parts[1]), vid(lineno, parts[2])] = sid(lineno, parts[3])
+            if (key := (sid(lineno, parts[1]), vid(lineno, parts[2]))) in update:
+                raise GameParseError(f"line {lineno}: duplicate 'update {parts[1]} {parts[2]}'")
+            update[key] = sid(lineno, parts[3])
         elif head == "move":
             if len(parts) < 5:
                 raise GameParseError(f"line {lineno}: expected 'move <vertex> <state> {{ ... }}'")
             v = vid(lineno, parts[1])
             m = sid(lineno, parts[2])
+            if (v, m) in moves:
+                raise GameParseError(f"line {lineno}: duplicate 'move {parts[1]} {parts[2]}'")
             (group,) = _brace_groups(lineno, parts[3:], 1)
             if not group:
                 raise GameParseError(f"line {lineno}: empty move set")
@@ -350,11 +359,21 @@ def _monitor_table(dfa: MonitorDFA, arena: Arena, max_states: int) -> tuple:
     """The monitor's reachable states in breadth-first order, labelled
     ``q0``, ``q1``, ...: a (label, accepting) pair per state and every
     transition as (source label, vertex name, target label)."""
-    order = reachable_states(dfa, max_states)
+    # explore expands each state once, in number order, so rows[i] is
+    # state i's successor under each letter
+    rows = []
+
+    def expand(q):
+        rows.append([dfa.step(q, v) for v in range(dfa.alphabet_size)])
+        return rows[-1]
+
+    order, _, _ = explore([dfa.start], expand, max_states)
     labels = {q: f"q{i}" for i, q in enumerate(order)}
     states = [(labels[q], dfa.is_accepting(q)) for q in order]
     trans = [
-        (labels[q], arena.names[v], labels[dfa.step(q, v)]) for q in order for v in range(arena.n)
+        (labels[q], arena.names[v], labels[row[v]])
+        for q, row in zip(order, rows)
+        for v in range(arena.n)
     ]
     return states, trans
 
@@ -436,8 +455,8 @@ def _cmd_strategy(args) -> int:
     build = build_permissive_strategy if args.kind == "permissive" else build_antichain_strategy
     strat = build(red, sol)
     if args.out == "dot":
-        # the embedded vertices the reduction wins are the owner's region
-        start = mask_of(v for v in range(arena.n) if sol.w0 & bit(red.embed[v]))
+        # vertex v is class v, so the won classes below n are the region
+        start = sol.w0 & arena.full_mask
         sys.stdout.write(export_dot(consistent_product(arena, strat, start)))
         return 0
     sys.stdout.write(serialize_strategy(strat, arena))
@@ -463,7 +482,7 @@ def _cmd_verify(args) -> int:
     if ok:
         print(f"verified: scores bounded by {args.bound} from {arena.set_str(start)}")
         return 0
-    print(f"violation: {''.join(arena.names[v] for v in witness)}")
+    print(f"violation: {arena.word_str(witness)}")
     return 1
 
 
@@ -549,7 +568,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="winning regions of a game")
     p.add_argument("game")
-    p.add_argument("--max-states", type=_at_least_one, default=500_000)
+    p.add_argument("--max-states", type=_at_least_one, default=DEFAULT_MAX_STATES)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("reduce", help="score-class safety reduction of a muller game")
@@ -557,7 +576,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--track-player", type=int, choices=(0, 1), default=1)
     p.add_argument("--threshold", type=int, choices=(2, 3), default=3)
     p.add_argument("--out", choices=("text", "dot"), default="text")
-    p.add_argument("--max-states", type=_at_least_one, default=500_000)
+    p.add_argument("--max-states", type=_at_least_one, default=DEFAULT_MAX_STATES)
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("strategy", help="synthesize a finite-state strategy")
@@ -565,7 +584,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("antichain", "permissive"), default="antichain")
     p.add_argument("--player", type=int, choices=(0, 1), default=0)
     p.add_argument("--out", choices=("table", "dot"), default="table")
-    p.add_argument("--max-states", type=_at_least_one, default=500_000)
+    p.add_argument("--max-states", type=_at_least_one, default=DEFAULT_MAX_STATES)
     p.set_defaults(func=_cmd_strategy)
 
     p = sub.add_parser("verify", help="check that a strategy bounds the opponent's scores")

@@ -15,7 +15,7 @@ from math import comb, factorial
 from typing import Callable, Iterable, Optional
 
 from .arena import Arena, MullerCondition, SizeLimitError, Word, f1_loops, is_path
-from .scoring import PackedKernel, ScoreSheet, family_of, lar_update
+from .scoring import PackedKernel, ScoreSheet, family_of, lar_of, lar_update
 
 DEFAULT_MAX_STATES = 500_000
 
@@ -120,8 +120,8 @@ class SafetyReduction:
 
     Derived on access, with the entries decoded from the packed vectors:
     the quotient's vertex names (``[`` + the base vertex names along
-    ``rep_words[c]`` + ``]``, joined by ``.`` when a name is longer than one
-    character; the sink's is ``unsafe``), ``sheets`` (the sink's is None,
+    ``rep_words[c]`` + ``]``, joined as ``Arena.word_str`` joins them; the
+    sink's is ``unsafe``), ``sheets`` (the sink's is None,
     the latest appearance records come from the parent chain),
     ``rep_words`` (the first play prefix that reached each class; the
     sink's is the first prefix that crossed the threshold) and
@@ -178,13 +178,7 @@ class SafetyReduction:
 
     def _lar(self, c: int) -> tuple:
         """The latest appearance record of ``rep_words[c]``, newest last."""
-        newest_first: list = []
-        while c >= 0 and len(newest_first) < self.base_arena.n:
-            v = self.keys[c][0]
-            if v not in newest_first:
-                newest_first.append(v)
-            c = self.parents[c]
-        return tuple(reversed(newest_first))
+        return lar_of(_path(self.keys, self.parents, c))
 
     def _sheet(self, c: int) -> Optional[ScoreSheet]:
         if c == self.sink:
@@ -216,7 +210,7 @@ class SafetyReduction:
             raise ValueError("empty play prefix")
         if not is_path(self.base_arena, word):
             raise ValueError("word is not a path of the arena")
-        c = self.embed[word[0]]
+        c = word[0]  # vertex v is class v
         for v in word[1:]:
             if c == self.sink:
                 raise ValueError("a proper prefix already reached the threshold")
@@ -278,12 +272,11 @@ def build_safety_game(
     # the seeds differ in their vertex, so vertex v is class v
     keys, parents, succ = explore([(v, step(0, v)) for v in range(base.n)], expand, max_states)
     sink = next((c for c, key in enumerate(keys) if key is None), None)
-    joiner = "" if all(len(nm) == 1 for nm in base.names) else "."
 
     def name(c):
         if c == sink:
             return "unsafe"
-        return "[" + joiner.join(base.names[v] for v in _path(keys, parents, c)) + "]"
+        return "[" + base.word_str(_path(keys, parents, c)) + "]"
 
     # the sink is absorbing, so its owner never matters
     owner = tuple(1 if key is None else base.owner[key[0]] for key in keys)

@@ -85,12 +85,11 @@ def reachable_states(dfa: MonitorDFA, max_states: int = 100_000) -> tuple:
 class ProductGame:
     """The arena unfolded against a monitor: positions are (vertex, state)
     pairs, the safe positions are those with an accepting state.  Position
-    ``v`` is vertex ``v``'s seed (v, step(start, v)), so ``seeds`` is
-    ``tuple(range(n))``."""
+    ``v`` is vertex ``v``'s seed (v, step(start, v)), so a product region
+    masked with ``arena.full_mask`` is a region of the arena."""
 
     game: SafetyGame
     states: tuple
-    seeds: tuple
 
 
 def product_game(
@@ -116,11 +115,7 @@ def product_game(
 
     owner = tuple(arena.owner[v] for v, _ in states)
     safe = mask_of(i for i, (_, q) in enumerate(states) if dfa.is_accepting(q))
-    return ProductGame(
-        SafetyGame(Arena(_ClassView(len(states), name), owner, succ), safe),
-        states,
-        tuple(range(arena.n)),
-    )
+    return ProductGame(SafetyGame(Arena(_ClassView(len(states), name), owner, succ), safe), states)
 
 
 def solve_via_safety(
@@ -130,35 +125,29 @@ def solve_via_safety(
     winning region and a finite-state winning strategy whose memory is the
     monitor state space.  The product is capped at ``max_states`` positions.
 
+    The strategy is read off the solved product in one pass.  Every play,
+    from any vertex along any arena edge, stays on the product's positions,
+    so the tables hold exactly those pairs: ``update`` the product edges and
+    ``next_move`` the Player-0 positions, where the product's positional
+    strategy moves inside its winning region and the first successor is
+    taken elsewhere.
+
     The caller is responsible for the monitor actually witnessing safety
     reducibility of ``condition``; the builders in this module do.
     """
     prod = product_game(arena, dfa, max_states)
     sol = solve_safety(prod.game)
-    w0 = mask_of(v for v in range(arena.n) if sol.w0 & bit(prod.seeds[v]))
-
-    memory = []
-    seen = set()
-    for _, q in prod.states:
-        if q not in seen:
-            seen.add(q)
-            memory.append(q)
-
+    memory = tuple(dict.fromkeys(q for _, q in prod.states))
     init = {v: dfa.step(dfa.start, v) for v in range(arena.n)}
-    # total exactly on the pairs reachable along arena edges, so the update
-    # table never leaves the product's state set
     update = {}
-    for u, q in prod.states:
+    next_move = {}
+    for pid, (u, q) in enumerate(prod.states):
         for v in arena.succ[u]:
             update[q, v] = dfa.step(q, v)
-    # the first successor, except where the product's positional strategy
-    # moves; those pairs are Player 0's, so they already have an entry
-    next_move = {
-        (v, q): arena.succ[v][:1] for v in range(arena.n) if arena.owner[v] == 0 for q in memory
-    }
-    for pid, target in sol.strategy0.items():
-        next_move[prod.states[pid]] = (prod.states[target][0],)
-    return w0, FiniteStateStrategy(0, tuple(memory), init, update, next_move)
+        if arena.owner[u] == 0:
+            target = sol.strategy0.get(pid)
+            next_move[u, q] = arena.succ[u][:1] if target is None else (prod.states[target][0],)
+    return sol.w0 & arena.full_mask, FiniteStateStrategy(0, memory, init, update, next_move)
 
 
 def buchi_monitor(arena: Arena, target: int) -> MonitorDFA:

@@ -75,10 +75,9 @@ def lar_update(lar: tuple, v: int) -> tuple:
 
 
 def lar_of(word: Sequence[int]) -> tuple:
-    lar = ()
-    for v in word:
-        lar = lar_update(lar, v)
-    return lar
+    """The latest appearance record of ``word``: its distinct vertices in
+    the order of their last occurrence, as folding ``lar_update`` gives."""
+    return tuple(reversed(dict.fromkeys(reversed(word))))
 
 
 def family_of(sets: Iterable[int]) -> tuple:
@@ -180,7 +179,7 @@ class PackedKernel:
         return tuple(out)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ScoreSheet:
     """Scores and accumulators of one play prefix for a fixed tracked family.
 
@@ -192,22 +191,10 @@ class ScoreSheet:
 
     last: int
     entries: tuple
-    lar: tuple
-    _hash: int = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.last, self.entries)))
+    lar: tuple = field(compare=False)
 
     def key(self):
         return self.last, self.entries
-
-    def __eq__(self, other):
-        if not isinstance(other, ScoreSheet):
-            return NotImplemented
-        return self.last == other.last and self.entries == other.entries
-
-    def __hash__(self):
-        return self._hash
 
     def max_score(self) -> int:
         return max((st[0] for st in self.entries), default=0)

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .arena import Arena, MullerCondition, Word, bit, f1_loops, iter_bits, mask_of, swap_roles
-from .reduction import SafetyReduction, build_safety_game, explore
+from .reduction import DEFAULT_MAX_STATES, SafetyReduction, build_safety_game, explore
 from .safety_solver import SafetySolution, solve_safety
 from .scoring import entries_init, entries_step, entries_terminal, family_of, sheet_le
 
@@ -94,9 +94,7 @@ def _reachable_under(red: SafetyReduction, sol: SafetySolution) -> list:
     Player 0 follows the positional safety strategy and Player 1 moves
     freely."""
     quotient = red.game.arena
-    seeds = sorted(
-        {red.embed[v] for v in range(red.base_arena.n) if sol.w0 & bit(red.embed[v])}
-    )
+    seeds = iter_bits(sol.w0 & red.base_arena.full_mask)
 
     def expand(c):
         return (sol.strategy0[c],) if quotient.owner[c] == 0 else quotient.succ[c]
@@ -188,10 +186,7 @@ def _class_table(
     """
     base = red.base_arena
     quotient = red.game.arena
-    init = {}
-    for v in range(base.n):
-        e = red.embed[v]
-        init[v] = lift(e) if sol.w0 & bit(e) else BOTTOM
+    init = {v: lift(v) if sol.w0 & bit(v) else BOTTOM for v in range(base.n)}
 
     update = {}
     next_move = {}
@@ -218,17 +213,19 @@ def _class_table(
     return FiniteStateStrategy(owner_player, tuple(memory) + (BOTTOM,), init, update, next_move)
 
 
-def solve_muller(arena: Arena, muller: MullerCondition, max_states: int = None) -> MullerSolution:
+def solve_muller(
+    arena: Arena, muller: MullerCondition, max_states: int = DEFAULT_MAX_STATES
+) -> MullerSolution:
     """Winning regions and antichain strategies for both players, via one
-    reduction per player (roles swapped for Player 1's side)."""
-    kwargs = {} if max_states is None else {"max_states": max_states}
-    red1 = build_safety_game(arena, muller, tracked_player=1, **kwargs)
+    reduction per player (roles swapped for Player 1's side), in each of
+    which vertex v is class v."""
+    red1 = build_safety_game(arena, muller, tracked_player=1, max_states=max_states)
     sol1 = solve_safety(red1.game)
-    w0 = mask_of(v for v in range(arena.n) if sol1.w0 & bit(red1.embed[v]))
+    w0 = sol1.w0 & arena.full_mask
 
-    red0 = build_safety_game(arena, muller, tracked_player=0, **kwargs)
+    red0 = build_safety_game(arena, muller, tracked_player=0, max_states=max_states)
     sol0 = solve_safety(red0.game)
-    w1 = mask_of(v for v in range(arena.n) if sol0.w0 & bit(red0.embed[v]))
+    w1 = sol0.w0 & arena.full_mask
 
     if w0 & w1 or (w0 | w1) != arena.full_mask:
         raise RuntimeError(
@@ -361,12 +358,16 @@ class StrategyProduct:
 
 
 def consistent_product(arena: Arena, strat: FiniteStateStrategy, start: int) -> StrategyProduct:
+    # explore expands the nodes once each, in number order, so rows[i] is
+    # node i's successors in the order the strategy lists its moves
+    rows = []
+
     def expand(node):
         v, m = node
         targets = strat.moves(v, m) if arena.owner[v] == strat.owner_player else arena.succ[v]
-        return [(u, strat.step(m, u)) for u in targets]
+        rows.append([(u, strat.step(m, u)) for u in targets])
+        return rows[-1]
 
     nodes, _, _ = explore([(v, strat.initial(v)) for v in iter_bits(start)], expand)
-    # expanded again, so the edges keep expand's order for export
-    edges = tuple((node, child) for node in nodes for child in expand(node))
+    edges = tuple((node, child) for node, row in zip(nodes, rows) for child in row)
     return StrategyProduct(arena, tuple(nodes), edges)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from scoregames.cli import (
     GameParseError,
@@ -118,6 +120,15 @@ def test_parse_strategy_validates(example4):
         parse_strategy("player 0\ninit 0 nope\n", arena)
     with pytest.raises(GameParseError, match="duplicate state labels"):
         parse_strategy("player 0\nstate s\nstate s\n", arena)
+    # a repeated key is rejected instead of the last one silently winning
+    for text, line in (
+        ("player 0\nstate s\nplayer 1\n", "line 3: duplicate 'player'"),
+        ("player 0\nstate s\ninit 0 s\ninit 0 s\n", "line 4: duplicate 'init 0'"),
+        ("player 0\nstate s\nupdate s 1 s\nupdate s 1 s\n", "line 4: duplicate 'update s 1'"),
+        ("player 0\nstate s\nmove 1 s { 0 }\nmove 1 s { 2 }\n", "line 4: duplicate 'move 1 s'"),
+    ):
+        with pytest.raises(GameParseError, match=line):
+            parse_strategy(text, arena)
 
 
 def test_export_dot_arena(example4):
@@ -240,6 +251,20 @@ def test_cli_verify_alternating(tmp_path, capsys):
     assert "unknown vertex" in err
 
 
+def test_cli_verify_witness_with_long_names(tmp_path, capsys):
+    # with a vertex named "ab", "abbb" would also read as ab.b.b
+    game = game_file(
+        tmp_path,
+        "vertex a 1\nvertex ab 1\nvertex b 1\nedge a b\nedge ab ab\nedge b b\n"
+        "condition muller\nf0 { ab }\n",
+    )
+    strat = tmp_path / "stay.txt"
+    strat.write_text("player 0\nstate s\ninit a s\nupdate s b s\n")
+    code, out, _ = run(capsys, "verify", game, str(strat), "--start", "a")
+    assert code == 1
+    assert out == "violation: a.b.b.b\n"
+
+
 def test_cli_oracle(tmp_path, capsys):
     path = game_file(tmp_path)
     code, out, _ = run(capsys, "oracle", path)
@@ -266,6 +291,36 @@ def test_cli_monitor(tmp_path, capsys):
     assert out.startswith("digraph")
     code, _, err = run(capsys, "monitor", path, "--kind", "parity")
     assert code == 2
+
+
+@pytest.mark.parametrize("seed, kind", [(1005, "parity"), (1001, "buchi"), (1002, "rr")])
+@pytest.mark.parametrize("out", ["text", "dot"])
+def test_cli_monitor_steps_each_transition_once(tmp_path, capsys, monkeypatch, seed, kind, out):
+    from scoregames.safety_framework import MonitorDFA
+
+    density = (0.3, 0.5, 0.7, 0.9)[(seed // 4) % 4]
+    arena, condition = random_game(
+        GeneratorConfig(n=2 + seed % 4, density=density, seed=seed, kind=kind)
+    )
+    path = game_file(tmp_path, serialize_game(arena, condition))
+    step = MonitorDFA.step
+    steps = []
+
+    def counted(self, q, v):
+        steps.append(v)
+        return step(self, q, v)
+
+    monkeypatch.setattr(MonitorDFA, "step", counted)
+    code, text, _ = run(capsys, "monitor", path, "--out", out)
+    assert code == 0
+    lines = text.splitlines()
+    if out == "text":
+        n_states = int(lines[0].split()[1])
+        n_trans = sum(line.startswith("trans ") for line in lines)
+    else:
+        n_states = sum("[shape=" in line for line in lines)
+        n_trans = sum("[label=" in line for line in lines)
+    assert len(steps) == n_trans == n_states * arena.n
 
 
 def test_cli_errors(tmp_path, capsys):
@@ -369,3 +424,66 @@ def test_cli_permissive_for_player1_is_rejected(tmp_path, capsys):
     code, _, err = run(capsys, "strategy", path, "--kind", "permissive", "--player", "1")
     assert code == 2
     assert "player 0" in err
+
+
+BUCHI_TEXT = "vertex a 0\nvertex b 1\nedge a b\nedge b a\nedge b b\ncondition buchi\nfinal a\n"
+RR_TEXT = (
+    "vertex a 1\nvertex b 0\nvertex c 1\nedge a b\nedge b a\nedge b c\nedge c a\n"
+    "condition rr\npair { a } { c }\n"
+)
+JUNK = ("{", "}", "0", "1", "2", "3", "-1", "a", "b", "x", "bot", "s", "go0", "\u00b2", "player")
+
+
+@st.composite
+def mutated(draw, text):
+    """``text`` with a few lines deleted, repeated, swapped, rewritten token
+    by token or inserted from a small vocabulary."""
+    lines = text.splitlines()
+    vocab = sorted({tok for line in lines for tok in line.split()} | set(JUNK))
+    token = st.sampled_from(vocab)
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(("delete", "repeat", "swap", "token", "insert")))
+        i = draw(st.integers(0, max(len(lines) - 1, 0)))
+        if op == "insert" or not lines:
+            lines.insert(i, " ".join(draw(st.lists(token, min_size=1, max_size=5))))
+        elif op == "delete":
+            del lines[i]
+        elif op == "repeat":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            parts = lines[i].split() or [""]
+            parts[draw(st.integers(0, len(parts) - 1))] = draw(token)
+            lines[i] = " ".join(parts)
+    return "\n".join(lines) + "\n"
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_cli_fuzzed_files_exit_with_a_code(tmp_path, data):
+    # whatever the files hold, main returns a documented exit code (0-3)
+    # instead of raising
+    # the strategy file is one for the running example
+    texts = (EXAMPLE4_GAME_TEXT, EXAMPLE4_GAME_TEXT, PARITY_TEXT, BUCHI_TEXT, RR_TEXT)
+    game = game_file(tmp_path, data.draw(mutated(data.draw(st.sampled_from(texts)))))
+    strat = tmp_path / "strategy.txt"
+    strat.write_text(data.draw(mutated(ALTERNATING_TEXT)))
+    argv = data.draw(
+        st.sampled_from(
+            (
+                ["solve", game, "--max-states", "2000"],
+                ["reduce", game, "--max-states", "2000"],
+                ["strategy", game, "--kind", "permissive", "--max-states", "2000"],
+                ["strategy", game, "--out", "dot", "--max-states", "2000"],
+                ["oracle", game],
+                ["monitor", game, "--max-states", "2000"],
+                ["verify", game, str(strat)],
+                ["verify", game, str(strat), "--start", "0,1", "--bound", "1"],
+            )
+        )
+    )
+    assert main(argv) in (0, 1, 2, 3)

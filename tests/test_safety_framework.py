@@ -119,13 +119,13 @@ def test_product_with_trivial_monitor(example4):
     prod = product_game(arena, dfa)
     assert prod.game.arena.n == arena.n
     assert prod.game.safe == prod.game.arena.full_mask
-    assert prod.seeds == tuple(range(arena.n))
+    # position v is vertex v's seed
+    assert prod.states[: arena.n] == tuple((v, 0) for v in range(arena.n))
     for row in prod.game.arena.succ:
         assert list(row) == sorted(set(row))
     for v in range(arena.n):
-        pv = prod.seeds[v]
-        assert prod.game.arena.owner[pv] == arena.owner[v]
-        assert set(prod.game.arena.succ[pv]) == {prod.seeds[u] for u in arena.succ[v]}
+        assert prod.game.arena.owner[v] == arena.owner[v]
+        assert prod.game.arena.succ[v] == arena.succ[v]
     for i, (v, q) in enumerate(prod.states):
         assert prod.game.arena.names[i] == f"{arena.names[v]}|{q!r}"
 
@@ -173,14 +173,41 @@ def test_next_move_follows_the_product_strategy(kind):
         sol = solve_safety(prod.game)
         position = {node: i for i, node in enumerate(prod.states)}
         _, strat = solve_via_safety(arena, condition, dfa)
-        player0 = [v for v in range(arena.n) if arena.owner[v] == 0]
-        assert list(strat.next_move) == [(v, q) for v in player0 for q in strat.states]
+        # one entry per Player-0 position, in position order
+        assert list(strat.next_move) == [node for node in prod.states if arena.owner[node[0]] == 0]
         for (v, q), move in strat.next_move.items():
-            pid = position.get((v, q))
-            if pid is not None and sol.w0 & bit(pid):
+            pid = position[v, q]
+            if sol.w0 & bit(pid):
                 assert move == (prod.states[sol.strategy0[pid]][0],)
             else:
                 assert move == arena.succ[v][:1]
+
+
+@pytest.mark.parametrize("kind", ["buchi", "cobuchi", "parity", "rr", "muller"])
+def test_every_play_stays_on_the_product(kind):
+    # from every vertex, along every arena edge (not only the strategy's
+    # moves), the tables answer every lookup and the pairs reached are
+    # exactly the product's positions; the tables hold nothing else
+    for seed in range(1000, 1012):
+        density = (0.3, 0.5, 0.7, 0.9)[(seed // 4) % 4]
+        cfg = GeneratorConfig(n=2 + seed % 4, density=density, seed=seed, kind=kind)
+        arena, condition = random_game(cfg)
+        dfa = monitor_for(arena, condition)
+        _, strat = solve_via_safety(arena, condition, dfa)
+        reached = {(v, strat.initial(v)) for v in range(arena.n)}
+        stack = list(reached)
+        while stack:
+            u, q = stack.pop()
+            if arena.owner[u] == 0:
+                assert set(strat.moves(u, q)) <= set(arena.succ[u])
+            for v in arena.succ[u]:
+                child = (v, strat.step(q, v))
+                if child not in reached:
+                    reached.add(child)
+                    stack.append(child)
+        assert reached == set(product_game(arena, dfa).states)
+        assert set(strat.next_move) == {(u, q) for u, q in reached if arena.owner[u] == 0}
+        assert set(strat.update) == {(q, v) for u, q in reached for v in arena.succ[u]}
 
 
 def test_solve_via_safety_buchi_alternation():

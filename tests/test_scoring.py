@@ -172,6 +172,7 @@ def test_sheet_matches_recomputation(w):
         assert x == _pack(3, sheet.entries)
         assert kernel.entries(x) == sheet.entries
         assert kernel.reaches(x, 3) == sheet_terminal(sheet)
+        assert sheet.lar == lar_of(w[:i])  # the lar_update fold, every prefix
         for f, st_ in zip(family, sheet.entries):
             expected = score_word(f, w[:i])
             assert st_[0] == min(expected.score, 3)
