@@ -40,7 +40,7 @@ from .arena import (
     validate,
 )
 from .oracle import GeneratorConfig, encode_as_muller, random_game, zielonka
-from .reduction import DEFAULT_MAX_STATES, SafetyReduction, build_safety_game, explore
+from .reduction import DEFAULT_MAX_STATES, SafetyReduction, Search, build_safety_game
 from .safety_framework import (
     MonitorDFA,
     ProductGame,
@@ -247,6 +247,8 @@ def parse_strategy(text: str, arena: Arena) -> FiniteStateStrategy:
         elif head == "state":
             if len(parts) != 2:
                 raise GameParseError(f"line {lineno}: expected 'state <label>'")
+            if parts[1] in declared:
+                raise GameParseError(f"line {lineno}: duplicate 'state {parts[1]}'")
             declared.add(parts[1])
             states.append(sid(lineno, parts[1]))
         elif head == "init":
@@ -283,8 +285,6 @@ def parse_strategy(text: str, arena: Arena) -> FiniteStateStrategy:
 
     if player is None:
         raise GameParseError("missing 'player' line")
-    if len(declared) != len(states):
-        raise GameParseError("duplicate state labels")
     return FiniteStateStrategy(player, tuple(states), init, update, moves, arena.names)
 
 
@@ -359,26 +359,17 @@ def _monitor_table(dfa: MonitorDFA, arena: Arena, max_states: int) -> tuple:
     """The monitor's reachable states in breadth-first order, labelled
     ``q0``, ``q1``, ...: a (label, accepting) pair per state and every
     transition as (source label, vertex name, target label)."""
-    # explore expands each state once, in number order, so rows[i] is
-    # state i's successor under each letter
-    rows = []
-
-    def expand(q):
-        rows.append([dfa.step(q, v) for v in range(dfa.alphabet_size)])
-        return rows[-1]
-
-    order, _, _ = explore([dfa.start], expand, max_states)
-    labels = {q: f"q{i}" for i, q in enumerate(order)}
-    states = [(labels[q], dfa.is_accepting(q)) for q in order]
+    search = Search([dfa.start], max_states)
+    # rows[i] is state i's successor number under each letter
+    rows = [[search.add(dfa.step(q, v), i) for v in range(dfa.alphabet_size)] for i, q in search]
+    states = [(f"q{i}", dfa.is_accepting(q)) for i, q in enumerate(search.keys)]
     trans = [
-        (labels[q], arena.names[v], labels[row[v]])
-        for q, row in zip(order, rows)
-        for v in range(arena.n)
+        (f"q{i}", arena.names[v], f"q{row[v]}") for i, row in enumerate(rows) for v in range(arena.n)
     ]
     return states, trans
 
 
-def monitor_dot(dfa: MonitorDFA, arena: Arena, max_states: int = 10_000) -> str:
+def monitor_dot(dfa: MonitorDFA, arena: Arena, max_states: int) -> str:
     states, trans = _monitor_table(dfa, arena, max_states)
     nodes = [_node(q, 0, doubled=accepting) for q, accepting in states]
     edges = [f'"{q}" -> "{t}" [label="{v}"]' for q, v, t in trans]

@@ -3,9 +3,10 @@
 The quotient arena is explored breadth-first from the single-vertex sheets;
 every class whose tracked scores stay below the threshold is safe, and all
 classes that reach the threshold are merged into one absorbing sink.
-``explore`` is the package's one breadth-first engine: it also builds the
+``Search`` is the package's one breadth-first engine: it also builds the
 monitor products of ``safety_framework`` (the quotient is the arena times
-the Muller monitor) and the strategy products of ``strategy``.
+the Muller monitor), and the strategy products and certificate checks of
+``strategy``.
 """
 from __future__ import annotations
 
@@ -20,39 +21,54 @@ from .scoring import PackedKernel, ScoreSheet, family_of, lar_of, lar_update
 DEFAULT_MAX_STATES = 500_000
 
 
-def explore(seeds: Iterable, expand: Callable, max_states: int = DEFAULT_MAX_STATES) -> tuple:
-    """Breadth-first search over hashable keys, numbered in discovery order
-    with the seeds first.  ``expand(key)`` lists the successor keys of a key.
+class Search:
+    """A breadth-first search over hashable keys, numbered in discovery
+    order with the seeds first (duplicates dropped).
 
-    Returns ``(keys, parents, succ)``: the key of each number, the number
-    whose expansion first found each key (-1 for the seeds) and each
-    number's successor numbers, sorted and distinct, so ``succ`` is an
-    ``Arena.succ`` table.  The key-to-number index lives only while the
-    search runs.  Finding a key beyond ``max_states`` raises SizeLimitError.
+    ``keys[i]`` is the key numbered ``i`` and ``parents[i]`` the number
+    whose expansion first found it (-1 for the seeds).  ``add(key, parent)``
+    returns a key's number, numbering it if it is new; numbering more than
+    ``max_states`` keys raises SizeLimitError.  Iterating yields
+    ``(number, key)`` in number order while ``keys`` grows, so a loop that
+    expands each key it is given and ``add``s the successors is the FIFO
+    queue: it may stop at any time, and a kept iterator resumes where it
+    stopped.  ``table(expand)`` runs a fresh search to its end.
     """
-    keys: list = []
-    index: dict = {}
-    parents: list = []
 
-    def number(key, parent):
-        i = index.get(key)
+    __slots__ = ("keys", "parents", "max_states", "_index")
+
+    def __init__(self, seeds: Iterable, max_states: int = DEFAULT_MAX_STATES):
+        self.keys: list = []
+        self.parents: list = []
+        self.max_states = max_states
+        self._index: dict = {}
+        for key in seeds:
+            self.add(key, -1)
+
+    def add(self, key, parent: int) -> int:
+        i = self._index.get(key)
         if i is None:
-            i = len(keys)
-            if i >= max_states:
-                raise SizeLimitError(f"state space exceeds the cap of {max_states} states")
-            index[key] = i
-            keys.append(key)
-            parents.append(parent)
+            i = len(self.keys)
+            if i >= self.max_states:
+                raise SizeLimitError(f"state space exceeds the cap of {self.max_states} states")
+            self._index[key] = i
+            self.keys.append(key)
+            self.parents.append(parent)
         return i
 
-    for key in seeds:
-        number(key, -1)
-    succ = []
-    # keys grows while it is read, so reading it in order is the FIFO queue
-    for i, key in enumerate(keys):
-        succ.append(tuple(sorted({number(k, i) for k in expand(key)})))
-    del index  # freed before the table is copied into a tuple
-    return keys, parents, tuple(succ)
+    def __iter__(self):
+        # a list iterator reads the items appended after it was made
+        return enumerate(self.keys)
+
+    def table(self, expand: Callable) -> tuple:
+        """Expand every key, ``expand(key)`` listing its successor keys, and
+        return each number's successor numbers, sorted and distinct: an
+        ``Arena.succ`` table.  The key index is dropped, so no key can be
+        added afterwards."""
+        add = self.add
+        succ = [tuple(sorted({add(k, i) for k in expand(key)})) for i, key in self]
+        self._index = None  # freed before the table is copied into a tuple
+        return tuple(succ)
 
 
 @dataclass(frozen=True)
@@ -114,7 +130,8 @@ class SafetyReduction:
     the low n bits and its score in the next two.  The quotient arena is the
     only successor table: a successor ``t`` of ``c`` other than the sink is
     the edge labelled ``keys[t][0]``, and every other successor of the last
-    vertex leads to the sink (whose only successor is itself).  Also stored:
+    vertex leads to the sink (whose only successor is itself);
+    ``labelled_row`` reads a class's row this way.  Also stored:
     ``unsafe_class_count``, the number of distinct keys that reached the
     threshold, and ``_kernel``, which steps and decodes packed vectors.
 
@@ -193,14 +210,17 @@ class SafetyReduction:
             return _path(self.keys, self.parents, parent) + (crossing,)
         return _path(self.keys, self.parents, c)
 
+    def labelled_row(self, c: int) -> dict:
+        """The successors of class ``c`` other than the sink, keyed by the
+        vertex labelling their edge; the other successors of ``c``'s last
+        vertex label edges into the sink."""
+        return {self.keys[t][0]: t for t in self.game.arena.succ[c] if t != self.sink}
+
     def step_class(self, c: int, v: int) -> int:
         """The quotient successor of class ``c`` under vertex ``v``."""
         if 0 <= c < self.n_classes and c != self.sink:
             if v in self.base_arena.succ[self.keys[c][0]]:
-                for t in self.game.arena.succ[c]:
-                    if t != self.sink and self.keys[t][0] == v:
-                        return t
-                return self.sink
+                return self.labelled_row(c).get(v, self.sink)
         raise ValueError(f"no quotient edge from class {c} labelled {v}")
 
     def class_of(self, word: Word) -> int:
@@ -270,7 +290,9 @@ def build_safety_game(
         return out
 
     # the seeds differ in their vertex, so vertex v is class v
-    keys, parents, succ = explore([(v, step(0, v)) for v in range(base.n)], expand, max_states)
+    search = Search([(v, step(0, v)) for v in range(base.n)], max_states)
+    succ = search.table(expand)
+    keys, parents = search.keys, search.parents
     sink = next((c for c, key in enumerate(keys) if key is None), None)
 
     def name(c):

@@ -25,7 +25,7 @@ from .arena import (
     f1_loops,
     mask_of,
 )
-from .reduction import DEFAULT_MAX_STATES, SafetyGame, _ClassView, explore
+from .reduction import DEFAULT_MAX_STATES, SafetyGame, Search, _ClassView
 from .safety_solver import solve_safety
 from .scoring import ZERO, entries_step, entries_terminal, family_of
 from .strategy import FiniteStateStrategy
@@ -73,12 +73,14 @@ def run_dfa(dfa: MonitorDFA, word: Sequence[int]):
     return dfa.run(word)
 
 
-def reachable_states(dfa: MonitorDFA, max_states: int = 100_000) -> tuple:
+def reachable_states(dfa: MonitorDFA, max_states: int = DEFAULT_MAX_STATES) -> tuple:
     """All states reachable from the start over the full alphabet, in
     breadth-first order."""
-    letters = range(dfa.alphabet_size)
-    states, _, _ = explore([dfa.start], lambda q: [dfa.step(q, v) for v in letters], max_states)
-    return tuple(states)
+    search = Search([dfa.start], max_states)
+    for i, q in search:
+        for v in range(dfa.alphabet_size):
+            search.add(dfa.step(q, v), i)
+    return tuple(search.keys)
 
 
 @dataclass
@@ -105,9 +107,9 @@ def product_game(
         v, q = node
         return [(u, dfa.step(q, u)) for u in arena.succ[v]]
 
-    seeds = [(v, dfa.step(dfa.start, v)) for v in range(arena.n)]
-    states, _, succ = explore(seeds, expand, max_states)
-    states = tuple(states)
+    search = Search([(v, dfa.step(dfa.start, v)) for v in range(arena.n)], max_states)
+    succ = search.table(expand)
+    states = tuple(search.keys)
 
     def name(i):
         v, q = states[i]

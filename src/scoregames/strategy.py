@@ -9,11 +9,10 @@ product search bounding the opponent's scores.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
-from .arena import Arena, MullerCondition, Word, bit, f1_loops, iter_bits, mask_of, swap_roles
-from .reduction import DEFAULT_MAX_STATES, SafetyReduction, build_safety_game, explore
+from .arena import Arena, MullerCondition, Word, bit, f1_loops, iter_bits, swap_roles
+from .reduction import DEFAULT_MAX_STATES, SafetyReduction, Search, _path, build_safety_game
 from .safety_solver import SafetySolution, solve_safety
 from .scoring import entries_init, entries_step, entries_terminal, family_of, sheet_le
 
@@ -94,12 +93,11 @@ def _reachable_under(red: SafetyReduction, sol: SafetySolution) -> list:
     Player 0 follows the positional safety strategy and Player 1 moves
     freely."""
     quotient = red.game.arena
-    seeds = iter_bits(sol.w0 & red.base_arena.full_mask)
-
-    def expand(c):
-        return (sol.strategy0[c],) if quotient.owner[c] == 0 else quotient.succ[c]
-
-    return sorted(explore(seeds, expand, red.n_classes)[0])
+    search = Search(iter_bits(sol.w0 & red.base_arena.full_mask), red.n_classes)
+    for i, c in search:
+        for t in (sol.strategy0[c],) if quotient.owner[c] == 0 else quotient.succ[c]:
+            search.add(t, i)
+    return sorted(search.keys)
 
 
 def build_antichain_strategy(red: SafetyReduction, sol: SafetySolution) -> FiniteStateStrategy:
@@ -185,7 +183,6 @@ def _class_table(
     successor.
     """
     base = red.base_arena
-    quotient = red.game.arena
     init = {v: lift(v) if sol.w0 & bit(v) else BOTTOM for v in range(base.n)}
 
     update = {}
@@ -193,7 +190,7 @@ def _class_table(
     for m in memory:
         last = red.keys[m][0]
         # an edge into the sink has no entry, so its update is BOTTOM too
-        targets = {red.keys[t][0]: t for t in quotient.succ[m] if t != red.sink}
+        targets = red.labelled_row(m)
         for v in range(base.n):
             target = targets.get(v)
             update[m, v] = BOTTOM if target is None else lift(target)
@@ -252,10 +249,14 @@ def verify_bounded_scores(
     ``start``.
 
     Explores the product of the restricted arena with score sheets capped at
-    bound + 1 and returns (True, None) or (False, witness prefix).  A True
-    verdict certifies that the strategy is winning from ``start``: bounded
-    opponent scores force the infinity set into the owner's family.
-    Strategies for Player 1 are checked on the role-swapped game.
+    bound + 1, states (vertex, memory state, score entries), breadth-first
+    on a ``Search`` and returns (True, None) or (False, witness prefix): the
+    first play prefix, in breadth-first order, whose last step takes a
+    score past ``bound``.  The product is capped at the search's default
+    state count, beyond which SizeLimitError is raised.  A True verdict
+    certifies that the strategy is winning from ``start``: bounded opponent
+    scores force the infinity set into the owner's family.  Strategies for
+    Player 1 are checked on the role-swapped game.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
@@ -266,40 +267,17 @@ def verify_bounded_scores(
     family = family_of(f1_loops(arena, muller))
     cap = bound + 1
 
-    parents: dict = {}
-    queue = deque()
-    for v in iter_bits(start):
-        state = (v, strat.initial(v), entries_init(family, v))
-        if state not in parents:
-            parents[state] = None
-            queue.append(state)
-
-    succ_mask = tuple(mask_of(s) for s in arena.succ)
-
-    def path_to(state):
-        out = []
-        while state is not None:
-            out.append(state[0])
-            state = parents[state]
-        return tuple(reversed(out))
-
-    while queue:
-        state = queue.popleft()
-        v, m, entries = state
-        if arena.owner[v] == 0:
-            targets = strat.moves(v, m)
-        else:
-            targets = arena.succ[v]
+    search = Search((v, strat.initial(v), entries_init(family, v)) for v in iter_bits(start))
+    for i, (v, m, entries) in search:
+        targets = strat.moves(v, m) if arena.owner[v] == 0 else arena.succ[v]
         for u in targets:
-            if not succ_mask[v] & bit(u):
+            if u not in arena.succ[v]:
                 raise ValueError(f"strategy proposes a non-edge {v} -> {u}")
             nxt_entries = entries_step(family, entries, u)
             child = (u, strat.step(m, u), nxt_entries)
             if entries_terminal(nxt_entries, cap):
-                return False, path_to(state) + (u,)
-            if child not in parents:
-                parents[child] = state
-                queue.append(child)
+                return False, _path(search.keys, search.parents, i) + (u,)
+            search.add(child, i)
     return True, None
 
 
@@ -358,16 +336,13 @@ class StrategyProduct:
 
 
 def consistent_product(arena: Arena, strat: FiniteStateStrategy, start: int) -> StrategyProduct:
-    # explore expands the nodes once each, in number order, so rows[i] is
-    # node i's successors in the order the strategy lists its moves
-    rows = []
-
-    def expand(node):
+    # each node's edges in the order the strategy lists its moves
+    search = Search([(v, strat.initial(v)) for v in iter_bits(start)])
+    edges = []
+    for i, node in search:
         v, m = node
-        targets = strat.moves(v, m) if arena.owner[v] == strat.owner_player else arena.succ[v]
-        rows.append([(u, strat.step(m, u)) for u in targets])
-        return rows[-1]
-
-    nodes, _, _ = explore([(v, strat.initial(v)) for v in iter_bits(start)], expand)
-    edges = tuple((node, child) for node, row in zip(nodes, rows) for child in row)
-    return StrategyProduct(arena, tuple(nodes), edges)
+        for u in strat.moves(v, m) if arena.owner[v] == strat.owner_player else arena.succ[v]:
+            child = (u, strat.step(m, u))
+            search.add(child, i)
+            edges.append((node, child))
+    return StrategyProduct(arena, tuple(search.keys), tuple(edges))

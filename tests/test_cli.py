@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -11,14 +13,17 @@ from scoregames.cli import (
     serialize_game,
     serialize_strategy,
 )
+from scoregames import strategy
+from scoregames.arena import SizeLimitError
 from scoregames.oracle import GeneratorConfig, random_game
-from scoregames.reduction import build_safety_game
+from scoregames.reduction import Search, build_safety_game
 from scoregames.safety_solver import solve_safety
 from scoregames.strategy import (
     BOTTOM,
     build_antichain_strategy,
     build_permissive_strategy,
     consistent_product,
+    verify_bounded_scores,
 )
 
 from conftest import EXAMPLE4_GAME_TEXT, m
@@ -118,11 +123,10 @@ def test_parse_strategy_validates(example4):
         parse_strategy("state s\n", arena)
     with pytest.raises(GameParseError, match="undeclared state"):
         parse_strategy("player 0\ninit 0 nope\n", arena)
-    with pytest.raises(GameParseError, match="duplicate state labels"):
-        parse_strategy("player 0\nstate s\nstate s\n", arena)
     # a repeated key is rejected instead of the last one silently winning
     for text, line in (
         ("player 0\nstate s\nplayer 1\n", "line 3: duplicate 'player'"),
+        ("player 0\nstate s\nstate s\n", "line 3: duplicate 'state s'"),
         ("player 0\nstate s\ninit 0 s\ninit 0 s\n", "line 4: duplicate 'init 0'"),
         ("player 0\nstate s\nupdate s 1 s\nupdate s 1 s\n", "line 4: duplicate 'update s 1'"),
         ("player 0\nstate s\nmove 1 s { 0 }\nmove 1 s { 2 }\n", "line 4: duplicate 'move 1 s'"),
@@ -263,6 +267,29 @@ def test_cli_verify_witness_with_long_names(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", game, str(strat), "--start", "a")
     assert code == 1
     assert out == "violation: a.b.b.b\n"
+
+
+STUBBORN_TEXT = (
+    "player 0\nstate s\ninit 0 s\ninit 1 s\ninit 2 s\n"
+    "update s 0 s\nupdate s 1 s\nupdate s 2 s\nmove 1 s { 0 }\n"
+)
+
+
+def test_verify_is_capped(tmp_path, capsys, monkeypatch):
+    # the stubborn strategy lets the opponent pump a score up to any bound,
+    # so at a large bound its certificate product outgrows a small cap
+    monkeypatch.setattr(strategy, "Search", functools.partial(Search, max_states=50))
+    arena, muller = parse_game(EXAMPLE4_GAME_TEXT)
+    with pytest.raises(SizeLimitError, match="cap of 50 states"):
+        verify_bounded_scores(arena, muller, parse_strategy(STUBBORN_TEXT, arena), m(1), 1000)
+    strat = tmp_path / "stubborn.txt"
+    strat.write_text(STUBBORN_TEXT)
+    # --start keeps solve_muller, which also searches, out of the patched cap
+    argv = ("verify", game_file(tmp_path), str(strat), "--bound", "1000", "--start", "1")
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cli_oracle(tmp_path, capsys):
@@ -487,3 +514,63 @@ def test_cli_fuzzed_files_exit_with_a_code(tmp_path, data):
         )
     )
     assert main(argv) in (0, 1, 2, 3)
+
+
+
+
+@st.composite
+def fuzzed_argv(draw, games, strategies, broken):
+    """An argument vector for one of the seven subcommands: options in any
+    order, each with a value that is valid about half the time and
+    otherwise negative, zero, non-numeric or empty, and paths of the right
+    kind of file about half the time and otherwise of the wrong kind,
+    missing or a directory."""
+
+    def value(*valid):
+        return st.one_of(st.sampled_from(valid), st.sampled_from(("-1", "0", "x", "", "1.5", "\u00b2", "--")))
+
+    huge = "1" + "0" * 30
+    count = value("1", "2", "3", huge)
+    game = st.one_of(st.sampled_from(games), st.sampled_from(strategies + broken))
+    strategy = st.one_of(st.sampled_from(strategies), st.sampled_from(games + broken))
+    options = {
+        "solve": {"--max-states": count},
+        "reduce": {"--track-player": value("0", "1"), "--threshold": value("2", "3"),
+                   "--out": value("text", "dot"), "--max-states": count},
+        "strategy": {"--kind": value("antichain", "permissive"), "--player": value("0", "1"),
+                     "--out": value("table", "dot"), "--max-states": count},
+        # small bounds keep the certificate product of a losing strategy small
+        "verify": {"--bound": value("1", "2", "3"), "--start": value("0", "1,2", "0,0", "9", ",")},
+        "oracle": {},
+        # small arenas keep loop enumeration cheap
+        "random": {"--vertices": value("1", "2", "3"), "--density": value("0.5", "1", huge),
+                   "--owner-bias": value("0.5", "nan"), "--seed": value("1", huge),
+                   "--kind": value("muller", "buchi", "cobuchi", "parity", "rr")},
+        "monitor": {"--kind": value("muller", "buchi", "cobuchi", "parity", "rr"),
+                    "--out": value("text", "dot"), "--max-states": count},
+    }
+    command = draw(st.sampled_from(sorted(options)))
+    argv = [command]
+    if command != "random":
+        argv.append(draw(game))
+    if command == "verify":
+        argv.append(draw(strategy))
+    flags = sorted(options[command])
+    for flag in draw(st.lists(st.sampled_from(flags), unique=True)) if flags else ():
+        argv += [flag, draw(options[command][flag])]
+    return argv
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_cli_fuzzed_arguments_exit_with_a_code(tmp_path, data):
+    # whatever the command line holds, main returns a documented exit code
+    # (0-3) instead of raising
+    games = (game_file(tmp_path), game_file(tmp_path, PARITY_TEXT, "parity.txt"))
+    strategies = (
+        game_file(tmp_path, ALTERNATING_TEXT, "alternating.txt"),
+        game_file(tmp_path, STUBBORN_TEXT, "stubborn.txt"),
+    )
+    broken = (str(tmp_path / "missing.txt"), str(tmp_path))
+    assert main(data.draw(fuzzed_argv(games, strategies, broken))) in (0, 1, 2, 3)

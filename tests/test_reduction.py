@@ -7,10 +7,52 @@ from hypothesis import strategies as st
 
 from scoregames.arena import Arena, MullerCondition, SizeLimitError, bit, mask_of
 from scoregames.oracle import GeneratorConfig, random_game
-from scoregames.reduction import build_safety_game, lar_sum_bound
+from scoregames.reduction import Search, build_safety_game, lar_sum_bound
 from scoregames.scoring import sheet_init, sheet_terminal, sheet_update
 
 from conftest import m, random_muller_game, word
+
+
+def test_search_numbers_keys_breadth_first():
+    def expand(k):
+        return ((2 * k + 1) % 10, 2 * k % 10, (2 * k + 1) % 10)
+
+    def drive(search, it, stop=None):
+        expanded = []
+        for i, k in it:
+            expanded.append(i)
+            for t in expand(k):
+                search.add(t, i)
+            if len(expanded) == stop:
+                break
+        return expanded
+
+    # seeds come first, duplicates dropped
+    search = Search([3, 1, 3])
+    assert (search.keys, search.parents) == ([3, 1], [-1, -1])
+    assert search.add(1, 0) == 1 and len(search.keys) == 2
+    # an iterator stopped mid-search resumes where it stopped
+    it = iter(search)
+    assert drive(search, it, stop=3) == [0, 1, 2]
+    assert drive(search, it) == list(range(3, 10))
+    assert search.keys == [3, 1, 7, 6, 2, 5, 4, 0, 9, 8]
+    assert search.parents == [-1, -1, 0, 0, 1, 2, 2, 5, 6, 6]
+
+    # exactly max_states keys are admitted
+    full = Search([3, 1, 3], max_states=10)
+    drive(full, full)
+    assert len(full.keys) == 10
+    capped = Search([3, 1, 3], max_states=9)
+    with pytest.raises(SizeLimitError, match="cap of 9 states"):
+        drive(capped, capped)
+    assert capped.keys == search.keys[:9]
+
+    # table expands every key and returns sorted, distinct successor numbers
+    table = Search([3, 1, 3]).table(expand)
+    number = {k: i for i, k in enumerate(search.keys)}
+    assert table == tuple(tuple(sorted({number[t] for t in expand(k)})) for k in search.keys)
+    assert all(list(row) == sorted(set(row)) for row in table)
+    assert table[0] == (2, 3)
 
 
 @pytest.fixture

@@ -107,13 +107,14 @@ def test_alternating_strategy_score_bounds(example4):
 def test_stubborn_strategy_unbounded(example4):
     arena, muller = example4
     strat = stubborn_strategy()
-    for bound in (2, 3):
+    for bound, expected in ((2, word("100101")), (3, word("10010101"))):
         ok, witness = verify_bounded_scores(arena, muller, strat, m(1), bound)
         assert not ok
         assert is_path(arena, witness)
         assert maxscore(f1_loops(arena, muller), witness) == bound + 1
-        # the witness pumps the {0, 1} loop
+        # the witness pumps the {0, 1} loop; the first one in breadth-first order
         assert set(witness) <= {0, 1}
+        assert witness == expected
 
 
 def test_verify_rejects_bad_arguments(example4):
