@@ -72,6 +72,26 @@ from .safety_framework import (
     solve_via_safety,
 )
 from .oracle import GeneratorConfig, encode_as_muller, random_game, zielonka
-from .cli import GameParseError, export_dot, parse_game, parse_strategy, serialize_game, serialize_strategy
 
 __version__ = "0.1.0"
+
+# the file formats live in ``cli``, which is imported on first use, so that
+# ``python -m scoregames.cli`` runs it once, as ``__main__``
+_CLI_NAMES = frozenset(
+    (
+        "GameParseError",
+        "export_dot",
+        "parse_game",
+        "parse_strategy",
+        "serialize_game",
+        "serialize_strategy",
+    )
+)
+
+
+def __getattr__(name: str):
+    if name in _CLI_NAMES:
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

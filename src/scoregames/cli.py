@@ -603,7 +603,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("game")
     p.add_argument("--kind", choices=("buchi", "cobuchi", "parity", "rr", "muller"))
     p.add_argument("--out", choices=("text", "dot"), default="text")
-    p.add_argument("--max-states", type=_at_least_one, default=10_000)
+    p.add_argument("--max-states", type=_at_least_one, default=DEFAULT_MAX_STATES)
     p.set_defaults(func=_cmd_monitor)
     return parser
 

@@ -10,6 +10,7 @@ the Muller monitor), and the strategy products and certificate checks of
 """
 from __future__ import annotations
 
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from math import comb, factorial
@@ -26,7 +27,8 @@ class Search:
     order with the seeds first (duplicates dropped).
 
     ``keys[i]`` is the key numbered ``i`` and ``parents[i]`` the number
-    whose expansion first found it (-1 for the seeds).  ``add(key, parent)``
+    whose expansion first found it (-1 for the seeds); ``parents`` is an
+    ``array('i')``, four bytes a key.  ``add(key, parent)``
     returns a key's number, numbering it if it is new; numbering more than
     ``max_states`` keys raises SizeLimitError.  Iterating yields
     ``(number, key)`` in number order while ``keys`` grows, so a loop that
@@ -39,7 +41,7 @@ class Search:
 
     def __init__(self, seeds: Iterable, max_states: int = DEFAULT_MAX_STATES):
         self.keys: list = []
-        self.parents: list = []
+        self.parents = array("i")
         self.max_states = max_states
         self._index: dict = {}
         for key in seeds:
@@ -103,11 +105,13 @@ class _ClassView(Sequence):
         return hash(tuple(self))
 
 
-def _path(keys: list, parents: list, c: int) -> Word:
-    """The last vertices along the parent chain of class ``c``, oldest first."""
+def _path(parents: Sequence, c: int, vertex: Callable) -> Word:
+    """``vertex(i)`` for each number ``i`` along the parent chain of ``c``,
+    oldest first: the play prefix that first reached ``c`` when ``vertex``
+    gives the vertex a search key ends in."""
     out = []
     while c >= 0:
-        out.append(keys[c][0])
+        out.append(vertex(c))
         c = parents[c]
     return tuple(reversed(out))
 
@@ -122,18 +126,22 @@ class SafetyReduction:
     Class numbering is breadth-first discovery order and therefore
     reproducible.
 
-    Stored per class: ``keys[c]``, the pair (last vertex, packed score
-    vector) of ``scoring.PackedKernel`` (None for the sink), and
-    ``parents[c]``, the class whose expansion found ``c`` (-1 for the
-    embedded vertices).  The packed vector is one int in which tracked set i
-    owns the field of n + 2 bits at offset i * (n + 2): its accumulator in
-    the low n bits and its score in the next two.  The quotient arena is the
-    only successor table: a successor ``t`` of ``c`` other than the sink is
-    the edge labelled ``keys[t][0]``, and every other successor of the last
-    vertex leads to the sink (whose only successor is itself);
-    ``labelled_row`` reads a class's row this way.  Also stored:
-    ``unsafe_class_count``, the number of distinct keys that reached the
-    threshold, and ``_kernel``, which steps and decodes packed vectors.
+    Stored per class: ``keys[c]``, one int ``x << lb | last`` that packs
+    the class's last vertex into its low ``lb`` bits (the bit length of the
+    highest vertex number) above which sits its score vector ``x`` of
+    ``scoring.PackedKernel`` (-1 for the sink), and ``parents[c]``, the
+    class whose expansion found ``c`` (-1 for the embedded vertices), in
+    the search's ``array('i')``.  ``last(c)`` masks the last vertex out of
+    a key.  The packed vector is one int in which tracked set i owns the
+    field of n + 2 bits at offset i * (n + 2): its accumulator in the low n
+    bits and its score in the next two.  The quotient arena is the only
+    successor table: a successor ``t`` of ``c`` other than the sink is the
+    edge labelled ``last(t)``, and every other successor of the last vertex
+    leads to the sink (whose only successor is itself); ``labelled_row``
+    reads a class's row this way.  Also stored: ``unsafe_class_count``, the
+    number of distinct keys that reached the threshold, and ``_kernel``,
+    whose fields start at bit ``lb``, so that it steps and decodes keys in
+    place.
 
     Derived on access, with the entries decoded from the packed vectors:
     the quotient's vertex names (``[`` + the base vertex names along
@@ -151,7 +159,7 @@ class SafetyReduction:
     base_arena: Arena
     embed: tuple
     keys: list
-    parents: list
+    parents: array
     tracked_player: int
     threshold: int
     family: tuple
@@ -183,43 +191,50 @@ class SafetyReduction:
             for (v, y), c in first.items()
         )
 
-    def _crossings(self, c: int):
+    def last(self, c: int) -> int:
+        """The last vertex of class ``c`` (not the sink)."""
+        return self.keys[c] & (1 << self._kernel.shift) - 1
+
+    def _crossings(self, c: int) -> list:
         """The successors ``v`` of class ``c``'s last vertex whose step
         reaches the threshold, each with the packed vector ``y`` it reaches,
         as (v, y) in successor order."""
-        last, x = self.keys[c]
-        for v in self.base_arena.succ[last]:
-            y = self._kernel.step(x, v)
-            if self._kernel.reaches(y, self.threshold):
-                yield v, y
+        vs = self.base_arena.succ[self.last(c)]
+        ys, crossed = self._kernel.step_row(self.keys[c], vs, self.threshold)
+        return [(vs[i], ys[i]) for i in crossed]
+
+    def _word(self, c: int) -> Word:
+        """The last vertices along the parent chain of class ``c``."""
+        keys, mask = self.keys, (1 << self._kernel.shift) - 1
+        return _path(self.parents, c, lambda i: keys[i] & mask)
 
     def _lar(self, c: int) -> tuple:
         """The latest appearance record of ``rep_words[c]``, newest last."""
-        return lar_of(_path(self.keys, self.parents, c))
+        return lar_of(self._word(c))
 
     def _sheet(self, c: int) -> Optional[ScoreSheet]:
         if c == self.sink:
             return None
-        last, x = self.keys[c]
-        return ScoreSheet(last, self._kernel.entries(x), self._lar(c))
+        return ScoreSheet(self.last(c), self._kernel.entries(self.keys[c]), self._lar(c))
 
     def _rep_word(self, c: int) -> Word:
         if c == self.sink:
             parent = self.parents[c]
-            crossing, _ = next(self._crossings(parent))
-            return _path(self.keys, self.parents, parent) + (crossing,)
-        return _path(self.keys, self.parents, c)
+            crossing, _ = self._crossings(parent)[0]
+            return self._word(parent) + (crossing,)
+        return self._word(c)
 
     def labelled_row(self, c: int) -> dict:
         """The successors of class ``c`` other than the sink, keyed by the
         vertex labelling their edge; the other successors of ``c``'s last
         vertex label edges into the sink."""
-        return {self.keys[t][0]: t for t in self.game.arena.succ[c] if t != self.sink}
+        keys, mask = self.keys, (1 << self._kernel.shift) - 1
+        return {keys[t] & mask: t for t in self.game.arena.succ[c] if t != self.sink}
 
     def step_class(self, c: int, v: int) -> int:
         """The quotient successor of class ``c`` under vertex ``v``."""
         if 0 <= c < self.n_classes and c != self.sink:
-            if v in self.base_arena.succ[self.keys[c][0]]:
+            if v in self.base_arena.succ[self.last(c)]:
                 return self.labelled_row(c).get(v, self.sink)
         raise ValueError(f"no quotient edge from class {c} labelled {v}")
 
@@ -271,37 +286,41 @@ def build_safety_game(
         base = arena.swap_roles()
         family = family_of(muller.f0)
 
-    kernel = PackedKernel(family, base.n)
-    step, reaches = kernel.step, kernel.reaches
+    # a key is x << lb | last, so every key but the sink's (-1) is >= 0;
+    # the kernel's fields start at bit lb, so it steps a key in place
+    lb = (base.n - 1).bit_length()
+    mask = (1 << lb) - 1
+    kernel = PackedKernel(family, base.n, lb)
+    step_row = kernel.step_row
     unsafe: set = set()
 
     def expand(key):
-        if key is None:
-            return (None,)  # the sink is absorbing
-        last, x = key
-        out = []
-        for v in base.succ[last]:
-            y = step(x, v)
-            if reaches(y, threshold):
-                unsafe.add((v, y))
-                out.append(None)
-            else:
-                out.append((v, y))
+        if key < 0:
+            return (-1,)  # the sink is absorbing
+        vs = base.succ[key & mask]
+        ys, crossed = step_row(key, vs, threshold)
+        out = [y | v for v, y in zip(vs, ys)]
+        for i in crossed:
+            unsafe.add(out[i])
+            out[i] = -1
         return out
 
     # the seeds differ in their vertex, so vertex v is class v
-    search = Search([(v, step(0, v)) for v in range(base.n)], max_states)
+    search = Search([kernel.step(0, v) | v for v in range(base.n)], max_states)
     succ = search.table(expand)
     keys, parents = search.keys, search.parents
-    sink = next((c for c, key in enumerate(keys) if key is None), None)
+    sink = keys.index(-1) if -1 in keys else None
+
+    def last(c):
+        return keys[c] & mask
 
     def name(c):
         if c == sink:
             return "unsafe"
-        return "[" + base.word_str(_path(keys, parents, c)) + "]"
+        return "[" + base.word_str(_path(parents, c, last)) + "]"
 
     # the sink is absorbing, so its owner never matters
-    owner = tuple(1 if key is None else base.owner[key[0]] for key in keys)
+    owner = tuple(1 if key < 0 else base.owner[key & mask] for key in keys)
     quotient = Arena(_ClassView(len(keys), name), owner, succ)
     safe = (1 << len(keys)) - 1
     if sink is not None:

@@ -8,8 +8,10 @@ are the canonical representatives of score-equivalence classes.
 
 The quotient construction keeps a family's states packed into one int
 instead (``PackedKernel``): with n vertices, tracked set i owns the field of
-n + 2 bits at offset i * (n + 2), holding its accumulator in the low n bits
-and its score in the next two, and one step updates every field at once.
+n + 2 bits at offset i * (n + 2) above the kernel's ``shift`` low bits,
+holding its accumulator in the low n bits and its score in the next two,
+and one step updates every field at once.  One kernel call steps a whole
+successor row.
 """
 from __future__ import annotations
 
@@ -114,23 +116,27 @@ class PackedKernel:
     score vector of the quotient construction, where hashing and stepping
     dominate the running time.
 
-    Tracked set i owns the field of n + 2 bits at offset i * (n + 2): its
-    accumulator in the low n bits and its score in the next two.  Vectors
-    below the threshold have scores of at most 2, so one increment still
-    fits in the field; the all-zero vector is the empty play, so stepping
-    it gives the single-letter vector of a vertex.
+    Tracked set i owns the field of n + 2 bits at offset
+    ``shift + i * (n + 2)``: its accumulator in the low n bits and its score
+    in the next two.  Every step leaves the ``shift`` bits below the fields
+    zero, so a caller may keep its own data there and step the whole int:
+    the quotient keeps a class's last vertex there.  Vectors below the
+    threshold have scores of at most 2, so one increment still fits in the
+    field; the all-zero vector is the empty play, so stepping it gives the
+    single-letter vector of a vertex.
     """
 
-    def __init__(self, family: Sequence[int], n: int):
+    def __init__(self, family: Sequence[int], n: int, shift: int = 0):
         self.family = tuple(family)
         self.n = n
+        self.shift = shift
         width = n + 2
         ones = (1 << n) - 1
         accm = slo = 0
         for i in range(len(self.family)):
-            accm |= ones << i * width
-            slo |= 1 << i * width + n
-        self._accm, self._slo, self._shi = accm, slo, slo << 1
+            accm |= ones << shift + i * width
+            slo |= 1 << shift + i * width + n
+        self._accm, self._slo = accm, slo
         # per vertex v: keep (the fields of sets containing v), rem (f minus
         # v, and all ones for the other fields, which never match) and bv
         # (bit v in the fields of keep)
@@ -139,39 +145,53 @@ class PackedKernel:
             b = 1 << v
             keep = rem = bv = 0
             for i, f in enumerate(self.family):
+                at = shift + i * width
                 if f & b:
-                    keep |= ((1 << width) - 1) << i * width
-                    rem |= (f & ~b) << i * width
-                    bv |= b << i * width
+                    keep |= ((1 << width) - 1) << at
+                    rem |= (f & ~b) << at
+                    bv |= b << at
                 else:
-                    rem |= ones << i * width
+                    rem |= ones << at
             self._masks.append((keep, rem, bv))
 
-    def step(self, x: int, v: int) -> int:
-        """The vector after ``v``: sets without v reset, a set whose
-        accumulator is f minus v scores and empties it, the others add v to
-        the accumulator.  Equality of each field with f minus v is read off
-        the carry of ``d + accm`` into the field's score bit."""
-        keep, rem, bv = self._masks[v]
-        accm = self._accm
-        slo = self._slo
-        x &= keep
-        d = (x ^ rem) & accm
-        eq = slo & ~((d + accm) & slo)
-        eq_acc = eq - (eq >> self.n)  # the accumulator bits of the eq fields
-        return ((x & ~eq_acc) + eq) | (bv & ~eq_acc)
+    def step_row(self, x: int, vs: Iterable[int], cap: int = 3) -> tuple:
+        """The vector after each vertex of ``vs`` from ``x``, in order, and
+        the positions in ``vs`` of the steps whose vector has a score of
+        ``cap`` (2 or 3).  Every score of ``x`` must be below ``cap``.
 
-    def reaches(self, x: int, cap: int) -> bool:
-        """Whether some score of ``x`` is at least ``cap`` (2 or 3)."""
-        if cap == 2:
-            return bool(x & self._shi)
-        return bool((x & self._shi) >> 1 & x)
+        One step resets the sets without v, lets a set whose accumulator is
+        f minus v score and empty it, and adds v to the accumulator of the
+        others; the bits below ``shift`` come out zero.  Equality of each
+        field with f minus v is read off the carry of ``d + accm`` into the
+        field's score bit, and a step crosses ``cap`` where such a field
+        scored ``cap - 1`` before.  The masks are read once per row, so a
+        row costs one call however many successors it has.
+        """
+        masks, accm, slo, n = self._masks, self._accm, self._slo, self.n
+        # below cap, only score cap - 1 sets score bit cap - 2; move it to bit 0
+        below = cap - 2
+        ys, crossed = [], []
+        for v in vs:
+            keep, rem, bv = masks[v]
+            y = x & keep
+            d = (y ^ rem) & accm  # zero in the fields whose accumulator is f minus v
+            eq = slo & ~(d + accm)
+            if eq & y >> below:
+                crossed.append(len(ys))
+            eq_acc = eq - (eq >> n)  # the accumulator bits of the eq fields
+            ys.append(((y | bv) & ~eq_acc) + eq)
+        return ys, crossed
+
+    def step(self, x: int, v: int) -> int:
+        """The vector after ``v``: the one-vertex case of ``step_row``."""
+        return self.step_row(x, (v,))[0][0]
 
     def entries(self, x: int) -> tuple:
         """The (score, acc) pair of each tracked set, as ``entries_step``
         gives them."""
         width = self.n + 2
         ones = (1 << self.n) - 1
+        x >>= self.shift
         out = []
         for i in range(len(self.family)):
             field_ = x >> i * width

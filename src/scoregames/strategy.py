@@ -188,7 +188,7 @@ def _class_table(
     update = {}
     next_move = {}
     for m in memory:
-        last = red.keys[m][0]
+        last = red.last(m)
         # an edge into the sink has no entry, so its update is BOTTOM too
         targets = red.labelled_row(m)
         for v in range(base.n):
@@ -276,7 +276,7 @@ def verify_bounded_scores(
             nxt_entries = entries_step(family, entries, u)
             child = (u, strat.step(m, u), nxt_entries)
             if entries_terminal(nxt_entries, cap):
-                return False, _path(search.keys, search.parents, i) + (u,)
+                return False, _path(search.parents, i, lambda j: search.keys[j][0]) + (u,)
             search.add(child, i)
     return True, None
 

@@ -308,6 +308,27 @@ def test_cli_random_roundtrip(capsys):
     assert out == out2
 
 
+def test_cli_max_states_defaults_to_the_shared_cap():
+    # every subcommand with --max-states gets the cap the library defaults to
+    import argparse
+
+    from scoregames.cli import _build_parser
+    from scoregames.reduction import DEFAULT_MAX_STATES
+
+    (subcommands,) = (
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    capped = set()
+    for name, sub in subcommands.choices.items():
+        if "--max-states" not in sub._option_string_actions:
+            continue
+        positionals = [a for a in sub._actions if not a.option_strings]
+        args = _build_parser().parse_args([name] + ["x"] * len(positionals))
+        assert args.max_states == DEFAULT_MAX_STATES, name
+        capped.add(name)
+    assert capped == {"solve", "reduce", "strategy", "monitor"}
+
+
 def test_cli_monitor(tmp_path, capsys):
     path = game_file(tmp_path)
     code, out, _ = run(capsys, "monitor", path)
@@ -442,6 +463,8 @@ def test_cli_determinism_across_processes(tmp_path):
             env=env,
             check=True,
         )
+        # the package does not import cli before runpy runs it as __main__
+        assert result.stderr == b""
         outputs.append(result.stdout)
     assert outputs[0] == outputs[1]
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scoregames.arena import Arena, MullerCondition, SizeLimitError, bit, mask_of
 from scoregames.oracle import GeneratorConfig, random_game
 from scoregames.reduction import Search, build_safety_game, lar_sum_bound
+from scoregames.safety_solver import solve_safety
 from scoregames.scoring import sheet_init, sheet_terminal, sheet_update
 
 from conftest import m, random_muller_game, word
@@ -29,14 +30,14 @@ def test_search_numbers_keys_breadth_first():
 
     # seeds come first, duplicates dropped
     search = Search([3, 1, 3])
-    assert (search.keys, search.parents) == ([3, 1], [-1, -1])
+    assert (search.keys, list(search.parents)) == ([3, 1], [-1, -1])
     assert search.add(1, 0) == 1 and len(search.keys) == 2
     # an iterator stopped mid-search resumes where it stopped
     it = iter(search)
     assert drive(search, it, stop=3) == [0, 1, 2]
     assert drive(search, it) == list(range(3, 10))
     assert search.keys == [3, 1, 7, 6, 2, 5, 4, 0, 9, 8]
-    assert search.parents == [-1, -1, 0, 0, 1, 2, 2, 5, 6, 6]
+    assert list(search.parents) == [-1, -1, 0, 0, 1, 2, 2, 5, 6, 6]
 
     # exactly max_states keys are admitted
     full = Search([3, 1, 3], max_states=10)
@@ -310,3 +311,25 @@ def test_build_peak_stays_near_what_the_reduction_keeps():
         tracemalloc.stop()
     assert red.n_classes == 10_346
     assert peak - base <= 1.4 * (kept - base)
+
+
+def test_quotient_keeps_few_bytes_per_class_and_solving_adds_little():
+    # corpus game 7, Player-1 side (10,346 classes): a class keeps one int
+    # key, four bytes of parent and its successor row, and solve_safety
+    # counts its predecessors into two int arrays instead of a list each
+    arena, muller = random_game(GeneratorConfig(n=6, density=0.4, seed=7, kind="muller"))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        red = build_safety_game(arena, muller, tracked_player=1)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        sol = solve_safety(red.game)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert red.n_classes == 10_346 and sol.w0
+    assert kept <= 200 * red.n_classes
+    assert peak - kept <= 0.5 * kept

@@ -168,10 +168,11 @@ def test_sheet_matches_recomputation(w):
         if sheet_terminal(sheet):
             return
         sheet = sheet_update(family, sheet, v)
+        ys, crossed = kernel.step_row(x, (v,), 3)
         x = kernel.step(x, v)
-        assert x == _pack(3, sheet.entries)
+        assert ys == [x] and x == _pack(3, sheet.entries)
         assert kernel.entries(x) == sheet.entries
-        assert kernel.reaches(x, 3) == sheet_terminal(sheet)
+        assert (crossed == [0]) == sheet_terminal(sheet)
         assert sheet.lar == lar_of(w[:i])  # the lar_update fold, every prefix
         for f, st_ in zip(family, sheet.entries):
             expected = score_word(f, w[:i])
@@ -195,21 +196,32 @@ def _below(cap, n, f):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_packed_step_matches_entries_step(data):
-    # from any vector below the threshold, the packed step and the threshold
-    # test agree with entries_step and entries_terminal
+    # from any vector below the threshold, the packed step, the row step
+    # and the threshold test agree with entries_step and entries_terminal;
+    # the row step also with the fields moved up past a caller's low bits
     n = data.draw(st.integers(1, 8), label="n")
     family = family_of(data.draw(st.lists(st.integers(1, 2**n - 1), min_size=1, max_size=10)))
     cap = data.draw(st.sampled_from((2, 3)), label="cap")
+    shift = data.draw(st.integers(0, 4), label="shift")
     kernel = PackedKernel(family, n)
+    keyed = PackedKernel(family, n, shift)
     entries = data.draw(st.tuples(*(_below(cap, n, f) for f in family)), label="entries")
     x = _pack(n, entries)
     assert kernel.entries(x) == entries
     for v in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=20), label="word"):
+        row = data.draw(st.lists(st.integers(0, n - 1), max_size=n), label="row")
+        low = data.draw(st.integers(0, 2**shift - 1), label="low")
+        after = [entries_step(family, entries, u) for u in row]
+        ys, crossed = keyed.step_row(x << shift | low, row, cap)
+        assert ys == [_pack(n, e) << shift for e in after]
+        assert [keyed.entries(y) for y in ys] == after
+        assert crossed == [i for i, e in enumerate(after) if entries_terminal(e, cap)]
         entries = entries_step(family, entries, v)
+        ys, crossed = kernel.step_row(x, (v,), cap)
         x = kernel.step(x, v)
+        assert ys == [x] and x == _pack(n, entries)
         assert kernel.entries(x) == entries
-        assert x == _pack(n, entries)
-        assert kernel.reaches(x, cap) == entries_terminal(entries, cap)
+        assert (crossed == [0]) == entries_terminal(entries, cap)
         if entries_terminal(entries, cap):
             break
 
