@@ -6,8 +6,10 @@ set algebra is integer arithmetic and every set is hashable.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from itertools import accumulate, chain
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 Word = tuple  # finite vertex sequence, tuple[int, ...]
 
@@ -94,13 +96,25 @@ class Arena:
             for v in targets:
                 yield u, v
 
-    def predecessors(self) -> list:
-        """The predecessors of each vertex, in increasing order."""
-        pred = [[] for _ in range(self.n)]
-        for u, targets in enumerate(self.succ):
-            for v in targets:
-                pred[v].append(u)
-        return pred
+    def predecessors(self) -> tuple:
+        """The predecessors of each vertex as two ``array('i')``, ``start``
+        and ``sources``, four bytes an edge: those of v are
+        ``sources[start[v]:start[v + 1]]``, in increasing order.  In-degrees
+        are counted first, then each edge is written below the end of its
+        target's slice, sources in decreasing order, which leaves
+        ``start[v]`` at the slice's first entry."""
+        indegree = [0] * self.n
+        for v in chain.from_iterable(self.succ):
+            indegree[v] += 1
+        start = array("i", accumulate(indegree))
+        sources = array("i", [0]) * sum(indegree)
+        for u in reversed(range(self.n)):
+            for v in self.succ[u]:
+                i = start[v] - 1
+                start[v] = i
+                sources[i] = u
+        start.append(len(sources))
+        return start, sources
 
     def swap_roles(self) -> "Arena":
         """The same graph with the players exchanged."""
@@ -263,11 +277,13 @@ def winner(arena: Arena, condition: Condition, lasso: Lasso) -> int:
     raise TypeError(f"unsupported condition {type(condition).__name__}")
 
 
-def is_loop(arena: Arena, s: int) -> bool:
+def is_loop(arena: Arena, s: int, pred: tuple = None) -> bool:
     """True iff ``s`` is a non-empty strongly connected vertex set.
 
     A singleton {v} counts as a loop only if v has a self-loop: a path from
-    v back to v inside {v} has to use it.
+    v back to v inside {v} has to use it.  ``pred`` is
+    ``arena.predecessors()``, built here when it is needed and not given,
+    so a caller testing many sets builds it once.
     """
     if s == 0:
         return False
@@ -275,19 +291,25 @@ def is_loop(arena: Arena, s: int) -> bool:
     if s == 1 << first:
         return arena.has_edge(first, first)
     # forward and backward reachability inside s from one vertex
-    for succsets in (arena.succ, arena.predecessors()):
-        reached = 1 << first
-        frontier = [first]
-        while frontier:
-            u = frontier.pop()
-            for w in succsets[u]:
-                b = 1 << w
-                if s & b and not reached & b:
-                    reached |= b
-                    frontier.append(w)
-        if reached != s:
-            return False
-    return True
+    if _reach(s, first, arena.succ.__getitem__) != s:
+        return False
+    start, sources = pred or arena.predecessors()
+    return _reach(s, first, lambda u: sources[start[u] : start[u + 1]]) == s
+
+
+def _reach(s: int, first: int, neighbours: Callable) -> int:
+    """The vertices of ``s`` reachable from ``first`` inside ``s``, where
+    ``neighbours(u)`` lists the vertices one step from ``u``."""
+    reached = 1 << first
+    frontier = [first]
+    while frontier:
+        u = frontier.pop()
+        for w in neighbours(u):
+            b = 1 << w
+            if s & b and not reached & b:
+                reached |= b
+                frontier.append(w)
+    return reached
 
 
 def enumerate_loops(arena: Arena, limit: int = DEFAULT_LOOP_LIMIT) -> tuple:
@@ -299,11 +321,8 @@ def enumerate_loops(arena: Arena, limit: int = DEFAULT_LOOP_LIMIT) -> tuple:
         raise SizeLimitError(
             f"loop enumeration over {arena.n} vertices exceeds the guard of {limit}"
         )
-    loops = []
-    for s in range(1, arena.full_mask + 1):
-        if is_loop(arena, s):
-            loops.append(s)
-    return tuple(loops)
+    pred = arena.predecessors()
+    return tuple(s for s in range(1, arena.full_mask + 1) if is_loop(arena, s, pred))
 
 
 def f1_loops(arena: Arena, muller: MullerCondition, limit: int = DEFAULT_LOOP_LIMIT) -> tuple:
@@ -328,12 +347,13 @@ def validate(arena: Arena, condition: Condition) -> list:
             out.append(f"vertex {arena.names[v]}: owner must be 0 or 1")
     full = arena.full_mask
     if isinstance(condition, MullerCondition):
+        pred = arena.predecessors()
         for s in sorted(condition.f0):
             if s == 0:
                 out.append("f0 member {}: empty set")
             elif s & ~full:
                 out.append(f"f0 member: unknown vertices in mask {s:#x}")
-            elif not is_loop(arena, s):
+            elif not is_loop(arena, s, pred):
                 out.append(f"f0 member {arena.set_str(s)}: not a loop")
     elif isinstance(condition, (SafetyCondition, BuchiCondition, CoBuchiCondition)):
         mask = (

@@ -126,22 +126,22 @@ class SafetyReduction:
     Class numbering is breadth-first discovery order and therefore
     reproducible.
 
-    Stored per class: ``keys[c]``, one int ``x << lb | last`` that packs
-    the class's last vertex into its low ``lb`` bits (the bit length of the
-    highest vertex number) above which sits its score vector ``x`` of
-    ``scoring.PackedKernel`` (-1 for the sink), and ``parents[c]``, the
-    class whose expansion found ``c`` (-1 for the embedded vertices), in
-    the search's ``array('i')``.  ``last(c)`` masks the last vertex out of
-    a key.  The packed vector is one int in which tracked set i owns the
-    field of n + 2 bits at offset i * (n + 2): its accumulator in the low n
-    bits and its score in the next two.  The quotient arena is the only
+    Stored per class: ``keys[c]``, one int ``x | last << top`` that packs
+    the class's score vector ``x`` of ``scoring.PackedKernel`` into its low
+    ``top`` bits and its last vertex above them (-1 for the sink), and
+    ``parents[c]``, the class whose expansion found ``c`` (-1 for the
+    embedded vertices), in the search's ``array('i')``.  ``last(c)`` shifts
+    the last vertex out of a key; the kernel reads only the vector's bits,
+    so it steps a key in place.  The packed vector is one int in which
+    tracked set i owns the field of n + 2 bits at offset i * (n + 2): its
+    accumulator in the low n bits and its score in the next two, so
+    ``top`` is ``len(family) * (n + 2)``.  The quotient arena is the only
     successor table: a successor ``t`` of ``c`` other than the sink is the
     edge labelled ``last(t)``, and every other successor of the last vertex
     leads to the sink (whose only successor is itself); ``labelled_row``
     reads a class's row this way.  Also stored: ``unsafe_class_count``, the
     number of distinct keys that reached the threshold, and ``_kernel``,
-    whose fields start at bit ``lb``, so that it steps and decodes keys in
-    place.
+    which steps and decodes the keys.
 
     Derived on access, with the entries decoded from the packed vectors:
     the quotient's vertex names (``[`` + the base vertex names along
@@ -165,6 +165,7 @@ class SafetyReduction:
     family: tuple
     sink: Optional[int]
     unsafe_class_count: int
+    top: int
     _kernel: PackedKernel = field(repr=False)
 
     @property
@@ -193,7 +194,7 @@ class SafetyReduction:
 
     def last(self, c: int) -> int:
         """The last vertex of class ``c`` (not the sink)."""
-        return self.keys[c] & (1 << self._kernel.shift) - 1
+        return self.keys[c] >> self.top
 
     def _crossings(self, c: int) -> list:
         """The successors ``v`` of class ``c``'s last vertex whose step
@@ -205,8 +206,7 @@ class SafetyReduction:
 
     def _word(self, c: int) -> Word:
         """The last vertices along the parent chain of class ``c``."""
-        keys, mask = self.keys, (1 << self._kernel.shift) - 1
-        return _path(self.parents, c, lambda i: keys[i] & mask)
+        return _path(self.parents, c, self.last)
 
     def _lar(self, c: int) -> tuple:
         """The latest appearance record of ``rep_words[c]``, newest last."""
@@ -228,8 +228,8 @@ class SafetyReduction:
         """The successors of class ``c`` other than the sink, keyed by the
         vertex labelling their edge; the other successors of ``c``'s last
         vertex label edges into the sink."""
-        keys, mask = self.keys, (1 << self._kernel.shift) - 1
-        return {keys[t] & mask: t for t in self.game.arena.succ[c] if t != self.sink}
+        last = self.last
+        return {last(t): t for t in self.game.arena.succ[c] if t != self.sink}
 
     def step_class(self, c: int, v: int) -> int:
         """The quotient successor of class ``c`` under vertex ``v``."""
@@ -286,46 +286,44 @@ def build_safety_game(
         base = arena.swap_roles()
         family = family_of(muller.f0)
 
-    # a key is x << lb | last, so every key but the sink's (-1) is >= 0;
-    # the kernel's fields start at bit lb, so it steps a key in place
-    lb = (base.n - 1).bit_length()
-    mask = (1 << lb) - 1
-    kernel = PackedKernel(family, base.n, lb)
+    # a key is x | last << top, so every key but the sink's (-1) is >= 0;
+    # the kernel reads only the vector's bits, so it steps a key in place
+    top = len(family) * (base.n + 2)
+    tag = [v << top for v in range(base.n)]
+    kernel = PackedKernel(family, base.n)
     step_row = kernel.step_row
     unsafe: set = set()
 
     def expand(key):
         if key < 0:
             return (-1,)  # the sink is absorbing
-        vs = base.succ[key & mask]
+        vs = base.succ[key >> top]
         ys, crossed = step_row(key, vs, threshold)
-        out = [y | v for v, y in zip(vs, ys)]
+        out = [y | tag[v] for v, y in zip(vs, ys)]
         for i in crossed:
             unsafe.add(out[i])
             out[i] = -1
         return out
 
     # the seeds differ in their vertex, so vertex v is class v
-    search = Search([kernel.step(0, v) | v for v in range(base.n)], max_states)
+    search = Search([kernel.step(0, v) | tag[v] for v in range(base.n)], max_states)
     succ = search.table(expand)
     keys, parents = search.keys, search.parents
     sink = keys.index(-1) if -1 in keys else None
 
-    def last(c):
-        return keys[c] & mask
-
+    # names are read after the reduction below is built
     def name(c):
         if c == sink:
             return "unsafe"
-        return "[" + base.word_str(_path(parents, c, last)) + "]"
+        return "[" + base.word_str(reduction._word(c)) + "]"
 
     # the sink is absorbing, so its owner never matters
-    owner = tuple(1 if key < 0 else base.owner[key & mask] for key in keys)
+    owner = tuple(1 if key < 0 else base.owner[key >> top] for key in keys)
     quotient = Arena(_ClassView(len(keys), name), owner, succ)
     safe = (1 << len(keys)) - 1
     if sink is not None:
         safe &= ~(1 << sink)
-    return SafetyReduction(
+    reduction = SafetyReduction(
         game=SafetyGame(quotient, safe),
         base_arena=base,
         embed=tuple(range(base.n)),
@@ -336,5 +334,7 @@ def build_safety_game(
         family=family,
         sink=sink,
         unsafe_class_count=len(unsafe),
+        top=top,
         _kernel=kernel,
     )
+    return reduction

@@ -3,14 +3,13 @@
 Regions are kept as one flag byte per vertex while the attractor runs, so
 marking or testing a vertex costs O(1) however large the arena is; the
 public results are vertex bitmasks, converted once at the end.  The
-predecessors are counted into two int arrays, four bytes an edge, instead
-of a list per vertex.
+predecessors are ``Arena.predecessors``' two int arrays, four bytes an
+edge, instead of a list per vertex.
 """
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate, chain
 
 from .arena import Arena
 from .reduction import SafetyGame
@@ -29,31 +28,11 @@ def _mask(flags: bytearray) -> int:
     return int(flags.translate(_TO_DIGITS)[::-1] or b"0", 2)
 
 
-def _predecessors(arena: Arena) -> tuple:
-    """The predecessors of each vertex as two ``array('i')``, ``start`` and
-    ``sources``: those of v are ``sources[start[v]:start[v + 1]]``, in
-    increasing order.  In-degrees are counted first, then each edge is
-    written below the end of its target's slice, sources in decreasing
-    order, which leaves ``start[v]`` at the slice's first entry."""
-    indegree = [0] * arena.n
-    for v in chain.from_iterable(arena.succ):
-        indegree[v] += 1
-    start = array("i", accumulate(indegree))
-    sources = array("i", bytes(4 * sum(indegree)))
-    for u in reversed(range(arena.n)):
-        for v in arena.succ[u]:
-            i = start[v] - 1
-            start[v] = i
-            sources[i] = u
-    start.append(len(sources))
-    return start, sources
-
-
 def _attract(arena: Arena, player: int, flags: bytearray) -> dict:
     """Grow ``flags`` in place from the target to its ``player`` attractor
     and return the positional strategy on the attracted vertices outside
     the target.  Runs in O(V + E) using per-vertex out-degree counters."""
-    start, sources = _predecessors(arena)
+    start, sources = arena.predecessors()
     owner = arena.owner
     remaining = array("i", map(len, arena.succ))
     strategy: dict = {}

@@ -8,10 +8,9 @@ are the canonical representatives of score-equivalence classes.
 
 The quotient construction keeps a family's states packed into one int
 instead (``PackedKernel``): with n vertices, tracked set i owns the field of
-n + 2 bits at offset i * (n + 2) above the kernel's ``shift`` low bits,
-holding its accumulator in the low n bits and its score in the next two,
-and one step updates every field at once.  One kernel call steps a whole
-successor row.
+n + 2 bits at offset i * (n + 2), holding its accumulator in the low n bits
+and its score in the next two, and one step updates every field at once.
+One kernel call steps a whole successor row.
 """
 from __future__ import annotations
 
@@ -116,26 +115,24 @@ class PackedKernel:
     score vector of the quotient construction, where hashing and stepping
     dominate the running time.
 
-    Tracked set i owns the field of n + 2 bits at offset
-    ``shift + i * (n + 2)``: its accumulator in the low n bits and its score
-    in the next two.  Every step leaves the ``shift`` bits below the fields
-    zero, so a caller may keep its own data there and step the whole int:
-    the quotient keeps a class's last vertex there.  Vectors below the
-    threshold have scores of at most 2, so one increment still fits in the
-    field; the all-zero vector is the empty play, so stepping it gives the
-    single-letter vector of a vertex.
+    Tracked set i owns the field of n + 2 bits at offset i * (n + 2): its
+    accumulator in the low n bits and its score in the next two.  Vectors
+    below the threshold have scores of at most 2, so one increment still
+    fits in the field; the all-zero vector is the empty play, so stepping
+    it gives the single-letter vector of a vertex.  A step reads only the
+    fields, so a caller may keep its own data in the bits above them and
+    step the whole int: the quotient keeps a class's last vertex there.
     """
 
-    def __init__(self, family: Sequence[int], n: int, shift: int = 0):
+    def __init__(self, family: Sequence[int], n: int):
         self.family = tuple(family)
         self.n = n
-        self.shift = shift
         width = n + 2
         ones = (1 << n) - 1
         accm = slo = 0
         for i in range(len(self.family)):
-            accm |= ones << shift + i * width
-            slo |= 1 << shift + i * width + n
+            accm |= ones << i * width
+            slo |= 1 << i * width + n
         self._accm, self._slo = accm, slo
         # per vertex v: keep (the fields of sets containing v), rem (f minus
         # v, and all ones for the other fields, which never match) and bv
@@ -145,13 +142,12 @@ class PackedKernel:
             b = 1 << v
             keep = rem = bv = 0
             for i, f in enumerate(self.family):
-                at = shift + i * width
                 if f & b:
-                    keep |= ((1 << width) - 1) << at
-                    rem |= (f & ~b) << at
-                    bv |= b << at
+                    keep |= ((1 << width) - 1) << i * width
+                    rem |= (f & ~b) << i * width
+                    bv |= b << i * width
                 else:
-                    rem |= ones << at
+                    rem |= ones << i * width
             self._masks.append((keep, rem, bv))
 
     def step_row(self, x: int, vs: Iterable[int], cap: int = 3) -> tuple:
@@ -161,7 +157,7 @@ class PackedKernel:
 
         One step resets the sets without v, lets a set whose accumulator is
         f minus v score and empty it, and adds v to the accumulator of the
-        others; the bits below ``shift`` come out zero.  Equality of each
+        others; the bits above the fields come out zero.  Equality of each
         field with f minus v is read off the carry of ``d + accm`` into the
         field's score bit, and a step crosses ``cap`` where such a field
         scored ``cap - 1`` before.  The masks are read once per row, so a
@@ -191,7 +187,6 @@ class PackedKernel:
         gives them."""
         width = self.n + 2
         ones = (1 << self.n) - 1
-        x >>= self.shift
         out = []
         for i in range(len(self.family)):
             field_ = x >> i * width

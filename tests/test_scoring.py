@@ -198,23 +198,23 @@ def _below(cap, n, f):
 def test_packed_step_matches_entries_step(data):
     # from any vector below the threshold, the packed step, the row step
     # and the threshold test agree with entries_step and entries_terminal;
-    # the row step also with the fields moved up past a caller's low bits
+    # the row step also with a caller's data in the bits above the fields
     n = data.draw(st.integers(1, 8), label="n")
     family = family_of(data.draw(st.lists(st.integers(1, 2**n - 1), min_size=1, max_size=10)))
     cap = data.draw(st.sampled_from((2, 3)), label="cap")
-    shift = data.draw(st.integers(0, 4), label="shift")
     kernel = PackedKernel(family, n)
-    keyed = PackedKernel(family, n, shift)
+    top = len(family) * (n + 2)
     entries = data.draw(st.tuples(*(_below(cap, n, f) for f in family)), label="entries")
     x = _pack(n, entries)
     assert kernel.entries(x) == entries
     for v in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=20), label="word"):
         row = data.draw(st.lists(st.integers(0, n - 1), max_size=n), label="row")
-        low = data.draw(st.integers(0, 2**shift - 1), label="low")
+        high = data.draw(st.integers(0, 15), label="high")
         after = [entries_step(family, entries, u) for u in row]
-        ys, crossed = keyed.step_row(x << shift | low, row, cap)
-        assert ys == [_pack(n, e) << shift for e in after]
-        assert [keyed.entries(y) for y in ys] == after
+        ys, crossed = kernel.step_row(x | high << top, row, cap)
+        assert ys == [_pack(n, e) for e in after]
+        assert [kernel.entries(y) for y in ys] == after
+        assert kernel.entries(x | high << top) == entries
         assert crossed == [i for i, e in enumerate(after) if entries_terminal(e, cap)]
         entries = entries_step(family, entries, v)
         ys, crossed = kernel.step_row(x, (v,), cap)
