@@ -311,11 +311,12 @@ def build_safety_game(
     keys, parents = search.keys, search.parents
     sink = keys.index(-1) if -1 in keys else None
 
-    # names are read after the reduction below is built
+    # SafetyReduction._word, without a reference back to the reduction:
+    # a reduction in no cycle is freed as soon as its last reference goes
     def name(c):
         if c == sink:
             return "unsafe"
-        return "[" + base.word_str(reduction._word(c)) + "]"
+        return "[" + base.word_str(_path(parents, c, lambda i: keys[i] >> top)) + "]"
 
     # the sink is absorbing, so its owner never matters
     owner = tuple(1 if key < 0 else base.owner[key >> top] for key in keys)

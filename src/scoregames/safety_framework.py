@@ -139,16 +139,19 @@ def solve_via_safety(
     """
     prod = product_game(arena, dfa, max_states)
     sol = solve_safety(prod.game)
-    memory = tuple(dict.fromkeys(q for _, q in prod.states))
-    init = {v: dfa.step(dfa.start, v) for v in range(arena.n)}
+    # every step lands on a product position's state: the tables share
+    # those objects instead of keeping the copies the steps return
+    shared = {q: q for _, q in prod.states}
+    memory = tuple(shared)
+    init = {v: shared[dfa.step(dfa.start, v)] for v in range(arena.n)}
     update = {}
     next_move = {}
     for pid, (u, q) in enumerate(prod.states):
         for v in arena.succ[u]:
-            update[q, v] = dfa.step(q, v)
+            update[q, v] = shared[dfa.step(q, v)]
         if arena.owner[u] == 0:
-            target = sol.strategy0.get(pid)
-            next_move[u, q] = arena.succ[u][:1] if target is None else (prod.states[target][0],)
+            target = sol.strategy0[pid]
+            next_move[u, q] = arena.succ[u][:1] if target < 0 else (prod.states[target][0],)
     return sol.w0 & arena.full_mask, FiniteStateStrategy(0, memory, init, update, next_move)
 
 

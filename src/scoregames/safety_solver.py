@@ -28,14 +28,15 @@ def _mask(flags: bytearray) -> int:
     return int(flags.translate(_TO_DIGITS)[::-1] or b"0", 2)
 
 
-def _attract(arena: Arena, player: int, flags: bytearray) -> dict:
+def _attract(arena: Arena, player: int, flags: bytearray) -> array:
     """Grow ``flags`` in place from the target to its ``player`` attractor
     and return the positional strategy on the attracted vertices outside
-    the target.  Runs in O(V + E) using per-vertex out-degree counters."""
+    the target, indexed by vertex, -1 where it has no move.  Runs in
+    O(V + E) using per-vertex out-degree counters."""
     start, sources = arena.predecessors()
     owner = arena.owner
     remaining = array("i", map(len, arena.succ))
-    strategy: dict = {}
+    strategy = array("i", [-1]) * arena.n
     queue = [v for v in range(arena.n) if flags[v]]
     # queue grows while it is read, so reading it in order is the FIFO
     for u in queue:
@@ -56,7 +57,8 @@ def _attract(arena: Arena, player: int, flags: bytearray) -> dict:
 
 def attractor(arena: Arena, player: int, target: int) -> tuple:
     """The least set from which ``player`` can force a visit to ``target``,
-    plus a positional strategy on the attracted vertices outside the target.
+    plus a positional strategy on the attracted vertices outside the target
+    (an ``array('i')`` indexed by vertex, -1 where it has no move).
     """
     flags = _flags(target, arena.n)
     strategy = _attract(arena, player, flags)
@@ -67,24 +69,28 @@ def attractor(arena: Arena, player: int, target: int) -> tuple:
 class SafetySolution:
     """Winning regions of a safety game with positional strategies.
 
-    ``strategy0`` picks, for each Player 0 vertex in its region, the lowest
-    indexed successor that stays in the region.  ``strategy1`` is the
-    attractor strategy towards the unsafe vertices.
+    Both strategies are ``array('i')`` indexed by vertex, -1 where the
+    player has no move.  ``strategy0`` picks, for each Player 0 vertex in
+    its region, the lowest indexed successor that stays in the region.
+    ``strategy1`` is the attractor strategy towards the unsafe vertices.
     """
 
     w0: int
     w1: int
-    strategy0: dict
-    strategy1: dict
+    strategy0: array
+    strategy1: array
 
 
 def solve_safety(game: SafetyGame) -> SafetySolution:
     arena = game.arena
     lost = _flags(arena.full_mask & ~game.safe, arena.n)
     strategy1 = _attract(arena, 1, lost)
-    strategy0: dict = {}
+    strategy0 = array("i", [-1]) * arena.n
     for v, succ in enumerate(arena.succ):
         if not lost[v] and arena.owner[v] == 0:
-            strategy0[v] = next(u for u in succ if not lost[u])
+            for u in succ:
+                if not lost[u]:
+                    strategy0[v] = u
+                    break
     w1 = _mask(lost)
     return SafetySolution(arena.full_mask & ~w1, w1, strategy0, strategy1)

@@ -215,26 +215,22 @@ def solve_muller(
 ) -> MullerSolution:
     """Winning regions and antichain strategies for both players, via one
     reduction per player (roles swapped for Player 1's side), in each of
-    which vertex v is class v."""
-    red1 = build_safety_game(arena, muller, tracked_player=1, max_states=max_states)
-    sol1 = solve_safety(red1.game)
-    w0 = sol1.w0 & arena.full_mask
-
-    red0 = build_safety_game(arena, muller, tracked_player=0, max_states=max_states)
-    sol0 = solve_safety(red0.game)
-    w1 = sol0.w0 & arena.full_mask
+    which vertex v is class v.  One side is finished, region and strategy,
+    and its reduction dropped before the other is built."""
+    sides = []
+    for tracked in (1, 0):
+        red = build_safety_game(arena, muller, tracked_player=tracked, max_states=max_states)
+        sol = solve_safety(red.game)
+        sides.append((sol.w0 & arena.full_mask, build_antichain_strategy(red, sol)))
+        del red, sol
+    (w0, strategy_p0), (w1, strategy_p1) = sides
 
     if w0 & w1 or (w0 | w1) != arena.full_mask:
         raise RuntimeError(
             "internal error: winning regions do not partition the vertex set "
             f"(w0={arena.set_str(w0)}, w1={arena.set_str(w1)}); determinacy guarantees they do"
         )
-    return MullerSolution(
-        w0=w0,
-        w1=w1,
-        strategy_p0=build_antichain_strategy(red1, sol1),
-        strategy_p1=build_antichain_strategy(red0, sol0),
-    )
+    return MullerSolution(w0=w0, w1=w1, strategy_p0=strategy_p0, strategy_p1=strategy_p1)
 
 
 def verify_bounded_scores(

@@ -1,9 +1,12 @@
+import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scoregames import safety_framework
 from scoregames.arena import (
     Arena,
     BuchiCondition,
@@ -208,6 +211,53 @@ def test_every_play_stays_on_the_product(kind):
         assert reached == set(product_game(arena, dfa).states)
         assert set(strat.next_move) == {(u, q) for u, q in reached if arena.owner[u] == 0}
         assert set(strat.update) == {(q, v) for u, q in reached for v in arena.succ[u]}
+
+
+def test_monitor_strategy_shares_the_product_states(monkeypatch):
+    # the tables' values are the product's own state objects, not the
+    # equal copies that the monitor steps return
+    products = []
+
+    def kept_product(*args, **kwargs):
+        products.append(product_game(*args, **kwargs))
+        return products[-1]
+
+    monkeypatch.setattr(safety_framework, "product_game", kept_product)
+    for kind in ("buchi", "cobuchi", "parity", "rr", "muller"):
+        for seed in range(1000, 1012):
+            density = (0.3, 0.5, 0.7, 0.9)[(seed // 4) % 4]
+            cfg = GeneratorConfig(n=2 + seed % 4, density=density, seed=seed, kind=kind)
+            arena, condition = random_game(cfg)
+            _, strat = solve_via_safety(arena, condition, monitor_for(arena, condition))
+            objects = {id(q) for _, q in products[-1].states}
+            assert all(id(q) in objects for q in strat.init.values())
+            assert all(id(q) in objects for q in strat.update.values())
+
+    # framework seed 1003's Muller route (the parity game through the Muller
+    # monitor): the tables are keyed by the product's edges and their values
+    # are shared, so they keep about as much as the product does (1.43
+    # times; 4.03 when every update held a fresh copy of its state)
+    monkeypatch.undo()
+    arena, parity = random_game(GeneratorConfig(n=5, density=0.7, seed=1003, kind="parity"))
+    muller = encode_as_muller(arena, parity)
+    dfa = muller_monitor(arena, muller)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        prod = product_game(arena, dfa)
+        gc.collect()
+        product = tracemalloc.get_traced_memory()[0] - base
+        del prod
+        gc.collect()
+        base = tracemalloc.get_traced_memory()[0]
+        _, strat = solve_via_safety(arena, muller, dfa)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(strat.states) > 1
+    assert kept <= 2 * product
 
 
 def test_solve_via_safety_buchi_alternation():

@@ -1,3 +1,5 @@
+from array import array
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +14,7 @@ from conftest import m, random_muller_game, word
 def test_attractor_trivial_targets():
     arena = Arena.build([0, 1], [(0, 1), (1, 0)])
     assert attractor(arena, 0, arena.full_mask)[0] == arena.full_mask
-    assert attractor(arena, 0, 0) == (0, {})
+    assert attractor(arena, 0, 0) == (0, array("i", [-1, -1]))
 
 
 def test_attractor_chain():
@@ -20,7 +22,7 @@ def test_attractor_chain():
     arena = Arena.build([1, 1, 1], [(0, 1), (1, 2), (2, 2)])
     attr, strat = attractor(arena, 1, m(2))
     assert attr == m(0, 1, 2)
-    assert strat == {0: 1, 1: 2}
+    assert strat == array("i", [1, 2, -1])
 
 
 def test_attractor_opponent_choice():
@@ -69,10 +71,18 @@ def check_solution(game: SafetyGame):
             assert sol.strategy0[v] == min(t for t in arena.succ[v] if sol.w0 & bit(t))
         else:
             assert all(sol.w0 & bit(t) for t in arena.succ[v])
+    # -1 exactly where there is no move: outside the won Player-0 vertices,
+    # and outside the attracted Player-1 vertices that are not unsafe
+    assert len(sol.strategy0) == len(sol.strategy1) == arena.n
+    unsafe = arena.full_mask & ~game.safe
+    for v in range(arena.n):
+        won0 = arena.owner[v] == 0 and sol.w0 & bit(v)
+        attracted1 = arena.owner[v] == 1 and sol.w1 & ~unsafe & bit(v)
+        assert (sol.strategy0[v] == -1) == (not won0)
+        assert (sol.strategy1[v] == -1) == (not attracted1)
 
     # under strategy1, Player 1 reaches the unsafe set within |V| steps from
     # every w1 vertex, whatever Player 0 does
-    unsafe = arena.full_mask & ~game.safe
     frontier = unsafe
     reach = unsafe
     for _ in range(arena.n):

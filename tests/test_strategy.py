@@ -1,10 +1,13 @@
+import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scoregames.arena import MullerCondition, bit, enumerate_loops, f1_loops, is_path
+from scoregames.oracle import GeneratorConfig, random_game
 from scoregames.reduction import build_safety_game
 from scoregames.safety_solver import solve_safety
 from scoregames.scoring import maxscore, sheet_le
@@ -225,6 +228,37 @@ def test_player1_strategy_verifies_when_player1_wins(example4):
     assert sol.w1 == arena.full_mask
     ok, _ = verify_bounded_scores(arena, muller, sol.strategy_p1, sol.w1, 2)
     assert ok
+
+
+def test_solve_muller_peak_is_one_side_at_a_time():
+    # corpus game 163, whose sides have 2,878 and 2,274 classes: each side's
+    # reduction and solution are dropped before the other side is built,
+    # so solve_muller peaks near the larger side alone, not near both; the
+    # cyclic collector is off, so only reference counts free a reduction
+    arena, muller = random_game(GeneratorConfig(n=6, density=0.25, seed=163, kind="muller"))
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        sides = []
+        for tracked in (1, 0):
+            gc.collect()
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            red = build_safety_game(arena, muller, tracked_player=tracked)
+            sol = solve_safety(red.game)
+            sides.append((red.n_classes, tracemalloc.get_traced_memory()[1] - base))
+            del red, sol
+        gc.collect()
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        solve_muller(arena, muller)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert [n for n, _ in sides] == [2_878, 2_274]
+    assert peak <= 1.2 * max(p for _, p in sides)
 
 
 @settings(max_examples=25, deadline=None)
