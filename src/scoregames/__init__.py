@@ -1,6 +1,7 @@
 """Muller and omega-regular games on graphs, solved via score-tracking
 safety reductions: quotient construction, antichain and permissive
-strategies, a generic monitor-DFA framework, and a recursive oracle."""
+strategies, a generic monitor-DFA framework, and a recursive oracle.
+The file formats and the command line live in ``scoregames.cli``."""
 
 from .arena import (
     Arena,
@@ -24,7 +25,6 @@ from .arena import (
     occ,
     swap_roles,
     validate,
-    vertices_of,
     winner,
 )
 from .scoring import (
@@ -32,7 +32,6 @@ from .scoring import (
     ScoreState,
     family_of,
     lar_of,
-    lar_update,
     maxscore,
     score_step,
     score_word,
@@ -68,30 +67,8 @@ from .safety_framework import (
     product_game,
     reachable_states,
     rr_monitor,
-    run_dfa,
     solve_via_safety,
 )
 from .oracle import GeneratorConfig, encode_as_muller, random_game, zielonka
 
 __version__ = "0.1.0"
-
-# the file formats live in ``cli``, which is imported on first use, so that
-# ``python -m scoregames.cli`` runs it once, as ``__main__``
-_CLI_NAMES = frozenset(
-    (
-        "GameParseError",
-        "export_dot",
-        "parse_game",
-        "parse_strategy",
-        "serialize_game",
-        "serialize_strategy",
-    )
-)
-
-
-def __getattr__(name: str):
-    if name in _CLI_NAMES:
-        from . import cli
-
-        return getattr(cli, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

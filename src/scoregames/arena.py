@@ -39,10 +39,6 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def vertices_of(mask: int) -> tuple:
-    return tuple(iter_bits(mask))
-
-
 @dataclass(frozen=True)
 class Arena:
     """A finite directed game graph with a vertex partition between two players.
@@ -312,22 +308,22 @@ def _reach(s: int, first: int, neighbours: Callable) -> int:
     return reached
 
 
-def enumerate_loops(arena: Arena, limit: int = DEFAULT_LOOP_LIMIT) -> tuple:
+def enumerate_loops(arena: Arena) -> tuple:
     """All loops of the arena, as a sorted tuple of bitmasks.
 
-    Exponential in the vertex count; guarded by ``limit``.
+    Exponential in the vertex count; guarded by ``DEFAULT_LOOP_LIMIT``.
     """
-    if arena.n > limit:
+    if arena.n > DEFAULT_LOOP_LIMIT:
         raise SizeLimitError(
-            f"loop enumeration over {arena.n} vertices exceeds the guard of {limit}"
+            f"loop enumeration over {arena.n} vertices exceeds the guard of {DEFAULT_LOOP_LIMIT}"
         )
     pred = arena.predecessors()
     return tuple(s for s in range(1, arena.full_mask + 1) if is_loop(arena, s, pred))
 
 
-def f1_loops(arena: Arena, muller: MullerCondition, limit: int = DEFAULT_LOOP_LIMIT) -> tuple:
+def f1_loops(arena: Arena, muller: MullerCondition) -> tuple:
     """The loops that are not in ``f0``, sorted."""
-    return tuple(s for s in enumerate_loops(arena, limit) if s not in muller.f0)
+    return tuple(s for s in enumerate_loops(arena) if s not in muller.f0)
 
 
 def swap_roles(arena: Arena, muller: MullerCondition) -> tuple:

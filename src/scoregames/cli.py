@@ -138,7 +138,9 @@ def parse_game(text: str) -> tuple:
             # isdigit() also accepts digits such as '²' that int() rejects
             if len(parts) != 3 or not (parts[2].isascii() and parts[2].isdigit()):
                 raise GameParseError(f"line {lineno}: expected 'priority <id> <nat>'")
-            priorities[vertex_id(lineno, parts[1])] = int(parts[2])
+            if (v := vertex_id(lineno, parts[1])) in priorities:
+                raise GameParseError(f"line {lineno}: duplicate 'priority {parts[1]}'")
+            priorities[v] = int(parts[2])
         elif head == "final":
             if kind not in ("buchi", "cobuchi"):
                 raise GameParseError(f"line {lineno}: 'final' outside a buchi/cobuchi condition")
@@ -321,26 +323,25 @@ def _dot_lines(nodes, edges) -> str:
     return "\n".join(out) + "\n"
 
 
+def _quote(name) -> str:
+    """``name`` as a double-quoted DOT ID, with ``\\`` and ``"`` escaped."""
+    return '"' + str(name).replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def _node(name, owner, doubled=False):
     shape = "ellipse" if owner == 0 else "box"
     peripheries = 2 if doubled else 1
-    return f'"{name}" [shape={shape}, peripheries={peripheries}]'
+    return f"{_quote(name)} [shape={shape}, peripheries={peripheries}]"
 
 
 def export_dot(obj) -> str:
     """Graphviz text for an arena, a safety reduction (safe classes drawn
     with double lines), a product game, or a strategy product."""
-    if isinstance(obj, Arena):
-        nodes = [_node(obj.names[v], obj.owner[v]) for v in range(obj.n)]
-        edges = [f'"{obj.names[u]}" -> "{obj.names[v]}"' for u, v in obj.edges()]
-        return _dot_lines(nodes, edges)
-    if isinstance(obj, (SafetyReduction, ProductGame)):
-        quotient = obj.game.arena
-        nodes = [
-            _node(quotient.names[c], quotient.owner[c], doubled=bool(obj.game.safe & bit(c)))
-            for c in range(quotient.n)
-        ]
-        edges = [f'"{quotient.names[u]}" -> "{quotient.names[v]}"' for u, v in quotient.edges()]
+    if isinstance(obj, (Arena, SafetyReduction, ProductGame)):
+        arena, safe = (obj, 0) if isinstance(obj, Arena) else (obj.game.arena, obj.game.safe)
+        names = arena.names
+        nodes = [_node(names[v], arena.owner[v], bool(safe & bit(v))) for v in range(arena.n)]
+        edges = [f"{_quote(names[u])} -> {_quote(names[v])}" for u, v in arena.edges()]
         return _dot_lines(nodes, edges)
     if isinstance(obj, StrategyProduct):
         arena = obj.arena
@@ -350,7 +351,7 @@ def export_dot(obj) -> str:
             return f"{arena.names[v]},{m!r}"
 
         nodes = [_node(label(nd), arena.owner[nd[0]]) for nd in obj.nodes]
-        edges = [f'"{label(a)}" -> "{label(b)}"' for a, b in obj.edges]
+        edges = [f"{_quote(label(a))} -> {_quote(label(b))}" for a, b in obj.edges]
         return _dot_lines(nodes, edges)
     raise TypeError(f"cannot export a {type(obj).__name__}")
 
@@ -372,7 +373,7 @@ def _monitor_table(dfa: MonitorDFA, arena: Arena, max_states: int) -> tuple:
 def monitor_dot(dfa: MonitorDFA, arena: Arena, max_states: int) -> str:
     states, trans = _monitor_table(dfa, arena, max_states)
     nodes = [_node(q, 0, doubled=accepting) for q, accepting in states]
-    edges = [f'"{q}" -> "{t}" [label="{v}"]' for q, v, t in trans]
+    edges = [f"{_quote(q)} -> {_quote(t)} [label={_quote(v)}]" for q, v, t in trans]
     return _dot_lines(nodes, edges)
 
 

@@ -49,7 +49,7 @@ def _attr(arena: Arena, universe: int, player: int, target: int) -> int:
     return attr
 
 
-def zielonka(arena: Arena, muller: MullerCondition, limit: int = ORACLE_VERTEX_LIMIT) -> tuple:
+def zielonka(arena: Arena, muller: MullerCondition) -> tuple:
     """Winning regions of a Muller game by the classical recursion.
 
     The player favoured by the full vertex set wins everywhere unless the
@@ -58,8 +58,8 @@ def zielonka(arena: Arena, muller: MullerCondition, limit: int = ORACLE_VERTEX_L
     off and the rest is solved recursively.  Sets that are not loops can
     never be infinity sets and are treated as Player 1's.
     """
-    if arena.n > limit:
-        raise SizeLimitError(f"oracle limited to {limit} vertices, got {arena.n}")
+    if arena.n > ORACLE_VERTEX_LIMIT:
+        raise SizeLimitError(f"oracle limited to {ORACLE_VERTEX_LIMIT} vertices, got {arena.n}")
     f0 = muller.f0
 
     def classify(s: int) -> int:

@@ -17,7 +17,7 @@ from math import comb, factorial
 from typing import Callable, Iterable, Optional
 
 from .arena import Arena, MullerCondition, SizeLimitError, Word, f1_loops, is_path
-from .scoring import PackedKernel, ScoreSheet, family_of, lar_of, lar_update
+from .scoring import PackedKernel, ScoreSheet, family_of
 
 DEFAULT_MAX_STATES = 500_000
 
@@ -146,13 +146,11 @@ class SafetyReduction:
     Derived on access, with the entries decoded from the packed vectors:
     the quotient's vertex names (``[`` + the base vertex names along
     ``rep_words[c]`` + ``]``, joined as ``Arena.word_str`` joins them; the
-    sink's is ``unsafe``), ``sheets`` (the sink's is None,
-    the latest appearance records come from the parent chain),
-    ``rep_words`` (the first play prefix that reached each class; the
-    sink's is the first prefix that crossed the threshold) and
-    ``unsafe_sheets`` (one per distinct key that reached the threshold,
-    with the record of the first class, in class order, that stepped into
-    it).
+    sink's is ``unsafe``), ``sheets`` (the sink's is None), ``rep_words``
+    (the first play prefix that reached each class, from the parent chain;
+    the sink's is the first prefix that crossed the threshold) and
+    ``unsafe_sheets`` (one per distinct key that reached the threshold, in
+    the order in which the classes, taken by number, first step into them).
     """
 
     game: SafetyGame
@@ -182,15 +180,13 @@ class SafetyReduction:
 
     @property
     def unsafe_sheets(self) -> tuple:
-        first: dict = {}
-        for c, targets in enumerate(self.game.arena.succ):
-            if c != self.sink and self.sink in targets:
-                for crossing in self._crossings(c):
-                    first.setdefault(crossing, c)
-        return tuple(
-            ScoreSheet(v, self._kernel.entries(y), lar_update(self._lar(c), v))
-            for (v, y), c in first.items()
+        crossings = (
+            crossing
+            for c, targets in enumerate(self.game.arena.succ)
+            if c != self.sink and self.sink in targets
+            for crossing in self._crossings(c)
         )
+        return tuple(ScoreSheet(v, self._kernel.entries(y)) for v, y in dict.fromkeys(crossings))
 
     def last(self, c: int) -> int:
         """The last vertex of class ``c`` (not the sink)."""
@@ -208,14 +204,10 @@ class SafetyReduction:
         """The last vertices along the parent chain of class ``c``."""
         return _path(self.parents, c, self.last)
 
-    def _lar(self, c: int) -> tuple:
-        """The latest appearance record of ``rep_words[c]``, newest last."""
-        return lar_of(self._word(c))
-
     def _sheet(self, c: int) -> Optional[ScoreSheet]:
         if c == self.sink:
             return None
-        return ScoreSheet(self.last(c), self._kernel.entries(self.keys[c]), self._lar(c))
+        return ScoreSheet(self.last(c), self._kernel.entries(self.keys[c]))
 
     def _rep_word(self, c: int) -> Word:
         if c == self.sink:

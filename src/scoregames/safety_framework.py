@@ -69,10 +69,6 @@ class MonitorDFA:
         return q
 
 
-def run_dfa(dfa: MonitorDFA, word: Sequence[int]):
-    return dfa.run(word)
-
-
 def reachable_states(dfa: MonitorDFA, max_states: int = DEFAULT_MAX_STATES) -> tuple:
     """All states reachable from the start over the full alphabet, in
     breadth-first order."""

@@ -14,7 +14,6 @@ One kernel call steps a whole successor row.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -68,16 +67,10 @@ def maxscore(family: Iterable[int], word: Sequence[int]) -> int:
     return best
 
 
-def lar_update(lar: tuple, v: int) -> tuple:
-    """Move ``v`` to the most-recent end of the record."""
-    if v in lar:
-        lar = tuple(u for u in lar if u != v)
-    return lar + (v,)
-
-
 def lar_of(word: Sequence[int]) -> tuple:
     """The latest appearance record of ``word``: its distinct vertices in
-    the order of their last occurrence, as folding ``lar_update`` gives."""
+    the order of their last occurrence, the records ``lar_sum_bound``
+    counts."""
     return tuple(reversed(dict.fromkeys(reversed(word))))
 
 
@@ -194,29 +187,23 @@ class PackedKernel:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class ScoreSheet:
+class ScoreSheet(NamedTuple):
     """Scores and accumulators of one play prefix for a fixed tracked family.
 
     ``entries`` is aligned with the family tuple the sheet was built from.
-    Two prefixes with equal sheets are score-equivalent; the latest
-    appearance record is carried for diagnostics only and deliberately
-    ignored by equality and hashing.
+    Two prefixes with equal sheets are score-equivalent, so a sheet is its
+    own class key.
     """
 
     last: int
     entries: tuple
-    lar: tuple = field(compare=False)
-
-    def key(self):
-        return self.last, self.entries
 
     def max_score(self) -> int:
         return max((st[0] for st in self.entries), default=0)
 
 
 def sheet_init(family: Sequence[int], v: int) -> ScoreSheet:
-    return ScoreSheet(v, entries_init(family, v), (v,))
+    return ScoreSheet(v, entries_init(family, v))
 
 
 def sheet_update(family: Sequence[int], sheet: ScoreSheet, v: int, cap: int = 3) -> ScoreSheet:
@@ -225,7 +212,7 @@ def sheet_update(family: Sequence[int], sheet: ScoreSheet, v: int, cap: int = 3)
     """
     if entries_terminal(sheet.entries, cap):
         raise ValueError(f"sheet already holds a score of {cap}; terminal sheets are frozen")
-    return ScoreSheet(v, entries_step(family, sheet.entries, v), lar_update(sheet.lar, v))
+    return ScoreSheet(v, entries_step(family, sheet.entries, v))
 
 
 def sheet_terminal(sheet: ScoreSheet, cap: int = 3) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .arena import Arena, MullerCondition, Word, bit, f1_loops, iter_bits, swap_roles
+from .arena import Arena, MullerCondition, bit, f1_loops, iter_bits, swap_roles
 from .reduction import DEFAULT_MAX_STATES, SafetyReduction, Search, _path, build_safety_game
 from .safety_solver import SafetySolution, solve_safety
 from .scoring import entries_init, entries_step, entries_terminal, family_of, sheet_le
@@ -71,13 +71,6 @@ class FiniteStateStrategy:
             raise ValueError(
                 f"strategy has no move for vertex {self._vertex(v)} in state {m!r}"
             ) from None
-
-    def run(self, word: Word):
-        """The memory state after reading a play prefix."""
-        m = self.initial(word[0])
-        for v in word[1:]:
-            m = self.step(m, v)
-        return m
 
 
 @dataclass
@@ -290,6 +283,8 @@ def check_subsumption_bounded(
 
     ``sigma`` must bound the opponent's scores by 2 from ``start``; that is
     the precondition under which permissive strategies promise subsumption.
+    The (vertex, state, state) triples are searched breadth-first on a
+    ``Search``, past whose default state count SizeLimitError is raised.
     """
     if sigma.owner_player != sigma_prime.owner_player:
         raise ValueError("strategies must belong to the same player")
@@ -298,26 +293,23 @@ def check_subsumption_bounded(
         raise ValueError("candidate strategy does not bound the opponent's scores by 2")
 
     player = sigma.owner_player
-    frontier = {(start, sigma.initial(start), sigma_prime.initial(start))}
-    seen = set(frontier)
-    for _ in range(max(depth - 1, 0)):
-        nxt = set()
-        for v, m, mp in frontier:
-            if arena.owner[v] == player:
-                allowed = set(sigma_prime.moves(v, mp))
-                targets = sigma.moves(v, m)
-                if any(u not in allowed for u in targets):
-                    return False
-            else:
-                targets = arena.succ[v]
-            for u in targets:
-                child = (u, sigma.step(m, u), sigma_prime.step(mp, u))
-                if child not in seen:
-                    seen.add(child)
-                    nxt.add(child)
-        if not nxt:
+    search = Search([(start, sigma.initial(start), sigma_prime.initial(start))])
+    # the numbers below ``end`` are the prefixes of at most ``length`` vertices
+    end, length = 1, 1
+    for i, (v, m, mp) in search:
+        if i == end:
+            end, length = len(search.keys), length + 1
+        if length >= depth:
             break
-        frontier = nxt
+        if arena.owner[v] == player:
+            allowed = set(sigma_prime.moves(v, mp))
+            targets = sigma.moves(v, m)
+            if any(u not in allowed for u in targets):
+                return False
+        else:
+            targets = arena.succ[v]
+        for u in targets:
+            search.add((u, sigma.step(m, u), sigma_prime.step(mp, u)), i)
     return True
 
 

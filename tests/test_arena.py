@@ -20,7 +20,6 @@ from scoregames.arena import (
     occ,
     swap_roles,
     validate,
-    vertices_of,
     winner,
 )
 
@@ -191,7 +190,3 @@ def test_muller_winner_depends_only_on_infinity_set(seed):
     b = random_lasso(arena, rng)
     if infi(a) == infi(b):
         assert winner(arena, muller, a) == winner(arena, muller, b)
-
-
-def test_vertices_of_roundtrip():
-    assert vertices_of(m(0, 3, 5)) == (0, 3, 5)

@@ -1,4 +1,5 @@
 import functools
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -77,6 +78,9 @@ def test_parse_errors_carry_line_numbers():
     # '²' is a Unicode digit that int() does not read
     with pytest.raises(GameParseError, match="line 7: expected 'priority <id> <nat>'"):
         parse_game(PARITY_TEXT.replace("priority a 0", "priority a \u00b2"))
+    # a second priority for a vertex is an error, not an override
+    with pytest.raises(GameParseError, match="line 9: duplicate 'priority a'"):
+        parse_game(PARITY_TEXT + "priority a 2\n")
 
 
 def test_roundtrip_example4(example4):
@@ -180,6 +184,45 @@ def test_export_dot_strategy_product(example4):
             ("1,11", "2,5"), ("1,14", "0,4"),
         ]
     ]
+
+
+QUOTED_ID = r'"(?:[^"\\]|\\.)*"'
+DOT_LINE = re.compile(
+    rf"  ({QUOTED_ID}) \[shape=(?:ellipse|box), peripheries=[12]\];"
+    rf"|  ({QUOTED_ID}) -> ({QUOTED_ID})(?: \[label=({QUOTED_ID})\])?;"
+)
+
+
+def dot_ids(dot):
+    """The IDs of every node and edge line, unquoted; each line must be a
+    node or an edge whose IDs are well-formed quoted strings."""
+    lines = dot.splitlines()
+    assert lines[:2] == ["digraph G {", "  rankdir=LR;"] and lines[-1] == "}"
+    ids = []
+    for line in lines[2:-1]:
+        match = DOT_LINE.fullmatch(line)
+        assert match, line
+        ids += [re.sub(r"\\(.)", r"\1", g[1:-1]) for g in match.groups() if g is not None]
+    return ids
+
+
+def test_dot_escapes_quotes_and_backslashes(tmp_path, capsys):
+    text = 'vertex a"b 0\nvertex c\\ 1\nedge a"b c\\\nedge c\\ a"b\nedge c\\ c\\\n'
+    arena, _ = parse_game(text + "condition muller\nf0 { c\\ }\n")
+    assert set(dot_ids(export_dot(arena))) == {'a"b', "c\\"}
+    # Player 0 wins everywhere, so the strategy products are not empty
+    path = game_file(tmp_path, text + "condition muller\nf0 { c\\ }\nf0 { a\"b c\\ }\n")
+    buchi = game_file(tmp_path, text + "condition buchi\nfinal a\"b\n", "buchi.txt")
+    for argv in (
+        ("reduce", path, "--out", "dot"),
+        ("strategy", path, "--out", "dot"),
+        ("strategy", path, "--kind", "permissive", "--out", "dot"),
+        ("monitor", buchi, "--out", "dot"),
+    ):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        ids = dot_ids(out)
+        assert ids and any('a"b' in i for i in ids), argv
 
 
 def game_file(tmp_path, text=EXAMPLE4_GAME_TEXT, name="game.txt"):

@@ -136,9 +136,7 @@ def test_build_is_deterministic(example4):
     b = build_safety_game(arena, muller)
     assert a.embed == b.embed
     assert a.rep_words == b.rep_words
-    assert [s if s is None else s.key() for s in a.sheets] == [
-        s if s is None else s.key() for s in b.sheets
-    ]
+    assert list(a.sheets) == list(b.sheets)
     assert a.game.arena == b.game.arena
     assert a.game.safe == b.game.safe
 
@@ -223,7 +221,7 @@ def test_random_reductions_respect_bounds_and_edges(seed):
         assert sheet.max_score() >= red.threshold
     # one unsafe sheet per distinct key that reached the threshold
     assert len(red.unsafe_sheets) == red.unsafe_class_count
-    assert len({sheet.key() for sheet in red.unsafe_sheets}) == red.unsafe_class_count
+    assert len(set(red.unsafe_sheets)) == red.unsafe_class_count
     if red.sink is not None:
         assert red.class_of(red.rep_words[red.sink]) == red.sink
 
@@ -274,9 +272,8 @@ def test_transitions_agree_with_class_lookup(seed):
         if c == red.sink:
             assert sheet_terminal(sheet, red.threshold)
             break
-        assert red.sheets[c].key() == sheet.key()
-        rep = fold(red.rep_words[c])
-        assert (red.sheets[c].key(), red.sheets[c].lar) == (rep.key(), rep.lar)
+        assert red.sheets[c] == sheet
+        assert red.sheets[c] == fold(red.rep_words[c])
 
 
 @settings(max_examples=20, deadline=None)

@@ -13,7 +13,6 @@ from scoregames.scoring import (
     entries_terminal,
     family_of,
     lar_of,
-    lar_update,
     maxscore,
     score_step,
     score_word,
@@ -52,8 +51,6 @@ def test_score_step_cases():
 
 def test_lar():
     assert lar_of(word("10012100")) == (2, 1, 0)
-    assert lar_update((1,), 1) == (1,)
-    assert lar_update((0, 1, 2), 1) == (0, 2, 1)
 
 
 # -- sheets ----------------------------------------------------------------
@@ -101,10 +98,9 @@ def test_sheet_update_values():
     assert entry(s, F12) == (0, 0)
 
 
-def test_sheet_equality_ignores_lar():
+def test_score_equivalent_prefixes_share_a_sheet():
     a = sheet_of(word("10"))
     b = sheet_of(word("1210"))
-    assert a.lar != b.lar
     assert a == b
     assert hash(a) == hash(b)
 
@@ -173,14 +169,12 @@ def test_sheet_matches_recomputation(w):
         assert ys == [x] and x == _pack(3, sheet.entries)
         assert kernel.entries(x) == sheet.entries
         assert (crossed == [0]) == sheet_terminal(sheet)
-        assert sheet.lar == lar_of(w[:i])  # the lar_update fold, every prefix
         for f, st_ in zip(family, sheet.entries):
             expected = score_word(f, w[:i])
             assert st_[0] == min(expected.score, 3)
             if expected.score < 3:
                 assert st_ == expected
     assert sheet.last == w[-1]
-    assert sheet.lar == lar_of(w)
 
 
 def _below(cap, n, f):

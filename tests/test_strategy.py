@@ -1,3 +1,4 @@
+import functools
 import gc
 import random
 import tracemalloc
@@ -6,9 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scoregames.arena import MullerCondition, bit, enumerate_loops, f1_loops, is_path
+from scoregames import strategy
+from scoregames.arena import (
+    MullerCondition,
+    SizeLimitError,
+    bit,
+    enumerate_loops,
+    f1_loops,
+    is_path,
+)
 from scoregames.oracle import GeneratorConfig, random_game
-from scoregames.reduction import build_safety_game
+from scoregames.reduction import Search, build_safety_game
 from scoregames.safety_solver import solve_safety
 from scoregames.scoring import maxscore, sheet_le
 from scoregames.strategy import (
@@ -199,6 +208,32 @@ def test_subsumption_rejects_unbounded_candidate(ex4_pipeline):
     perm = build_permissive_strategy(red, sol)
     with pytest.raises(ValueError):
         check_subsumption_bounded(arena, muller, stubborn_strategy(), perm, 1, 20)
+
+
+def test_subsumption_fails_at_its_depth(ex4_pipeline):
+    # vertex 0 is Player 1's, so the first prefix consistent with the
+    # permissive strategy and not with the antichain one is 0 1 0: after
+    # 0 1 the permissive strategy allows both moves and the antichain
+    # strategy only the move to 2
+    arena, muller, red, sol = ex4_pipeline
+    perm = build_permissive_strategy(red, sol)
+    anti = build_antichain_strategy(red, sol)
+    verdicts = [check_subsumption_bounded(arena, muller, perm, anti, 0, d) for d in range(6)]
+    assert verdicts == [True, True, True, False, False, False]
+
+
+def test_subsumption_is_capped(ex4_pipeline, monkeypatch):
+    # the precondition check runs a search of its own; with it stubbed,
+    # only the subsumption search meets the patched cap, which it fills
+    # with its 9 states exactly
+    arena, muller, red, sol = ex4_pipeline
+    perm = build_permissive_strategy(red, sol)
+    monkeypatch.setattr(strategy, "verify_bounded_scores", lambda *args: (True, None))
+    monkeypatch.setattr(strategy, "Search", functools.partial(Search, max_states=9))
+    assert check_subsumption_bounded(arena, muller, perm, perm, 1, 20)
+    monkeypatch.setattr(strategy, "Search", functools.partial(Search, max_states=8))
+    with pytest.raises(SizeLimitError, match="cap of 8 states"):
+        check_subsumption_bounded(arena, muller, perm, perm, 1, 20)
 
 
 def test_memory_over_approximates_play_class(ex4_pipeline):
