@@ -184,7 +184,26 @@ def parse_game(text: str) -> tuple:
     return arena, condition
 
 
+def _check_names(arena: Arena) -> None:
+    """Raise ValueError naming the first vertex whose name a file cannot
+    read back: a name that is empty, holds whitespace or ``#``, is ``}``,
+    or repeats an earlier vertex's name."""
+    seen = set()
+    for name in arena.names:
+        if not name or name == "}" or "#" in name or any(ch.isspace() for ch in name):
+            raise ValueError(
+                f"vertex name {name!r} cannot be read back: a name is not empty or '}}' "
+                "and holds no whitespace or '#'"
+            )
+        if name in seen:
+            raise ValueError(f"vertex name {name!r} is repeated")
+        seen.add(name)
+
+
 def serialize_game(arena: Arena, condition: Condition) -> str:
+    """The game file of ``arena`` and ``condition``; a vertex name that
+    ``parse_game`` could not read back raises ValueError."""
+    _check_names(arena)
     lines = [f"vertex {arena.names[v]} {arena.owner[v]}" for v in range(arena.n)]
     lines += [f"edge {arena.names[u]} {arena.names[v]}" for u, v in sorted(arena.edges())]
 
@@ -287,31 +306,30 @@ def parse_strategy(text: str, arena: Arena) -> FiniteStateStrategy:
 
     if player is None:
         raise GameParseError("missing 'player' line")
-    return FiniteStateStrategy(player, tuple(states), init, update, moves, arena.names)
+    return FiniteStateStrategy.from_tables(
+        player, arena.n, states, init.items(), update.items(), moves.items(), arena.names
+    )
 
 
-def serialize_strategy(strat, arena: Arena) -> str:
-    labels = {}
-    for i, m in enumerate(strat.states):
-        labels[m] = "bot" if m is BOTTOM else f"m{i}"
+def serialize_strategy(strat: FiniteStateStrategy, arena: Arena) -> str:
+    """The strategy file of ``strat``: state ``i`` is labelled ``m<i>``,
+    and BOTTOM ``bot``; each table is written in state-number order, and
+    the moves vertex by vertex."""
+    _check_names(arena)
+    n, names = arena.n, arena.names
+    labels = ["bot" if m is BOTTOM else f"m{i}" for i, m in enumerate(strat.states)]
     lines = [f"player {strat.owner_player}"]
-    lines += [f"state {labels[m]}" for m in strat.states]
-    lines += [
-        f"init {arena.names[v]} {labels[strat.init[v]]}"
-        for v in sorted(strat.init)
-    ]
-    for m in strat.states:
-        for v in range(arena.n):
-            if (m, v) in strat.update:
-                lines.append(
-                    f"update {labels[m]} {arena.names[v]} {labels[strat.update[m, v]]}"
-                )
-    for v in range(arena.n):
-        for m in strat.states:
-            if (v, m) in strat.next_move:
-                targets = strat.moves(v, m)
-                body = " ".join(arena.names[u] for u in targets)
-                lines.append(f"move {arena.names[v]} {labels[m]} {{ {body} }}")
+    lines += [f"state {label}" for label in labels]
+    lines += [f"init {names[v]} {labels[i]}" for v, i in enumerate(strat.init) if i >= 0]
+    for i, label in enumerate(labels):
+        row = strat.update[i * n : (i + 1) * n]
+        lines += [f"update {label} {names[v]} {labels[j]}" for v, j in enumerate(row) if j >= 0]
+    for v in range(n):
+        for i, label in enumerate(labels):
+            k = strat.next_move[i * n + v]
+            if k >= 0:
+                body = " ".join(names[u] for u in strat.move_sets[v][k])
+                lines.append(f"move {names[v]} {label} {{ {body} }}")
     return "\n".join(lines) + "\n"
 
 

@@ -123,32 +123,30 @@ def solve_via_safety(
     winning region and a finite-state winning strategy whose memory is the
     monitor state space.  The product is capped at ``max_states`` positions.
 
-    The strategy is read off the solved product in one pass.  Every play,
-    from any vertex along any arena edge, stays on the product's positions,
-    so the tables hold exactly those pairs: ``update`` the product edges and
+    The strategy is read off the solved product.  Every play, from any
+    vertex along any arena edge, stays on the product's positions, so the
+    tables hold exactly those pairs: ``update`` the product edges and
     ``next_move`` the Player-0 positions, where the product's positional
     strategy moves inside its winning region and the first successor is
-    taken elsewhere.
+    taken elsewhere.  The memory states are the product's own state
+    objects, numbered in the order the product first reaches them.
 
     The caller is responsible for the monitor actually witnessing safety
     reducibility of ``condition``; the builders in this module do.
     """
     prod = product_game(arena, dfa, max_states)
     sol = solve_safety(prod.game)
-    # every step lands on a product position's state: the tables share
-    # those objects instead of keeping the copies the steps return
-    shared = {q: q for _, q in prod.states}
-    memory = tuple(shared)
-    init = {v: shared[dfa.step(dfa.start, v)] for v in range(arena.n)}
-    update = {}
-    next_move = {}
-    for pid, (u, q) in enumerate(prod.states):
-        for v in arena.succ[u]:
-            update[q, v] = shared[dfa.step(q, v)]
-        if arena.owner[u] == 0:
-            target = sol.strategy0[pid]
-            next_move[u, q] = arena.succ[u][:1] if target < 0 else (prod.states[target][0],)
-    return sol.w0 & arena.full_mask, FiniteStateStrategy(0, memory, init, update, next_move)
+    positions, target = prod.states, sol.strategy0
+    init = ((v, dfa.step(dfa.start, v)) for v in range(arena.n))
+    update = (((q, v), dfa.step(q, v)) for u, q in positions for v in arena.succ[u])
+    next_move = (
+        ((u, q), arena.succ[u][:1] if target[pid] < 0 else (positions[target[pid]][0],))
+        for pid, (u, q) in enumerate(positions)
+        if arena.owner[u] == 0
+    )
+    memory = dict.fromkeys(q for _, q in positions)
+    strat = FiniteStateStrategy.from_tables(0, arena.n, memory, init, update, next_move)
+    return sol.w0 & arena.full_mask, strat
 
 
 def buchi_monitor(arena: Arena, target: int) -> MonitorDFA:

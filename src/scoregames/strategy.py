@@ -9,7 +9,9 @@ product search bounding the opponent's scores.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .arena import Arena, MullerCondition, bit, f1_loops, iter_bits, swap_roles
 from .reduction import DEFAULT_MAX_STATES, SafetyReduction, Search, _path, build_safety_game
@@ -31,46 +33,117 @@ BOTTOM = _Bottom()
 
 @dataclass
 class FiniteStateStrategy:
-    """A memory structure (states, init, update) with a next-move table.
+    """A memory structure with a next-move table, on numbered memory states.
 
-    ``init`` maps vertices to memory states, ``update`` is keyed by
-    (state, vertex), and ``next_move`` by (vertex, state) for the vertices
-    of ``owner_player``.  Every move is a non-empty tuple of successors: one
-    for a deterministic strategy, several for a multi-strategy.  A missing
-    entry raises ValueError, naming the vertex by ``names`` when given.
+    State ``i`` is labelled ``states[i]``: a quotient class number (with
+    BOTTOM, an ordinary state, numbered last), a monitor state or a strategy
+    file's label.  Labels are what files and DOT output print and what
+    callers compare; the tables hold state numbers only, each a flat
+    ``array('i')`` over the ``n = len(init)`` vertices:
+
+    - ``init[v]`` is vertex ``v``'s initial state;
+    - ``update[i * n + v]`` is the state that state ``i`` moves to on ``v``;
+    - ``next_move[i * n + v]``, for the vertices of ``owner_player``,
+      indexes ``move_sets[v]``, the distinct moves listed at ``v``.  A move
+      is a non-empty tuple of successors: one for a deterministic
+      strategy, several for a multi-strategy.
+
+    -1 marks a missing entry.  The numbered readers ``init_of``, ``step_of``
+    and ``moves_of`` raise ValueError on one, and so do the label readers
+    ``initial``, ``step`` and ``moves`` built on them, naming the vertex by
+    ``names`` when given and the state by its label.  ``from_tables``
+    builds a strategy from labelled tables.
     """
 
     owner_player: int
     states: tuple
-    init: dict
-    update: dict
-    next_move: dict
+    init: array
+    update: array
+    next_move: array
+    move_sets: tuple
     names: tuple = field(default=(), compare=False, repr=False)
+
+    @classmethod
+    def from_tables(
+        cls, owner_player: int, n: int, states, init, update, next_move, names: tuple = ()
+    ) -> "FiniteStateStrategy":
+        """The strategy on ``n`` vertices whose labelled tables are given as
+        iterables of (key, value) pairs: ``init`` of (vertex, label),
+        ``update`` of ((label, vertex), label) and ``next_move`` of
+        ((vertex, label), move).  Every label is one of ``states``."""
+        states = tuple(states)
+        number = {m: i for i, m in enumerate(states)}
+        init_table = array("i", [-1]) * n
+        for v, m in init:
+            init_table[v] = number[m]
+        update_table = array("i", [-1]) * (len(states) * n)
+        for (m, v), target in update:
+            update_table[number[m] * n + v] = number[target]
+        move_table = array("i", [-1]) * (len(states) * n)
+        move_sets: list = [{} for _ in range(n)]
+        for (v, m), move in next_move:
+            move_table[number[m] * n + v] = move_sets[v].setdefault(move, len(move_sets[v]))
+        return cls(
+            owner_player,
+            states,
+            init_table,
+            update_table,
+            move_table,
+            tuple(map(tuple, move_sets)),
+            names,
+        )
 
     def _vertex(self, v: int):
         return self.names[v] if self.names else v
 
+    def _no_init(self, v: int) -> ValueError:
+        return ValueError(f"strategy has no initial state for vertex {self._vertex(v)}")
+
+    def _no_update(self, m, v: int) -> ValueError:
+        return ValueError(f"strategy update undefined for state {m!r}, vertex {self._vertex(v)}")
+
+    def _no_move(self, v: int, m) -> ValueError:
+        return ValueError(f"strategy has no move for vertex {self._vertex(v)} in state {m!r}")
+
+    @cached_property
+    def _number(self) -> dict:
+        """Each label's state number, built for the first label reader."""
+        return {m: i for i, m in enumerate(self.states)}
+
+    def init_of(self, v: int) -> int:
+        i = self.init[v] if 0 <= v < len(self.init) else -1
+        if i < 0:
+            raise self._no_init(v)
+        return i
+
+    def step_of(self, i: int, v: int) -> int:
+        n = len(self.init)
+        j = self.update[i * n + v] if 0 <= v < n else -1
+        if j < 0:
+            raise self._no_update(self.states[i], v)
+        return j
+
+    def moves_of(self, v: int, i: int) -> tuple:
+        n = len(self.init)
+        k = self.next_move[i * n + v] if 0 <= v < n else -1
+        if k < 0:
+            raise self._no_move(v, self.states[i])
+        return self.move_sets[v][k]
+
     def initial(self, v: int):
-        try:
-            return self.init[v]
-        except KeyError:
-            raise ValueError(f"strategy has no initial state for vertex {self._vertex(v)}") from None
+        return self.states[self.init_of(v)]
 
     def step(self, m, v: int):
-        try:
-            return self.update[m, v]
-        except KeyError:
-            raise ValueError(
-                f"strategy update undefined for state {m!r}, vertex {self._vertex(v)}"
-            ) from None
+        i = self._number.get(m)
+        if i is None:
+            raise self._no_update(m, v)
+        return self.states[self.step_of(i, v)]
 
     def moves(self, v: int, m) -> tuple:
-        try:
-            return self.next_move[v, m]
-        except KeyError:
-            raise ValueError(
-                f"strategy has no move for vertex {self._vertex(v)} in state {m!r}"
-            ) from None
+        i = self._number.get(m)
+        if i is None:
+            raise self._no_move(v, m)
+        return self.moves_of(v, i)
 
 
 @dataclass
@@ -127,19 +200,20 @@ def build_antichain_strategy(red: SafetyReduction, sol: SafetySolution) -> Finit
         maximal_by_last[last] = sorted(maxima)
     maximal = sorted(c for group in maximal_by_last.values() for c in group)
 
+    number = _numbering(red, maximal)
+    bottom = len(maximal)
     above_cache: dict = {}
 
     def above(cls):
-        """The lowest-indexed maximal class dominating ``cls`` (BOTTOM if none)."""
-        if cls == red.sink:
-            return BOTTOM
+        """The state of the lowest-indexed maximal class dominating ``cls``
+        (BOTTOM if none)."""
         hit = above_cache.get(cls)
         if hit is None:
             sheet = red.sheets[cls]
-            hit = BOTTOM
+            hit = bottom
             for r in maximal_by_last.get(sheet.last, ()):
                 if sheet_le(red.family, sheet, sheets[r]):
-                    hit = r
+                    hit = number[r]
                     break
             above_cache[cls] = hit
         return hit
@@ -154,53 +228,62 @@ def build_permissive_strategy(red: SafetyReduction, sol: SafetySolution) -> Fini
     if red.tracked_player != 1:
         raise ValueError("permissive strategies are built from the Player-1-tracking reduction")
     classes = [c for c in range(red.n_classes) if sol.w0 & bit(c)]
-    winning = set(classes)
-    return _class_table(
-        red, sol, classes, lambda c: c if c in winning else BOTTOM, every_move=True
-    )
+    return _class_table(red, sol, classes, _numbering(red, classes).__getitem__, every_move=True)
+
+
+def _numbering(red: SafetyReduction, memory: list) -> array:
+    """Each class's state number: its position in ``memory``, and
+    ``len(memory)``, BOTTOM's number, for every other class."""
+    number = array("i", [len(memory)]) * red.n_classes
+    for i, c in enumerate(memory):
+        number[c] = i
+    return number
 
 
 def _class_table(
     red: SafetyReduction, sol: SafetySolution, memory: list, lift, every_move: bool
 ) -> FiniteStateStrategy:
-    """The strategy whose memory states are the quotient classes ``memory``
-    plus BOTTOM.
+    """The strategy whose memory states are the quotient classes ``memory``,
+    numbered in that order, plus BOTTOM, numbered last.
 
     From state ``m``, vertex ``v`` follows the quotient edge of ``m``
-    labelled ``v`` and ``lift`` maps the class it reaches to a memory state
-    or BOTTOM; without such an edge, or along an edge into the sink, the
+    labelled ``v`` and ``lift`` maps the class it reaches to a state
+    number; without such an edge, or along an edge into the sink, the
     update is BOTTOM.  At the last vertex of ``m`` the owner may take every
     successor whose update is not BOTTOM (``every_move``) or only the first
     of them.  Where there is none, and at every other vertex, which
     consistent play never reaches in state ``m``, the table holds the first
-    successor.
+    successor, move 0 of every owned vertex.
     """
     base = red.base_arena
-    init = {v: lift(v) if sol.w0 & bit(v) else BOTTOM for v in range(base.n)}
-
-    update = {}
-    next_move = {}
-    for m in memory:
-        last = red.last(m)
-        # an edge into the sink has no entry, so its update is BOTTOM too
-        targets = red.labelled_row(m)
-        for v in range(base.n):
-            target = targets.get(v)
-            update[m, v] = BOTTOM if target is None else lift(target)
-        for v in range(base.n):
-            if base.owner[v] != 0:
-                continue
-            allowed = ()
-            if v == last:
-                allowed = tuple(u for u in base.succ[v] if update[m, u] is not BOTTOM)
-            next_move[v, m] = (allowed if every_move else allowed[:1]) or base.succ[v][:1]
-    for v in range(base.n):
-        update[BOTTOM, v] = BOTTOM
+    n = base.n
+    bottom = len(memory)
+    succ, sink, last = red.game.arena.succ, red.sink, red.last
+    init = array("i", [lift(v) if sol.w0 & bit(v) else bottom for v in range(n)])
+    update = array("i", [bottom]) * ((bottom + 1) * n)
+    next_move = array("i", [0 if base.owner[v] == 0 else -1 for v in range(n)]) * (bottom + 1)
+    move_sets = [{base.succ[v][:1]: 0} if base.owner[v] == 0 else {} for v in range(n)]
+    for i, c in enumerate(memory):
+        row = i * n
+        # an edge into the sink has no entry, so its update stays BOTTOM
+        for t in succ[c]:
+            if t != sink:
+                update[row + last(t)] = lift(t)
+        v = last(c)
         if base.owner[v] == 0:
-            next_move[v, BOTTOM] = base.succ[v][:1]
+            allowed = tuple(u for u in base.succ[v] if update[row + u] != bottom)
+            move = (allowed if every_move else allowed[:1]) or base.succ[v][:1]
+            next_move[row + v] = move_sets[v].setdefault(move, len(move_sets[v]))
 
     owner_player = 0 if red.tracked_player == 1 else 1
-    return FiniteStateStrategy(owner_player, tuple(memory) + (BOTTOM,), init, update, next_move)
+    return FiniteStateStrategy(
+        owner_player,
+        tuple(memory) + (BOTTOM,),
+        init,
+        update,
+        next_move,
+        tuple(map(tuple, move_sets)),
+    )
 
 
 def solve_muller(
@@ -238,10 +321,11 @@ def verify_bounded_scores(
     ``start``.
 
     Explores the product of the restricted arena with score sheets capped at
-    bound + 1, states (vertex, memory state, score entries), breadth-first
-    on a ``Search`` and returns (True, None) or (False, witness prefix): the
-    first play prefix, in breadth-first order, whose last step takes a
-    score past ``bound``.  The product is capped at the search's default
+    bound + 1, states (vertex, memory state number, score entries),
+    breadth-first on a ``Search`` and returns (True, None) or (False,
+    witness prefix): the first play prefix, in breadth-first order, whose
+    last step takes a score past ``bound``.  The strategy must be one on
+    the arena's vertices.  The product is capped at the search's default
     state count, beyond which SizeLimitError is raised.  A True verdict
     certifies that the strategy is winning from ``start``: bounded opponent
     scores force the infinity set into the owner's family.  Strategies for
@@ -256,17 +340,29 @@ def verify_bounded_scores(
     family = family_of(f1_loops(arena, muller))
     cap = bound + 1
 
-    search = Search((v, strat.initial(v), entries_init(family, v)) for v in iter_bits(start))
+    n = arena.n
+    if len(strat.init) != n:
+        raise ValueError(f"strategy is for {len(strat.init)} vertices, the arena has {n}")
+    update, next_move, move_sets = strat.update, strat.next_move, strat.move_sets
+
+    search = Search((v, strat.init_of(v), entries_init(family, v)) for v in iter_bits(start))
     for i, (v, m, entries) in search:
-        targets = strat.moves(v, m) if arena.owner[v] == 0 else arena.succ[v]
+        row = m * n
+        if arena.owner[v] == 0:
+            k = next_move[row + v]
+            targets = move_sets[v][k] if k >= 0 else strat.moves_of(v, m)
+        else:
+            targets = arena.succ[v]
         for u in targets:
             if u not in arena.succ[v]:
                 raise ValueError(f"strategy proposes a non-edge {v} -> {u}")
             nxt_entries = entries_step(family, entries, u)
-            child = (u, strat.step(m, u), nxt_entries)
+            j = update[row + u]
+            if j < 0:
+                strat.step_of(m, u)  # raises: the entry is missing
             if entries_terminal(nxt_entries, cap):
-                return False, _path(search.parents, i, lambda j: search.keys[j][0]) + (u,)
-            search.add(child, i)
+                return False, _path(search.parents, i, lambda p: search.keys[p][0]) + (u,)
+            search.add((u, j, nxt_entries), i)
     return True, None
 
 
@@ -293,7 +389,7 @@ def check_subsumption_bounded(
         raise ValueError("candidate strategy does not bound the opponent's scores by 2")
 
     player = sigma.owner_player
-    search = Search([(start, sigma.initial(start), sigma_prime.initial(start))])
+    search = Search([(start, sigma.init_of(start), sigma_prime.init_of(start))])
     # the numbers below ``end`` are the prefixes of at most ``length`` vertices
     end, length = 1, 1
     for i, (v, m, mp) in search:
@@ -302,14 +398,14 @@ def check_subsumption_bounded(
         if length >= depth:
             break
         if arena.owner[v] == player:
-            allowed = set(sigma_prime.moves(v, mp))
-            targets = sigma.moves(v, m)
+            allowed = set(sigma_prime.moves_of(v, mp))
+            targets = sigma.moves_of(v, m)
             if any(u not in allowed for u in targets):
                 return False
         else:
             targets = arena.succ[v]
         for u in targets:
-            search.add((u, sigma.step(m, u), sigma_prime.step(mp, u)), i)
+            search.add((u, sigma.step_of(m, u), sigma_prime.step_of(mp, u)), i)
     return True
 
 
@@ -324,13 +420,12 @@ class StrategyProduct:
 
 
 def consistent_product(arena: Arena, strat: FiniteStateStrategy, start: int) -> StrategyProduct:
-    # each node's edges in the order the strategy lists its moves
-    search = Search([(v, strat.initial(v)) for v in iter_bits(start)])
+    # searched on state numbers; the nodes are labelled at the end, and
+    # each node's edges are in the order the strategy lists its moves
+    search = Search([(v, strat.init_of(v)) for v in iter_bits(start)])
     edges = []
-    for i, node in search:
-        v, m = node
-        for u in strat.moves(v, m) if arena.owner[v] == strat.owner_player else arena.succ[v]:
-            child = (u, strat.step(m, u))
-            search.add(child, i)
-            edges.append((node, child))
-    return StrategyProduct(arena, tuple(search.keys), tuple(edges))
+    for i, (v, m) in search:
+        for u in strat.moves_of(v, m) if arena.owner[v] == strat.owner_player else arena.succ[v]:
+            edges.append((i, search.add((u, strat.step_of(m, u)), i)))
+    nodes = tuple((v, strat.states[m]) for v, m in search.keys)
+    return StrategyProduct(arena, nodes, tuple((nodes[a], nodes[b]) for a, b in edges))

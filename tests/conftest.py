@@ -76,4 +76,6 @@ def alternating_strategy():
         update[s, 2] = "go0"
         update[s, 1] = s
     next_move = {(1, "go0"): (0,), (1, "go2"): (2,)}
-    return FiniteStateStrategy(0, states, init, update, next_move)
+    return FiniteStateStrategy.from_tables(
+        0, 3, states, init.items(), update.items(), next_move.items()
+    )

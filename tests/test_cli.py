@@ -15,7 +15,7 @@ from scoregames.cli import (
     serialize_strategy,
 )
 from scoregames import strategy
-from scoregames.arena import SizeLimitError
+from scoregames.arena import Arena, MullerCondition, SizeLimitError
 from scoregames.oracle import GeneratorConfig, random_game
 from scoregames.reduction import Search, build_safety_game
 from scoregames.safety_solver import solve_safety
@@ -117,6 +117,50 @@ def test_strategy_roundtrip(example4):
         copy = consistent_product(arena, back, m(0, 1, 2))
         assert len(orig.nodes) == len(copy.nodes)
         assert len(orig.edges) == len(copy.edges)
+
+
+@pytest.mark.parametrize(
+    "names", [("ok", "a b"), ("ok", "}"), ("ok", "#x"), ("ok", ""), ("x", "x")]
+)
+def test_names_that_cannot_be_read_back_are_refused(names):
+    # parse_game would misread or reject each second name: whitespace and
+    # '#' split it, '}' closes a group, and a repeated name is a duplicate
+    arena = Arena.build([0, 1], [(0, 1), (1, 0)], names)
+    muller = MullerCondition(frozenset({0b11}))
+    red = build_safety_game(arena, muller)
+    strat = build_antichain_strategy(red, solve_safety(red.game))
+    with pytest.raises(ValueError, match=re.escape(repr(names[1]))):
+        serialize_game(arena, muller)
+    with pytest.raises(ValueError, match=re.escape(repr(names[1]))):
+        serialize_strategy(strat, arena)
+
+
+# any name parse_game reads back as one token: not empty or '}', and
+# without whitespace or '#'
+READABLE_NAME = st.text(
+    st.characters(exclude_characters="#", exclude_categories=("Cs",)), min_size=1
+).filter(lambda name: name != "}" and not any(ch.isspace() for ch in name))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 500),
+    kind=st.sampled_from(["muller", "buchi", "cobuchi", "parity", "rr"]),
+    data=st.data(),
+)
+def test_readable_names_round_trip(seed, kind, data):
+    arena, condition = random_game(
+        GeneratorConfig(n=2 + seed % 4, density=0.5, seed=seed, kind=kind)
+    )
+    names = data.draw(st.lists(READABLE_NAME, min_size=arena.n, max_size=arena.n, unique=True))
+    arena = Arena(tuple(names), arena.owner, arena.succ)
+    text = serialize_game(arena, condition)
+    assert parse_game(text) == (arena, condition)
+    if kind == "muller":
+        red = build_safety_game(arena, condition)
+        strat = build_permissive_strategy(red, solve_safety(red.game))
+        text = serialize_strategy(strat, arena)
+        assert serialize_strategy(parse_strategy(text, arena), arena) == text
 
 
 def test_parse_strategy_validates(example4):

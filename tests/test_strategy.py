@@ -2,6 +2,7 @@ import functools
 import gc
 import random
 import tracemalloc
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -15,11 +16,21 @@ from scoregames.arena import (
     enumerate_loops,
     f1_loops,
     is_path,
+    iter_bits,
+    swap_roles,
 )
+from scoregames.cli import parse_strategy, serialize_strategy
 from scoregames.oracle import GeneratorConfig, random_game
 from scoregames.reduction import Search, build_safety_game
 from scoregames.safety_solver import solve_safety
-from scoregames.scoring import maxscore, sheet_le
+from scoregames.scoring import (
+    entries_init,
+    entries_step,
+    entries_terminal,
+    family_of,
+    maxscore,
+    sheet_le,
+)
 from scoregames.strategy import (
     BOTTOM,
     FiniteStateStrategy,
@@ -32,13 +43,17 @@ from scoregames.strategy import (
 )
 
 from conftest import alternating_strategy, m, random_muller_game, word
+from test_acceptance import corpus_config
 
 
 def stubborn_strategy():
     """Always moves from the middle vertex to 0."""
     states = ("s",)
     update = {("s", v): "s" for v in range(3)}
-    return FiniteStateStrategy(0, states, {v: "s" for v in range(3)}, update, {(1, "s"): (0,)})
+    init = {v: "s" for v in range(3)}
+    return FiniteStateStrategy.from_tables(
+        0, 3, states, init.items(), update.items(), {(1, "s"): (0,)}.items()
+    )
 
 
 @pytest.fixture
@@ -311,3 +326,113 @@ def test_random_games_strategies_verified(seed):
     if sol.w1:
         ok, _ = verify_bounded_scores(arena, muller, sol.strategy_p1, sol.w1, 2)
         assert ok
+
+
+def reference_verify(arena, muller, strat, start, bound):
+    """``verify_bounded_scores`` on state labels: a plain breadth-first
+    search over (vertex, label, score entries) through ``initial``, ``step``
+    and ``moves``, with its own queue and parent links, returning the
+    same verdict and witness or raising the same ValueError."""
+    if strat.owner_player == 1:
+        arena, muller = swap_roles(arena, muller)
+    family = family_of(f1_loops(arena, muller))
+    parent = {}
+    queue = deque()
+    for v in iter_bits(start):
+        node = (v, strat.initial(v), entries_init(family, v))
+        if node not in parent:
+            parent[node] = None
+            queue.append(node)
+    while queue:
+        node = queue.popleft()
+        v, mem, entries = node
+        for u in strat.moves(v, mem) if arena.owner[v] == 0 else arena.succ[v]:
+            if u not in arena.succ[v]:
+                raise ValueError(f"strategy proposes a non-edge {v} -> {u}")
+            nxt = entries_step(family, entries, u)
+            child = (u, strat.step(mem, u), nxt)
+            if entries_terminal(nxt, bound + 1):
+                prefix = [u]
+                while node is not None:
+                    prefix.append(node[0])
+                    node = parent[node]
+                return False, tuple(reversed(prefix))
+            if child not in parent:
+                parent[child] = node
+                queue.append(child)
+    return True, None
+
+
+def outcome(verify, *args):
+    try:
+        return verify(*args)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+@pytest.mark.parametrize("seed", [3, 10, 21, 46, 58, 77, 129, 190])
+def test_verifier_matches_the_label_reference(seed):
+    # the antichain strategies of both players and the permissive one, at
+    # bound 2 (passing from the winning region) and bound 1 (failing, so
+    # the witnesses are compared too), and at bound 2 from every vertex
+    arena, muller = random_game(corpus_config(seed))
+    red1 = build_safety_game(arena, muller, tracked_player=1)
+    sol1 = solve_safety(red1.game)
+    red0 = build_safety_game(arena, muller, tracked_player=0)
+    sol0 = solve_safety(red0.game)
+    w0, w1 = sol1.w0 & arena.full_mask, sol0.w0 & arena.full_mask
+    cases = [
+        (build_antichain_strategy(red1, sol1), w0),
+        (build_antichain_strategy(red0, sol0), w1),
+        (build_permissive_strategy(red1, sol1), w0),
+    ]
+    verdicts = []
+    for strat, region in cases:
+        for start, bound in ((region, 2), (region, 1), (arena.full_mask, 2)):
+            if not start:
+                continue
+            args = (arena, muller, strat, start, bound)
+            got = outcome(verify_bounded_scores, *args)
+            assert got == outcome(reference_verify, *args)
+            verdicts.append(got[0])
+    assert True in verdicts and False in verdicts
+
+
+def test_verifier_matches_the_reference_on_partial_files(example4):
+    # a strategy file without one of its init, update or move lines: the
+    # verifiers give the same verdict and witness, or the same error text
+    arena, muller = example4
+    red = build_safety_game(arena, muller)
+    sol = solve_safety(red.game)
+    errors = 0
+    for strat in (build_antichain_strategy(red, sol), build_permissive_strategy(red, sol)):
+        lines = serialize_strategy(strat, arena).splitlines(keepends=True)
+        for i, line in enumerate(lines):
+            if line.split()[0] not in ("init", "update", "move"):
+                continue
+            partial = parse_strategy("".join(lines[:i] + lines[i + 1 :]), arena)
+            for bound in (2, 1):
+                args = (arena, muller, partial, arena.full_mask, bound)
+                got = outcome(verify_bounded_scores, *args)
+                assert got == outcome(reference_verify, *args)
+                errors += got[0] == "ValueError"
+    assert errors
+
+
+def test_permissive_table_is_compact():
+    # corpus game 163: the permissive strategy keeps at most 48 bytes per
+    # (state, vertex) cell of its tables, labels and move sets included
+    arena, muller = random_game(corpus_config(163))
+    red = build_safety_game(arena, muller, tracked_player=1)
+    sol = solve_safety(red.game)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        perm = build_permissive_strategy(red, sol)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    # 14 bytes a cell with array tables, 156 with dict tables
+    assert kept <= 48 * len(perm.states) * arena.n
