@@ -138,8 +138,8 @@ class SafetyReduction:
     ``top`` is ``len(family) * (n + 2)``.  The quotient arena is the only
     successor table: a successor ``t`` of ``c`` other than the sink is the
     edge labelled ``last(t)``, and every other successor of the last vertex
-    leads to the sink (whose only successor is itself); ``labelled_row``
-    reads a class's row this way.  Also stored: ``unsafe_class_count``, the
+    leads to the sink (whose only successor is itself); ``step_class``
+    and the strategy tables read a class's row this way.  Also stored: ``unsafe_class_count``, the
     number of distinct keys that reached the threshold, and ``_kernel``,
     which steps and decodes the keys.
 
@@ -216,18 +216,16 @@ class SafetyReduction:
             return self._word(parent) + (crossing,)
         return self._word(c)
 
-    def labelled_row(self, c: int) -> dict:
-        """The successors of class ``c`` other than the sink, keyed by the
-        vertex labelling their edge; the other successors of ``c``'s last
-        vertex label edges into the sink."""
-        last = self.last
-        return {last(t): t for t in self.game.arena.succ[c] if t != self.sink}
-
     def step_class(self, c: int, v: int) -> int:
-        """The quotient successor of class ``c`` under vertex ``v``."""
+        """The quotient successor of class ``c`` under vertex ``v``: the
+        successor other than the sink whose last vertex is ``v``, or else
+        the sink."""
         if 0 <= c < self.n_classes and c != self.sink:
             if v in self.base_arena.succ[self.last(c)]:
-                return self.labelled_row(c).get(v, self.sink)
+                for t in self.game.arena.succ[c]:
+                    if t != self.sink and self.last(t) == v:
+                        return t
+                return self.sink
         raise ValueError(f"no quotient edge from class {c} labelled {v}")
 
     def class_of(self, word: Word) -> int:

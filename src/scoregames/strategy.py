@@ -96,9 +96,6 @@ class FiniteStateStrategy:
     def _vertex(self, v: int):
         return self.names[v] if self.names else v
 
-    def _no_init(self, v: int) -> ValueError:
-        return ValueError(f"strategy has no initial state for vertex {self._vertex(v)}")
-
     def _no_update(self, m, v: int) -> ValueError:
         return ValueError(f"strategy update undefined for state {m!r}, vertex {self._vertex(v)}")
 
@@ -113,7 +110,7 @@ class FiniteStateStrategy:
     def init_of(self, v: int) -> int:
         i = self.init[v] if 0 <= v < len(self.init) else -1
         if i < 0:
-            raise self._no_init(v)
+            raise ValueError(f"strategy has no initial state for vertex {self._vertex(v)}")
         return i
 
     def step_of(self, i: int, v: int) -> int:
