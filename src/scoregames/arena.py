@@ -7,8 +7,10 @@ set algebra is integer arithmetic and every set is hashable.
 from __future__ import annotations
 
 from array import array
+from collections.abc import Sequence as _Sequence
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
+from operator import sub
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 Word = tuple  # finite vertex sequence, tuple[int, ...]
@@ -39,11 +41,73 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+class Successors(_Sequence):
+    """A successor table as compressed sparse rows: two ``array('i')``,
+    four bytes an edge and four a vertex.  ``flat`` holds every row, in
+    vertex order, and ``start`` the n + 1 row offsets, so row ``v`` is
+    ``flat[start[v]:start[v + 1]]``.  ``table[v]`` returns row ``v`` as a
+    tuple; a reader that walks the whole table reads the two arrays.
+    Tables compare equal by content, to each other and to a tuple of row
+    tuples."""
+
+    __slots__ = ("flat", "start")
+
+    def __init__(self, flat: array, start: array):
+        self.flat = flat
+        self.start = start
+
+    @classmethod
+    def from_rows(cls, rows: Iterable) -> "Successors":
+        rows = list(rows)
+        return cls(
+            array("i", chain.from_iterable(rows)), array("i", accumulate(map(len, rows), initial=0))
+        )
+
+    def __len__(self):
+        return len(self.start) - 1
+
+    def __getitem__(self, v: int) -> tuple:
+        start = self.start
+        if v < 0:
+            v += len(start) - 1
+            if v < 0:
+                raise IndexError("vertex index out of range")
+        return tuple(self.flat[start[v] : start[v + 1]])
+
+    def __iter__(self) -> Iterator:
+        flat, start = self.flat, self.start
+        return (tuple(flat[start[v] : start[v + 1]]) for v in range(len(self)))
+
+    def degrees(self) -> Iterator:
+        """The length of each row, in vertex order."""
+        return map(sub, self.start[1:], self.start)
+
+    def sources(self) -> Iterator:
+        """The vertex whose row holds each entry of ``flat``, in order."""
+        return chain.from_iterable(map(repeat, range(len(self)), self.degrees()))
+
+    def __eq__(self, other):
+        if isinstance(other, Successors):
+            return self.start == other.start and self.flat == other.flat
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return f"Successors({tuple(self)!r})"
+
+
 @dataclass(frozen=True)
 class Arena:
     """A finite directed game graph with a vertex partition between two players.
 
-    ``owner[v]`` is 0 or 1, ``succ[v]`` the sorted successor indices of ``v``.
+    ``owner[v]`` is 0 or 1.  ``succ`` is the successor table, a
+    ``Successors``: ``succ[v]`` is the sorted tuple of the successor
+    indices of ``v``, and ``succ.flat`` and ``succ.start`` hold every row
+    in two int arrays (another sequence of rows is converted to one).
     ``names[v]`` is the external name of ``v``; ``names`` is a tuple, or for
     the arenas built by a reduction or a monitor product a sequence whose
     names are built on access.  Every vertex is expected to have at least
@@ -52,7 +116,11 @@ class Arena:
 
     names: Sequence
     owner: tuple
-    succ: tuple
+    succ: Successors
+
+    def __post_init__(self):
+        if not isinstance(self.succ, Successors):
+            object.__setattr__(self, "succ", Successors.from_rows(self.succ))
 
     @staticmethod
     def build(owner: Sequence[int], edges: Iterable, names: Sequence = None) -> "Arena":
@@ -68,7 +136,7 @@ class Arena:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) references an unknown vertex")
             succ[u].add(v)
-        return Arena(names, tuple(owner), tuple(tuple(sorted(s)) for s in succ))
+        return Arena(names, tuple(owner), Successors.from_rows(map(sorted, succ)))
 
     @property
     def n(self) -> int:
@@ -88,29 +156,29 @@ class Arena:
         return v in self.succ[u]
 
     def edges(self) -> Iterator:
-        for u, targets in enumerate(self.succ):
-            for v in targets:
-                yield u, v
+        return zip(self.succ.sources(), self.succ.flat)
 
     def predecessors(self) -> tuple:
         """The predecessors of each vertex as two ``array('i')``, ``start``
         and ``sources``, four bytes an edge: those of v are
         ``sources[start[v]:start[v + 1]]``, in increasing order.  In-degrees
-        are counted first, then each edge is written below the end of its
-        target's slice, sources in decreasing order, which leaves
-        ``start[v]`` at the slice's first entry."""
+        are counted first; then the edges are walked in order, each source
+        written at its target's cursor, which begins at the slice's first
+        entry and ends at the next slice's, so the cursors, after a 0, are
+        the offsets."""
+        flat = self.succ.flat
         indegree = [0] * self.n
-        for v in chain.from_iterable(self.succ):
+        for v in flat:
             indegree[v] += 1
-        start = array("i", accumulate(indegree))
-        sources = array("i", [0]) * sum(indegree)
-        for u in reversed(range(self.n)):
-            for v in self.succ[u]:
-                i = start[v] - 1
-                start[v] = i
-                sources[i] = u
-        start.append(len(sources))
-        return start, sources
+        cursor = array("i", accumulate(indegree, initial=0))
+        cursor.pop()  # the edge count: cursor[v] is the first entry of v's slice
+        sources = array("i", [0]) * len(flat)
+        for u, v in self.edges():
+            i = cursor[v]
+            cursor[v] = i + 1
+            sources[i] = u
+        cursor.insert(0, 0)
+        return cursor, sources
 
     def swap_roles(self) -> "Arena":
         """The same graph with the players exchanged."""

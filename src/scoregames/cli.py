@@ -569,6 +569,18 @@ def _at_least_one(text: str) -> int:
     return value
 
 
+def _unit_interval(text: str) -> float:
+    """argparse type of ``--density`` and ``--owner-bias``: a number from 0
+    to 1 (nan and the infinities are outside)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not 0 <= value <= 1:
+        raise argparse.ArgumentTypeError(f"must be between 0 and 1, got {text}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scoregames",
@@ -610,8 +622,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("random", help="generate a seeded random game")
     p.add_argument("--vertices", type=_at_least_one, default=4)
-    p.add_argument("--density", type=float, default=0.4)
-    p.add_argument("--owner-bias", type=float, default=0.5)
+    p.add_argument("--density", type=_unit_interval, default=0.4)
+    p.add_argument("--owner-bias", type=_unit_interval, default=0.5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--kind", choices=("muller", "buchi", "cobuchi", "parity", "rr"), default="muller"

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from math import comb, factorial
 from typing import Callable, Iterable, Optional
 
-from .arena import Arena, MullerCondition, SizeLimitError, Word, f1_loops, is_path
+from .arena import Arena, MullerCondition, SizeLimitError, Successors, Word, f1_loops, is_path
 from .scoring import PackedKernel, ScoreSheet, family_of
 
 DEFAULT_MAX_STATES = 500_000
@@ -62,15 +62,26 @@ class Search:
         # a list iterator reads the items appended after it was made
         return enumerate(self.keys)
 
-    def table(self, expand: Callable) -> tuple:
+    def table(self, expand: Callable, distinct: bool = False) -> Successors:
         """Expand every key, ``expand(key)`` listing its successor keys, and
         return each number's successor numbers, sorted and distinct: an
-        ``Arena.succ`` table.  The key index is dropped, so no key can be
-        added afterwards."""
-        add = self.add
-        succ = [tuple(sorted({add(k, i) for k in expand(key)})) for i, key in self]
-        self._index = None  # freed before the table is copied into a tuple
-        return tuple(succ)
+        ``Arena.succ`` table, each row written straight into its arrays.
+        A key is looked up before it is ``add``ed, so only a new key costs
+        a call.  A row goes through a set only if ``expand`` may list a
+        key twice; ``distinct`` says it never does.  The key index is
+        dropped, so no key can be added afterwards."""
+        get, add = self._index.get, self.add
+        flat, start = array("i"), array("i", [0])
+        for i, key in self:
+            if distinct:
+                row = [j if (j := get(k)) is not None else add(k, i) for k in expand(key)]
+                row.sort()
+            else:
+                row = sorted({j if (j := get(k)) is not None else add(k, i) for k in expand(key)})
+            flat.extend(row)
+            start.append(len(flat))
+        self._index = None
+        return Successors(flat, start)
 
 
 @dataclass(frozen=True)
@@ -180,10 +191,11 @@ class SafetyReduction:
 
     @property
     def unsafe_sheets(self) -> tuple:
+        flat, start = self.game.arena.succ.flat, self.game.arena.succ.start
         crossings = (
             crossing
-            for c, targets in enumerate(self.game.arena.succ)
-            if c != self.sink and self.sink in targets
+            for c in range(self.n_classes)
+            if c != self.sink and self.sink in flat[start[c] : start[c + 1]]
             for crossing in self._crossings(c)
         )
         return tuple(ScoreSheet(v, self._kernel.entries(y)) for v, y in dict.fromkeys(crossings))
@@ -222,7 +234,8 @@ class SafetyReduction:
         the sink."""
         if 0 <= c < self.n_classes and c != self.sink:
             if v in self.base_arena.succ[self.last(c)]:
-                for t in self.game.arena.succ[c]:
+                flat, start = self.game.arena.succ.flat, self.game.arena.succ.start
+                for t in flat[start[c] : start[c + 1]]:
                     if t != self.sink and self.last(t) == v:
                         return t
                 return self.sink
@@ -279,25 +292,35 @@ def build_safety_game(
     # a key is x | last << top, so every key but the sink's (-1) is >= 0;
     # the kernel reads only the vector's bits, so it steps a key in place
     top = len(family) * (base.n + 2)
-    tag = [v << top for v in range(base.n)]
     kernel = PackedKernel(family, base.n)
-    step_row = kernel.step_row
+    accm, slo, n, below = kernel.accm, kernel.slo, base.n, threshold - 2
+    # per vertex, the kernel's masks and the tag of each successor, read
+    # once per class instead of once per edge
+    lanes = [tuple(kernel.masks[v] + (v << top,) for v in row) for row in base.succ]
     unsafe: set = set()
 
     def expand(key):
         if key < 0:
-            return (-1,)  # the sink is absorbing
-        vs = base.succ[key >> top]
-        ys, crossed = step_row(key, vs, threshold)
-        out = [y | tag[v] for v, y in zip(vs, ys)]
-        for i in crossed:
-            unsafe.add(out[i])
-            out[i] = -1
-        return out
+            yield -1  # the sink is absorbing
+            return
+        # PackedKernel.step_row, one successor at a time; every step that
+        # crosses the threshold leads to the sink, which is listed once,
+        # where the first of them is, so the row lists no key twice
+        crossed = False
+        for keep, rem, bv, tag in lanes[key >> top]:
+            y = key & keep
+            eq = slo & ~(((y ^ rem) & accm) + accm)
+            t = ((y | bv) & ~(eq - (eq >> n))) + eq | tag
+            if eq & y >> below:
+                unsafe.add(t)
+                if crossed:
+                    continue
+                crossed, t = True, -1
+            yield t
 
     # the seeds differ in their vertex, so vertex v is class v
-    search = Search([kernel.step(0, v) | tag[v] for v in range(base.n)], max_states)
-    succ = search.table(expand)
+    search = Search([kernel.step(0, v) | v << top for v in range(base.n)], max_states)
+    succ = search.table(expand, distinct=True)
     keys, parents = search.keys, search.parents
     sink = keys.index(-1) if -1 in keys else None
 

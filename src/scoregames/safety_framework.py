@@ -99,12 +99,14 @@ def product_game(
     if dfa.alphabet_size < arena.n:
         raise ValueError("monitor alphabet does not cover the arena")
 
+    rows = tuple(arena.succ)  # each vertex's row, read once, not once a position
+
     def expand(node):
         v, q = node
-        return [(u, dfa.step(q, u)) for u in arena.succ[v]]
+        return [(u, dfa.step(q, u)) for u in rows[v]]
 
     search = Search([(v, dfa.step(dfa.start, v)) for v in range(arena.n)], max_states)
-    succ = search.table(expand)
+    succ = search.table(expand, distinct=True)  # one key per arena successor
     states = tuple(search.keys)
 
     def name(i):
@@ -137,10 +139,11 @@ def solve_via_safety(
     prod = product_game(arena, dfa, max_states)
     sol = solve_safety(prod.game)
     positions, target = prod.states, sol.strategy0
+    rows = tuple(arena.succ)
     init = ((v, dfa.step(dfa.start, v)) for v in range(arena.n))
-    update = (((q, v), dfa.step(q, v)) for u, q in positions for v in arena.succ[u])
+    update = (((q, v), dfa.step(q, v)) for u, q in positions for v in rows[u])
     next_move = (
-        ((u, q), arena.succ[u][:1] if target[pid] < 0 else (positions[target[pid]][0],))
+        ((u, q), rows[u][:1] if target[pid] < 0 else (positions[target[pid]][0],))
         for pid, (u, q) in enumerate(positions)
         if arena.owner[u] == 0
     )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import compress
 
 from .arena import Arena
 from .reduction import SafetyGame
@@ -35,9 +36,9 @@ def _attract(arena: Arena, player: int, flags: bytearray) -> array:
     O(V + E) using per-vertex out-degree counters."""
     start, sources = arena.predecessors()
     owner = arena.owner
-    remaining = array("i", map(len, arena.succ))
+    remaining = array("i", arena.succ.degrees())
     strategy = array("i", [-1]) * arena.n
-    queue = [v for v in range(arena.n) if flags[v]]
+    queue = array("i", compress(range(arena.n), flags))
     # queue grows while it is read, so reading it in order is the FIFO
     for u in queue:
         for w in sources[start[u] : start[u + 1]]:
@@ -86,9 +87,10 @@ def solve_safety(game: SafetyGame) -> SafetySolution:
     lost = _flags(arena.full_mask & ~game.safe, arena.n)
     strategy1 = _attract(arena, 1, lost)
     strategy0 = array("i", [-1]) * arena.n
-    for v, succ in enumerate(arena.succ):
-        if not lost[v] and arena.owner[v] == 0:
-            for u in succ:
+    flat, start, owner = arena.succ.flat, arena.succ.start, arena.owner
+    for v in range(arena.n):
+        if not lost[v] and owner[v] == 0:
+            for u in flat[start[v] : start[v + 1]]:
                 if not lost[u]:
                     strategy0[v] = u
                     break

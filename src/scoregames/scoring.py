@@ -126,11 +126,12 @@ class PackedKernel:
         for i in range(len(self.family)):
             accm |= ones << i * width
             slo |= 1 << i * width + n
-        self._accm, self._slo = accm, slo
-        # per vertex v: keep (the fields of sets containing v), rem (f minus
-        # v, and all ones for the other fields, which never match) and bv
-        # (bit v in the fields of keep)
-        self._masks = []
+        # the accumulator bits and the low score bit of every field
+        self.accm, self.slo = accm, slo
+        # masks[v] for vertex v: keep (the fields of sets containing v), rem
+        # (f minus v, and all ones for the other fields, which never match)
+        # and bv (bit v in the fields of keep)
+        self.masks = []
         for v in range(n):
             b = 1 << v
             keep = rem = bv = 0
@@ -141,7 +142,7 @@ class PackedKernel:
                     bv |= b << i * width
                 else:
                     rem |= ones << i * width
-            self._masks.append((keep, rem, bv))
+            self.masks.append((keep, rem, bv))
 
     def step_row(self, x: int, vs: Iterable[int], cap: int = 3) -> tuple:
         """The vector after each vertex of ``vs`` from ``x``, in order, and
@@ -156,7 +157,7 @@ class PackedKernel:
         scored ``cap - 1`` before.  The masks are read once per row, so a
         row costs one call however many successors it has.
         """
-        masks, accm, slo, n = self._masks, self._accm, self._slo, self.n
+        masks, accm, slo, n = self.masks, self.accm, self.slo, self.n
         # below cap, only score cap - 1 sets score bit cap - 2; move it to bit 0
         below = cap - 2
         ys, crossed = [], []

@@ -156,9 +156,10 @@ def _reachable_under(red: SafetyReduction, sol: SafetySolution) -> list:
     Player 0 follows the positional safety strategy and Player 1 moves
     freely."""
     quotient = red.game.arena
+    flat, start, owner = quotient.succ.flat, quotient.succ.start, quotient.owner
     search = Search(iter_bits(sol.w0 & red.base_arena.full_mask), red.n_classes)
     for i, c in search:
-        for t in (sol.strategy0[c],) if quotient.owner[c] == 0 else quotient.succ[c]:
+        for t in (sol.strategy0[c],) if owner[c] == 0 else flat[start[c] : start[c + 1]]:
             search.add(t, i)
     return sorted(search.keys)
 
@@ -255,7 +256,8 @@ def _class_table(
     base = red.base_arena
     n = base.n
     bottom = len(memory)
-    succ, sink, last = red.game.arena.succ, red.sink, red.last
+    flat, start = red.game.arena.succ.flat, red.game.arena.succ.start
+    sink, last = red.sink, red.last
     init = array("i", [lift(v) if sol.w0 & bit(v) else bottom for v in range(n)])
     update = array("i", [bottom]) * ((bottom + 1) * n)
     next_move = array("i", [0 if base.owner[v] == 0 else -1 for v in range(n)]) * (bottom + 1)
@@ -263,7 +265,7 @@ def _class_table(
     for i, c in enumerate(memory):
         row = i * n
         # an edge into the sink has no entry, so its update stays BOTTOM
-        for t in succ[c]:
+        for t in flat[start[c] : start[c + 1]]:
             if t != sink:
                 update[row + last(t)] = lift(t)
         v = last(c)
@@ -341,17 +343,19 @@ def verify_bounded_scores(
     if len(strat.init) != n:
         raise ValueError(f"strategy is for {len(strat.init)} vertices, the arena has {n}")
     update, next_move, move_sets = strat.update, strat.next_move, strat.move_sets
+    rows = tuple(arena.succ)  # each vertex's row, read once, not once a state
 
     search = Search((v, strat.init_of(v), entries_init(family, v)) for v in iter_bits(start))
     for i, (v, m, entries) in search:
         row = m * n
+        succ = rows[v]
         if arena.owner[v] == 0:
             k = next_move[row + v]
             targets = move_sets[v][k] if k >= 0 else strat.moves_of(v, m)
         else:
-            targets = arena.succ[v]
+            targets = succ
         for u in targets:
-            if u not in arena.succ[v]:
+            if u not in succ:
                 raise ValueError(f"strategy proposes a non-edge {v} -> {u}")
             nxt_entries = entries_step(family, entries, u)
             j = update[row + u]

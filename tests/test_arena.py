@@ -190,3 +190,83 @@ def test_muller_winner_depends_only_on_infinity_set(seed):
     b = random_lasso(arena, rng)
     if infi(a) == infi(b):
         assert winner(arena, muller, a) == winner(arena, muller, b)
+
+
+def check_successor_table(arena: Arena, rows: list) -> None:
+    """``arena.succ`` against ``rows``, its rows as plain tuples, and
+    ``edges`` and ``predecessors`` against a naive recomputation from them."""
+    n = arena.n
+    assert len(arena.succ) == n
+    assert [arena.succ[v] for v in range(n)] == rows
+    assert list(arena.succ) == rows and arena.succ == tuple(rows)
+    assert list(arena.edges()) == [(u, v) for u in range(n) for v in rows[u]]
+    naive = [[] for _ in range(n)]
+    for u in range(n):
+        for v in rows[u]:
+            naive[v].append(u)
+    start, sources = arena.predecessors()
+    assert len(start) == n + 1 and start[0] == 0 and start[n] == len(sources)
+    for v in range(n):
+        assert list(sources[start[v] : start[v + 1]]) == naive[v]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 7), data=st.data())
+def test_successor_table_of_a_built_arena(n, data):
+    # repeated edges in any order, and vertices without successors
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = data.draw(st.lists(pairs, max_size=3 * n * n))
+    arena = Arena.build([v % 2 for v in range(n)], edges)
+    rows = [tuple(sorted({w for u, w in edges if u == v})) for v in range(n)]
+    check_successor_table(arena, rows)
+    assert arena.succ[-1] == rows[-1]
+    with pytest.raises(IndexError):
+        arena.succ[n]
+    with pytest.raises(IndexError):
+        arena.succ[-n - 1]
+    # an arena given its rows as tuples keeps them as the same table
+    assert Arena(arena.names, arena.owner, tuple(rows)) == arena
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 5_000), tracked=st.sampled_from([0, 1]))
+def test_successor_tables_of_quotients(seed, tracked):
+    from scoregames.reduction import build_safety_game
+
+    arena, muller = random_muller_game(seed, max_n=4)
+    quotient = build_safety_game(arena, muller, tracked_player=tracked).game.arena
+    flat, start = quotient.succ.flat, quotient.succ.start
+    rows = [tuple(flat[start[c] : start[c + 1]]) for c in range(quotient.n)]
+    assert all(list(row) == sorted(set(row)) for row in rows)
+    check_successor_table(quotient, rows)
+
+
+def test_successor_table_of_a_quotient_with_a_sink():
+    from scoregames.reduction import build_safety_game
+
+    arena, muller = random_muller_game(5, max_n=4)
+    for tracked in (0, 1):
+        red = build_safety_game(arena, muller, tracked_player=tracked)
+        quotient = red.game.arena
+        assert red.sink is not None and quotient.succ[red.sink] == (red.sink,)
+        check_successor_table(quotient, [quotient.succ[c] for c in range(quotient.n)])
+        # a class whose step crosses the threshold lists the sink once
+        assert any(red.sink in quotient.succ[c] for c in range(quotient.n) if c != red.sink)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 5_000),
+    kind=st.sampled_from(["buchi", "cobuchi", "parity", "rr", "muller"]),
+)
+def test_successor_tables_of_monitor_products(seed, kind):
+    from scoregames.oracle import GeneratorConfig, random_game
+    from scoregames.safety_framework import monitor_for, product_game
+
+    arena, condition = random_game(GeneratorConfig(n=2 + seed % 3, seed=seed, kind=kind))
+    prod = product_game(arena, monitor_for(arena, condition), max_states=5_000)
+    table = prod.game.arena
+    check_successor_table(table, [table.succ[i] for i in range(table.n)])
+    # position i's row lists one position per arena successor of its vertex
+    for i, (v, _) in enumerate(prod.states):
+        assert sorted(prod.states[t][0] for t in table.succ[i]) == list(arena.succ[v])

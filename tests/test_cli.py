@@ -501,6 +501,25 @@ def test_cli_errors(tmp_path, capsys):
         assert code == 2
         assert out == ""
         assert err.count("error: ") == 1
+    # densities and owner biases outside [0, 1] are usage errors naming the value
+    for option, value in (
+        ("--density", "2"),
+        ("--density", "-0.5"),
+        ("--density", "nan"),
+        ("--density", "inf"),
+        ("--density", "dense"),
+        ("--owner-bias", "1.5"),
+        ("--owner-bias", "-0.01"),
+        ("--owner-bias", "nan"),
+    ):
+        code, out, err = run(capsys, "random", option, value)
+        assert code == 2
+        assert out == ""
+        assert err.count("error: ") == 1
+        assert option in err and value in err
+    for value in ("0", "1", "0.5"):
+        code, out, _ = run(capsys, "random", "--density", value, "--owner-bias", value)
+        assert code == 0 and out
     # a strategy file without an entry that a play needs
     for missing in ("init 0 go0\n", "update go0 1 go0\n", "move 1 go2 { 2 }\n"):
         strat = tmp_path / "partial.txt"
