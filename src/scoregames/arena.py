@@ -107,7 +107,7 @@ class Arena:
     ``owner[v]`` is 0 or 1.  ``succ`` is the successor table, a
     ``Successors``: ``succ[v]`` is the sorted tuple of the successor
     indices of ``v``, and ``succ.flat`` and ``succ.start`` hold every row
-    in two int arrays (another sequence of rows is converted to one).
+    in two int arrays.
     ``names[v]`` is the external name of ``v``; ``names`` is a tuple, or for
     the arenas built by a reduction or a monitor product a sequence whose
     names are built on access.  Every vertex is expected to have at least
@@ -117,10 +117,6 @@ class Arena:
     names: Sequence
     owner: tuple
     succ: Successors
-
-    def __post_init__(self):
-        if not isinstance(self.succ, Successors):
-            object.__setattr__(self, "succ", Successors.from_rows(self.succ))
 
     @staticmethod
     def build(owner: Sequence[int], edges: Iterable, names: Sequence = None) -> "Arena":

@@ -62,22 +62,18 @@ class Search:
         # a list iterator reads the items appended after it was made
         return enumerate(self.keys)
 
-    def table(self, expand: Callable, distinct: bool = False) -> Successors:
-        """Expand every key, ``expand(key)`` listing its successor keys, and
-        return each number's successor numbers, sorted and distinct: an
+    def table(self, expand: Callable) -> Successors:
+        """Expand every key, ``expand(key)`` listing each of its successor
+        keys once, and return each number's successor numbers, sorted: an
         ``Arena.succ`` table, each row written straight into its arrays.
         A key is looked up before it is ``add``ed, so only a new key costs
-        a call.  A row goes through a set only if ``expand`` may list a
-        key twice; ``distinct`` says it never does.  The key index is
-        dropped, so no key can be added afterwards."""
+        a call.  The key index is dropped, so no key can be added
+        afterwards."""
         get, add = self._index.get, self.add
         flat, start = array("i"), array("i", [0])
         for i, key in self:
-            if distinct:
-                row = [j if (j := get(k)) is not None else add(k, i) for k in expand(key)]
-                row.sort()
-            else:
-                row = sorted({j if (j := get(k)) is not None else add(k, i) for k in expand(key)})
+            row = [j if (j := get(k)) is not None else add(k, i) for k in expand(key)]
+            row.sort()
             flat.extend(row)
             start.append(len(flat))
         self._index = None
@@ -293,34 +289,27 @@ def build_safety_game(
     # the kernel reads only the vector's bits, so it steps a key in place
     top = len(family) * (base.n + 2)
     kernel = PackedKernel(family, base.n)
-    accm, slo, n, below = kernel.accm, kernel.slo, base.n, threshold - 2
-    # per vertex, the kernel's masks and the tag of each successor, read
-    # once per class instead of once per edge
-    lanes = [tuple(kernel.masks[v] + (v << top,) for v in row) for row in base.succ]
+    # each vertex's successor row as kernel lanes, tagged with the
+    # successor, made once instead of once per class
+    lanes = [kernel.lanes(row, [v << top for v in row]) for row in base.succ]
+    step_lanes = kernel.step_lanes
     unsafe: set = set()
 
     def expand(key):
         if key < 0:
-            yield -1  # the sink is absorbing
-            return
-        # PackedKernel.step_row, one successor at a time; every step that
-        # crosses the threshold leads to the sink, which is listed once,
-        # where the first of them is, so the row lists no key twice
-        crossed = False
-        for keep, rem, bv, tag in lanes[key >> top]:
-            y = key & keep
-            eq = slo & ~(((y ^ rem) & accm) + accm)
-            t = ((y | bv) & ~(eq - (eq >> n))) + eq | tag
-            if eq & y >> below:
-                unsafe.add(t)
-                if crossed:
-                    continue
-                crossed, t = True, -1
-            yield t
+            return (-1,)  # the sink is absorbing
+        ys, crossed = step_lanes(key, lanes[key >> top], threshold)
+        if crossed:
+            # every crossing leads to the sink, listed once, where the first is
+            unsafe.update([ys[i] for i in crossed])
+            for i in reversed(crossed[1:]):
+                del ys[i]
+            ys[crossed[0]] = -1
+        return ys
 
     # the seeds differ in their vertex, so vertex v is class v
     search = Search([kernel.step(0, v) | v << top for v in range(base.n)], max_states)
-    succ = search.table(expand, distinct=True)
+    succ = search.table(expand)
     keys, parents = search.keys, search.parents
     sink = keys.index(-1) if -1 in keys else None
 

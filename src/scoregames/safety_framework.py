@@ -106,7 +106,7 @@ def product_game(
         return [(u, dfa.step(q, u)) for u in rows[v]]
 
     search = Search([(v, dfa.step(dfa.start, v)) for v in range(arena.n)], max_states)
-    succ = search.table(expand, distinct=True)  # one key per arena successor
+    succ = search.table(expand)  # one key per arena successor
     states = tuple(search.keys)
 
     def name(i):

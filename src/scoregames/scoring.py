@@ -10,10 +10,11 @@ The quotient construction keeps a family's states packed into one int
 instead (``PackedKernel``): with n vertices, tracked set i owns the field of
 n + 2 bits at offset i * (n + 2), holding its accumulator in the low n bits
 and its score in the next two, and one step updates every field at once.
-One kernel call steps a whole successor row.
+One kernel call steps a whole successor row, read from its lanes.
 """
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -114,7 +115,8 @@ class PackedKernel:
     fits in the field; the all-zero vector is the empty play, so stepping
     it gives the single-letter vector of a vertex.  A step reads only the
     fields, so a caller may keep its own data in the bits above them and
-    step the whole int: the quotient keeps a class's last vertex there.
+    step the whole int, and a lane's tag sets those bits in the vector a
+    step reaches: the quotient keeps a class's last vertex there.
     """
 
     def __init__(self, family: Sequence[int], n: int):
@@ -126,12 +128,11 @@ class PackedKernel:
         for i in range(len(self.family)):
             accm |= ones << i * width
             slo |= 1 << i * width + n
-        # the accumulator bits and the low score bit of every field
-        self.accm, self.slo = accm, slo
-        # masks[v] for vertex v: keep (the fields of sets containing v), rem
-        # (f minus v, and all ones for the other fields, which never match)
-        # and bv (bit v in the fields of keep)
-        self.masks = []
+        self._accm, self._slo = accm, slo
+        # per vertex v: keep (the fields of sets containing v), rem (f minus
+        # v, and all ones for the other fields, which never match) and bv
+        # (bit v in the fields of keep)
+        self._masks = []
         for v in range(n):
             b = 1 << v
             keep = rem = bv = 0
@@ -142,35 +143,50 @@ class PackedKernel:
                     bv |= b << i * width
                 else:
                     rem |= ones << i * width
-            self.masks.append((keep, rem, bv))
+            self._masks.append((keep, rem, bv))
 
-    def step_row(self, x: int, vs: Iterable[int], cap: int = 3) -> tuple:
-        """The vector after each vertex of ``vs`` from ``x``, in order, and
-        the positions in ``vs`` of the steps whose vector has a score of
+    def lanes(self, vs: Iterable[int], tags: Iterable[int]) -> tuple:
+        """A row of successors ``vs`` made ready for ``step_lanes``: one
+        lane per successor, holding what its step reads and the caller's
+        tag for it, ``tags[i]``, which the step ORs into the vector after
+        ``vs[i]``.  A tag must have no bit in the fields.  A caller
+        stepping many vectors through one row makes its lanes once."""
+        masks = self._masks
+        return tuple(masks[v] + (tag,) for v, tag in zip(vs, tags))
+
+    def step_lanes(self, x: int, lanes: Iterable[tuple], cap: int = 3) -> tuple:
+        """The vector after each successor of a row of ``lanes`` from
+        ``x``, in order and ORed with the lane's tag, as a list, and the
+        list of the positions of the steps whose vector has a score of
         ``cap`` (2 or 3).  Every score of ``x`` must be below ``cap``.
 
         One step resets the sets without v, lets a set whose accumulator is
         f minus v score and empty it, and adds v to the accumulator of the
-        others; the bits above the fields come out zero.  Equality of each
-        field with f minus v is read off the carry of ``d + accm`` into the
-        field's score bit, and a step crosses ``cap`` where such a field
-        scored ``cap - 1`` before.  The masks are read once per row, so a
-        row costs one call however many successors it has.
+        others; the bits above the fields come out as the tag.  Equality of
+        each field with f minus v is read off the carry of ``d + accm`` into
+        the field's score bit, and a step crosses ``cap`` where such a field
+        scored ``cap - 1`` before.
         """
-        masks, accm, slo, n = self.masks, self.accm, self.slo, self.n
+        accm, slo, n = self._accm, self._slo, self.n
         # below cap, only score cap - 1 sets score bit cap - 2; move it to bit 0
         below = cap - 2
         ys, crossed = [], []
-        for v in vs:
-            keep, rem, bv = masks[v]
+        append = ys.append
+        for keep, rem, bv, tag in lanes:
             y = x & keep
             d = (y ^ rem) & accm  # zero in the fields whose accumulator is f minus v
             eq = slo & ~(d + accm)
             if eq & y >> below:
                 crossed.append(len(ys))
             eq_acc = eq - (eq >> n)  # the accumulator bits of the eq fields
-            ys.append(((y | bv) & ~eq_acc) + eq)
+            append(((y | bv) & ~eq_acc) + eq | tag)
         return ys, crossed
+
+    def step_row(self, x: int, vs: Iterable[int], cap: int = 3) -> tuple:
+        """``step_lanes`` over the successors ``vs``, untagged: the vector
+        after each vertex of ``vs`` from ``x`` and the positions of the
+        steps that reach ``cap``."""
+        return self.step_lanes(x, self.lanes(vs, repeat(0)), cap)
 
     def step(self, x: int, v: int) -> int:
         """The vector after ``v``: the one-vertex case of ``step_row``."""

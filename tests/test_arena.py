@@ -13,6 +13,7 @@ from scoregames.arena import (
     ParityCondition,
     RequestResponseCondition,
     SizeLimitError,
+    Successors,
     enumerate_loops,
     f1_loops,
     infi,
@@ -224,8 +225,8 @@ def test_successor_table_of_a_built_arena(n, data):
         arena.succ[n]
     with pytest.raises(IndexError):
         arena.succ[-n - 1]
-    # an arena given its rows as tuples keeps them as the same table
-    assert Arena(arena.names, arena.owner, tuple(rows)) == arena
+    # the table made from the rows is the arena's
+    assert Arena(arena.names, arena.owner, Successors.from_rows(rows)) == arena
 
 
 @settings(max_examples=30, deadline=None)

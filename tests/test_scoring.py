@@ -210,6 +210,12 @@ def test_packed_step_matches_entries_step(data):
         assert [kernel.entries(y) for y in ys] == after
         assert kernel.entries(x | high << top) == entries
         assert crossed == [i for i, e in enumerate(after) if entries_terminal(e, cap)]
+        # a lane's tag sets the bits above the fields of the vector it reaches
+        lanes = kernel.lanes(row, [u << top for u in row])
+        assert kernel.step_lanes(x | high << top, lanes, cap) == (
+            [y | u << top for y, u in zip(ys, row)],
+            crossed,
+        )
         entries = entries_step(family, entries, v)
         ys, crossed = kernel.step_row(x, (v,), cap)
         x = kernel.step(x, v)
