@@ -12,7 +12,6 @@ from .arena import (
     MullerCondition,
     ParityCondition,
     RequestResponseCondition,
-    SafetyCondition,
     SizeLimitError,
     Word,
     bit,

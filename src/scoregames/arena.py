@@ -9,7 +9,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Sequence as _Sequence
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, count, repeat
 from operator import sub
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
@@ -92,9 +92,6 @@ class Successors(_Sequence):
         if isinstance(other, tuple):
             return tuple(self) == other
         return NotImplemented
-
-    def __hash__(self):
-        return hash(tuple(self))
 
     def __repr__(self):
         return f"Successors({tuple(self)!r})"
@@ -185,10 +182,14 @@ class Arena:
 
     def word_str(self, word: Sequence[int]) -> str:
         """The names along ``word``, joined by nothing when every name is one
-        character long and by ``.`` otherwise, so the word reads back
-        unambiguously."""
-        sep = "" if all(len(nm) == 1 for nm in self.names) else "."
-        return sep.join(self.names[v] for v in word)
+        character long, and otherwise by the first of ``.``, a space and the
+        characters from U+0001 up that no name holds, so splitting at the
+        separator gives the names back: the word reads back unambiguously."""
+        names = self.names
+        if all(len(nm) == 1 for nm in names):
+            return "".join(names[v] for v in word)
+        free = (s for s in chain(". ", map(chr, count(1))) if not any(s in nm for nm in names))
+        return next(free).join(names[v] for v in word)
 
 
 @dataclass(frozen=True)
@@ -200,13 +201,6 @@ class MullerCondition:
     """
 
     f0: frozenset
-
-
-@dataclass(frozen=True)
-class SafetyCondition:
-    """Player 0 wins iff the play never leaves ``safe``."""
-
-    safe: int
 
 
 @dataclass(frozen=True)
@@ -243,7 +237,6 @@ class RequestResponseCondition:
 
 Condition = Union[
     MullerCondition,
-    SafetyCondition,
     BuchiCondition,
     CoBuchiCondition,
     ParityCondition,
@@ -282,7 +275,7 @@ def lasso_violations(arena: Arena, lasso: Lasso) -> list:
     if not lasso.cycle:
         out.append("empty cycle")
         return out
-    full = tuple(lasso.stem) + tuple(lasso.cycle)
+    full = lasso.unfolding()
     if any(not (0 <= v < arena.n) for v in full):
         out.append("unknown vertex in lasso")
         return out
@@ -322,8 +315,6 @@ def winner(arena: Arena, condition: Condition, lasso: Lasso) -> int:
     inf = infi(lasso)
     if isinstance(condition, MullerCondition):
         return 0 if inf in condition.f0 else 1
-    if isinstance(condition, SafetyCondition):
-        return 0 if occ(lasso.unfolding()) & ~condition.safe == 0 else 1
     if isinstance(condition, BuchiCondition):
         return 0 if inf & condition.target else 1
     if isinstance(condition, CoBuchiCondition):
@@ -415,14 +406,8 @@ def validate(arena: Arena, condition: Condition) -> list:
                 out.append(f"f0 member: unknown vertices in mask {s:#x}")
             elif not is_loop(arena, s, pred):
                 out.append(f"f0 member {arena.set_str(s)}: not a loop")
-    elif isinstance(condition, (SafetyCondition, BuchiCondition, CoBuchiCondition)):
-        mask = (
-            condition.safe
-            if isinstance(condition, SafetyCondition)
-            else condition.target
-            if isinstance(condition, BuchiCondition)
-            else condition.persistent
-        )
+    elif isinstance(condition, (BuchiCondition, CoBuchiCondition)):
+        mask = condition.target if isinstance(condition, BuchiCondition) else condition.persistent
         if mask & ~full:
             out.append(f"condition: unknown vertices in mask {mask:#x}")
     elif isinstance(condition, ParityCondition):

@@ -40,11 +40,12 @@ from .arena import (
     validate,
 )
 from .oracle import GeneratorConfig, encode_as_muller, random_game, zielonka
-from .reduction import DEFAULT_MAX_STATES, SafetyReduction, Search, build_safety_game
+from .reduction import DEFAULT_MAX_STATES, SafetyReduction, build_safety_game
 from .safety_framework import (
     MonitorDFA,
     ProductGame,
     monitor_for,
+    reachable_states,
     solve_via_safety,
 )
 from .safety_solver import solve_safety
@@ -375,13 +376,11 @@ def export_dot(obj) -> str:
 
 
 def _monitor_table(dfa: MonitorDFA, arena: Arena, max_states: int) -> tuple:
-    """The monitor's reachable states in breadth-first order, labelled
-    ``q0``, ``q1``, ...: a (label, accepting) pair per state and every
-    transition as (source label, vertex name, target label)."""
-    search = Search([dfa.start], max_states)
-    # rows[i] is state i's successor number under each letter
-    rows = [[search.add(dfa.step(q, v), i) for v in range(dfa.alphabet_size)] for i, q in search]
-    states = [(f"q{i}", dfa.is_accepting(q)) for i, q in enumerate(search.keys)]
+    """``reachable_states`` labelled ``q0``, ``q1``, ...: a (label,
+    accepting) pair per state and every transition as (source label, vertex
+    name, target label)."""
+    keys, rows = reachable_states(dfa, max_states)
+    states = [(f"q{i}", dfa.is_accepting(q)) for i, q in enumerate(keys)]
     trans = [
         (f"q{i}", arena.names[v], f"q{row[v]}") for i, row in enumerate(rows) for v in range(arena.n)
     ]
@@ -411,15 +410,20 @@ def _load_game(path: str):
     return parse_game(_read_text(path))
 
 
+def _regions(arena: Arena, condition: Condition, max_states: int = DEFAULT_MAX_STATES) -> tuple:
+    """Both players' winning regions: a Muller game's through its
+    score-class quotient, any other game's through its monitor's product,
+    each capped at ``max_states`` states."""
+    if isinstance(condition, MullerCondition):
+        sol = solve_muller(arena, condition, max_states=max_states)
+        return sol.w0, sol.w1
+    w0, _ = solve_via_safety(arena, condition, monitor_for(arena, condition), max_states)
+    return w0, arena.full_mask & ~w0
+
+
 def _cmd_solve(args) -> int:
     arena, condition = _load_game(args.game)
-    if isinstance(condition, MullerCondition):
-        sol = solve_muller(arena, condition, max_states=args.max_states)
-        w0, w1 = sol.w0, sol.w1
-    else:
-        dfa = monitor_for(arena, condition)
-        w0, _ = solve_via_safety(arena, condition, dfa, args.max_states)
-        w1 = arena.full_mask & ~w0
+    w0, w1 = _regions(arena, condition, args.max_states)
     print(f"W0 = {arena.set_str(w0)}")
     print(f"W1 = {arena.set_str(w1)}")
     return 0
@@ -483,8 +487,7 @@ def _cmd_verify(args) -> int:
         except KeyError as exc:
             raise GameParseError(f"--start: {exc.args[0]}") from None
     else:
-        sol = solve_muller(arena, muller)
-        start = sol.w0 if strat.owner_player == 0 else sol.w1
+        start = _regions(arena, muller)[strat.owner_player]
     try:
         ok, witness = verify_bounded_scores(arena, muller, strat, start, args.bound)
     except ValueError as exc:
@@ -498,17 +501,13 @@ def _cmd_verify(args) -> int:
 
 def _cmd_oracle(args) -> int:
     arena, condition = _load_game(args.game)
+    if isinstance(condition, RequestResponseCondition):
+        raise GameParseError("the oracle does not support request-response conditions")
     if isinstance(condition, MullerCondition):
         zw0, zw1 = zielonka(arena, condition)
-        sol = solve_muller(arena, condition)
-        sw0, sw1 = sol.w0, sol.w1
-    elif isinstance(condition, RequestResponseCondition):
-        raise GameParseError("the oracle does not support request-response conditions")
     else:
-        muller = encode_as_muller(arena, condition)
-        zw0, zw1 = zielonka(arena, muller)
-        sw0, _ = solve_via_safety(arena, condition, monitor_for(arena, condition))
-        sw1 = arena.full_mask & ~sw0
+        zw0, zw1 = zielonka(arena, encode_as_muller(arena, condition))
+    sw0, sw1 = _regions(arena, condition)
     print(f"oracle W0 = {arena.set_str(zw0)}")
     print(f"oracle W1 = {arena.set_str(zw1)}")
     print(f"solver W0 = {arena.set_str(sw0)}")

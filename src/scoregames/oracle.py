@@ -19,7 +19,6 @@ from .arena import (
     MullerCondition,
     ParityCondition,
     RequestResponseCondition,
-    SafetyCondition,
     SizeLimitError,
     bit,
     enumerate_loops,
@@ -137,8 +136,6 @@ def random_game(cfg: GeneratorConfig) -> tuple:
     if cfg.kind == "muller":
         f0 = frozenset(c for c in enumerate_loops(arena) if rng.random() < 0.5)
         return arena, MullerCondition(f0)
-    if cfg.kind == "safety":
-        return arena, SafetyCondition(_random_mask(rng, cfg.n))
     if cfg.kind == "buchi":
         return arena, BuchiCondition(_random_mask(rng, cfg.n))
     if cfg.kind == "cobuchi":

@@ -108,9 +108,6 @@ class _ClassView(Sequence):
     def __eq__(self, other):
         return isinstance(other, (tuple, _ClassView)) and tuple(self) == tuple(other)
 
-    def __hash__(self):
-        return hash(tuple(self))
-
 
 def _path(parents: Sequence, c: int, vertex: Callable) -> Word:
     """``vertex(i)`` for each number ``i`` along the parent chain of ``c``,
@@ -137,18 +134,18 @@ class SafetyReduction:
     the class's score vector ``x`` of ``scoring.PackedKernel`` into its low
     ``top`` bits and its last vertex above them (-1 for the sink), and
     ``parents[c]``, the class whose expansion found ``c`` (-1 for the
-    embedded vertices), in the search's ``array('i')``.  ``last(c)`` shifts
-    the last vertex out of a key; the kernel reads only the vector's bits,
-    so it steps a key in place.  The packed vector is one int in which
-    tracked set i owns the field of n + 2 bits at offset i * (n + 2): its
-    accumulator in the low n bits and its score in the next two, so
-    ``top`` is ``len(family) * (n + 2)``.  The quotient arena is the only
-    successor table: a successor ``t`` of ``c`` other than the sink is the
-    edge labelled ``last(t)``, and every other successor of the last vertex
-    leads to the sink (whose only successor is itself); ``step_class``
-    and the strategy tables read a class's row this way.  Also stored: ``unsafe_class_count``, the
-    number of distinct keys that reached the threshold, and ``_kernel``,
-    which steps and decodes the keys.
+    embedded vertices), in the search's ``array('i')``.  ``top`` is the
+    width of the kernel's fields, whose layout ``PackedKernel`` describes.
+    ``last(c)`` shifts the last vertex out of a key; the kernel reads only
+    the vector's bits, so it steps a key in place.  The quotient arena is
+    the only successor table: a successor ``t`` of ``c`` other than the
+    sink is the edge labelled ``last(t)``, and every other successor of the
+    last vertex leads to the sink (whose only successor is itself);
+    ``step_class`` and the strategy tables read a class's row this way.
+    Also stored: ``unsafe_class_count``, the number of distinct keys that
+    reached the threshold, ``_kernel``, which steps and decodes the keys,
+    and ``_lanes``, each base vertex's successor row as the kernel's lanes,
+    tagged with the successor as a key holds it.
 
     Derived on access, with the entries decoded from the packed vectors:
     the quotient's vertex names (``[`` + the base vertex names along
@@ -172,6 +169,7 @@ class SafetyReduction:
     unsafe_class_count: int
     top: int
     _kernel: PackedKernel = field(repr=False)
+    _lanes: list = field(repr=False)
 
     @property
     def n_classes(self) -> int:
@@ -189,24 +187,25 @@ class SafetyReduction:
     def unsafe_sheets(self) -> tuple:
         flat, start = self.game.arena.succ.flat, self.game.arena.succ.start
         crossings = (
-            crossing
+            y
             for c in range(self.n_classes)
             if c != self.sink and self.sink in flat[start[c] : start[c + 1]]
-            for crossing in self._crossings(c)
+            for y in self._crossings(c)
         )
-        return tuple(ScoreSheet(v, self._kernel.entries(y)) for v, y in dict.fromkeys(crossings))
+        entries, top = self._kernel.entries, self.top
+        return tuple(ScoreSheet(y >> top, entries(y)) for y in dict.fromkeys(crossings))
 
     def last(self, c: int) -> int:
         """The last vertex of class ``c`` (not the sink)."""
         return self.keys[c] >> self.top
 
     def _crossings(self, c: int) -> list:
-        """The successors ``v`` of class ``c``'s last vertex whose step
-        reaches the threshold, each with the packed vector ``y`` it reaches,
-        as (v, y) in successor order."""
-        vs = self.base_arena.succ[self.last(c)]
-        ys, crossed = self._kernel.step_row(self.keys[c], vs, self.threshold)
-        return [(vs[i], ys[i]) for i in crossed]
+        """The steps of class ``c`` that reach the threshold, in successor
+        order: the key each one reaches as the build stepped it, the packed
+        vector with the successor above its fields."""
+        lanes = self._lanes[self.last(c)]
+        ys, crossed = self._kernel.step_lanes(self.keys[c], lanes, self.threshold)
+        return [ys[i] for i in crossed]
 
     def _word(self, c: int) -> Word:
         """The last vertices along the parent chain of class ``c``."""
@@ -220,8 +219,7 @@ class SafetyReduction:
     def _rep_word(self, c: int) -> Word:
         if c == self.sink:
             parent = self.parents[c]
-            crossing, _ = self._crossings(parent)[0]
-            return self._word(parent) + (crossing,)
+            return self._word(parent) + (self._crossings(parent)[0] >> self.top,)
         return self._word(c)
 
     def step_class(self, c: int, v: int) -> int:
@@ -290,7 +288,7 @@ def build_safety_game(
     top = len(family) * (base.n + 2)
     kernel = PackedKernel(family, base.n)
     # each vertex's successor row as kernel lanes, tagged with the
-    # successor, made once instead of once per class
+    # successor, made once per vertex
     lanes = [kernel.lanes(row, [v << top for v in row]) for row in base.succ]
     step_lanes = kernel.step_lanes
     unsafe: set = set()
@@ -307,8 +305,10 @@ def build_safety_game(
             ys[crossed[0]] = -1
         return ys
 
-    # the seeds differ in their vertex, so vertex v is class v
-    search = Search([kernel.step(0, v) | v << top for v in range(base.n)], max_states)
+    # the seeds differ in their vertex, so vertex v is class v; each is
+    # one step from the empty play's all-zero vector
+    seeds, _ = step_lanes(0, kernel.lanes(range(base.n), [v << top for v in range(base.n)]))
+    search = Search(seeds, max_states)
     succ = search.table(expand)
     keys, parents = search.keys, search.parents
     sink = keys.index(-1) if -1 in keys else None
@@ -339,5 +339,6 @@ def build_safety_game(
         unsafe_class_count=len(unsafe),
         top=top,
         _kernel=kernel,
+        _lanes=lanes,
     )
     return reduction

@@ -71,12 +71,13 @@ class MonitorDFA:
 
 def reachable_states(dfa: MonitorDFA, max_states: int = DEFAULT_MAX_STATES) -> tuple:
     """All states reachable from the start over the full alphabet, in
-    breadth-first order."""
+    breadth-first order, and each state's row: ``rows[i][v]`` is the number
+    of state i's successor under letter v.  Each transition is stepped
+    once; more than ``max_states`` states raise SizeLimitError."""
     search = Search([dfa.start], max_states)
-    for i, q in search:
-        for v in range(dfa.alphabet_size):
-            search.add(dfa.step(q, v), i)
-    return tuple(search.keys)
+    letters = range(dfa.alphabet_size)
+    rows = [tuple(search.add(dfa.step(q, v), i) for v in letters) for i, q in search]
+    return tuple(search.keys), rows
 
 
 @dataclass
@@ -99,7 +100,7 @@ def product_game(
     if dfa.alphabet_size < arena.n:
         raise ValueError("monitor alphabet does not cover the arena")
 
-    rows = tuple(arena.succ)  # each vertex's row, read once, not once a position
+    rows = tuple(arena.succ)  # each vertex's row, read once
 
     def expand(node):
         v, q = node

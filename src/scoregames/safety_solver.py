@@ -4,7 +4,7 @@ Regions are kept as one flag byte per vertex while the attractor runs, so
 marking or testing a vertex costs O(1) however large the arena is; the
 public results are vertex bitmasks, converted once at the end.  The
 predecessors are ``Arena.predecessors``' two int arrays, four bytes an
-edge, instead of a list per vertex.
+edge.
 """
 from __future__ import annotations
 
@@ -68,24 +68,23 @@ def attractor(arena: Arena, player: int, target: int) -> tuple:
 
 @dataclass
 class SafetySolution:
-    """Winning regions of a safety game with positional strategies.
+    """Winning regions of a safety game with Player 0's positional strategy.
 
-    Both strategies are ``array('i')`` indexed by vertex, -1 where the
-    player has no move.  ``strategy0`` picks, for each Player 0 vertex in
-    its region, the lowest indexed successor that stays in the region.
-    ``strategy1`` is the attractor strategy towards the unsafe vertices.
+    ``strategy0`` is an ``array('i')`` indexed by vertex, -1 where Player 0
+    has no move: for each Player 0 vertex in ``w0``, it picks the lowest
+    indexed successor that stays in ``w0``.  Player 1's attractor
+    strategy towards the unsafe vertices is ``attractor``'s.
     """
 
     w0: int
     w1: int
     strategy0: array
-    strategy1: array
 
 
 def solve_safety(game: SafetyGame) -> SafetySolution:
     arena = game.arena
     lost = _flags(arena.full_mask & ~game.safe, arena.n)
-    strategy1 = _attract(arena, 1, lost)
+    _attract(arena, 1, lost)
     strategy0 = array("i", [-1]) * arena.n
     flat, start, owner = arena.succ.flat, arena.succ.start, arena.owner
     for v in range(arena.n):
@@ -95,4 +94,4 @@ def solve_safety(game: SafetyGame) -> SafetySolution:
                     strategy0[v] = u
                     break
     w1 = _mask(lost)
-    return SafetySolution(arena.full_mask & ~w1, w1, strategy0, strategy1)
+    return SafetySolution(arena.full_mask & ~w1, w1, strategy0)

@@ -6,15 +6,12 @@ of F seen since the last score increase or reset.  Score sheets bundle the
 states of a whole family of tracked sets together with the last vertex and
 are the canonical representatives of score-equivalence classes.
 
-The quotient construction keeps a family's states packed into one int
-instead (``PackedKernel``): with n vertices, tracked set i owns the field of
-n + 2 bits at offset i * (n + 2), holding its accumulator in the low n bits
-and its score in the next two, and one step updates every field at once.
-One kernel call steps a whole successor row, read from its lanes.
+The quotient construction packs a family's states into one int, laid out
+and stepped by ``PackedKernel``: one kernel call steps a whole successor
+row, read from its lanes.
 """
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -181,16 +178,6 @@ class PackedKernel:
             eq_acc = eq - (eq >> n)  # the accumulator bits of the eq fields
             append(((y | bv) & ~eq_acc) + eq | tag)
         return ys, crossed
-
-    def step_row(self, x: int, vs: Iterable[int], cap: int = 3) -> tuple:
-        """``step_lanes`` over the successors ``vs``, untagged: the vector
-        after each vertex of ``vs`` from ``x`` and the positions of the
-        steps that reach ``cap``."""
-        return self.step_lanes(x, self.lanes(vs, repeat(0)), cap)
-
-    def step(self, x: int, v: int) -> int:
-        """The vector after ``v``: the one-vertex case of ``step_row``."""
-        return self.step_row(x, (v,))[0][0]
 
     def entries(self, x: int) -> tuple:
         """The (score, acc) pair of each tracked set, as ``entries_step``

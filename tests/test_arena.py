@@ -50,6 +50,32 @@ def test_validate_empty_member(example4):
     assert any("empty" in p for p in validate(arena, MullerCondition(frozenset({0}))))
 
 
+def test_validate_condition_messages(example4):
+    # each malformed condition gets its own message, and a well-formed one none
+    arena, _ = example4
+    for cls in (BuchiCondition, CoBuchiCondition):
+        assert validate(arena, cls(m(0, 2))) == []
+        assert validate(arena, cls(m(0, 3))) == ["condition: unknown vertices in mask 0x9"]
+    assert validate(arena, ParityCondition((0, 1))) == [
+        "priority map must cover exactly the vertex set"
+    ]
+    assert validate(arena, ParityCondition((0, 1, 2, 3))) == [
+        "priority map must cover exactly the vertex set"
+    ]
+    assert validate(arena, ParityCondition((0, -1, 2))) == ["vertex 1: negative priority"]
+    pairs = ((m(0), m(1)), (m(1), m(3)), (m(4), m(2)))
+    assert validate(arena, RequestResponseCondition(pairs)) == [
+        "pair 1: unknown vertices",
+        "pair 2: unknown vertices",
+    ]
+    owners = Arena(arena.names, (1, 2, -1), arena.succ)
+    assert validate(owners, ParityCondition((0, 1, 2))) == [
+        "vertex 1: owner must be 0 or 1",
+        "vertex 2: owner must be 0 or 1",
+    ]
+    assert validate(arena, object()) == ["unsupported condition object"]
+
+
 def test_occ():
     assert occ(word("10012100")) == m(0, 1, 2)
     assert occ(word("0")) == m(0)
@@ -78,15 +104,6 @@ def test_winner_rejects_non_path(example4):
     arena, muller = example4
     with pytest.raises(ValueError):
         winner(arena, muller, Lasso((0,), (2,)))
-
-
-def test_winner_safety_occurrence_based():
-    arena = Arena.build([0, 0], [(0, 1), (1, 1)])
-    from scoregames.arena import SafetyCondition
-
-    # the stem leaves {1}, so Player 1 wins even though the cycle stays inside
-    assert winner(arena, SafetyCondition(m(1)), Lasso((0,), (1,))) == 1
-    assert winner(arena, SafetyCondition(m(0, 1)), Lasso((0,), (1,))) == 0
 
 
 def test_winner_buchi_cobuchi():

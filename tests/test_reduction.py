@@ -228,14 +228,18 @@ def test_random_reductions_respect_bounds_and_edges(seed):
 
 
 @pytest.mark.parametrize(
-    "names, joiner", [(("0", "1", "2"), ""), (("left", "mid", "right"), ".")]
+    "names, joiner",
+    [(("0", "1", "2"), ""), (("left", "mid", "right"), "."), (("x.y", "x", "y"), " ")],
 )
 def test_class_names_follow_rep_words(example4, names, joiner):
+    # with a name holding a '.', the words (x.y) and (x, y) must not both
+    # read "x.y": distinct classes get distinct names
     arena, muller = example4
     red = build_safety_game(Arena(names, arena.owner, arena.succ), muller)
     quotient = red.game.arena
     assert quotient.names[red.sink] == "unsafe"
     assert quotient.names[1:3] == (quotient.names[1], quotient.names[2])
+    assert len(set(quotient.names)) == quotient.n
     for c in range(red.n_classes):
         if c != red.sink:
             expected = "[" + joiner.join(names[v] for v in red.rep_words[c]) + "]"

@@ -109,10 +109,15 @@ def test_muller_monitor_language(example4):
     dfa = muller_monitor(arena, muller)
     assert dfa.run(word("100101")) is REJECT
     assert dfa.is_accepting(dfa.run(word("10012100")))
+    # rows[i][v] numbers state i's successor under letter v
+    states, rows = reachable_states(dfa)
+    assert states[0] == dfa.start and len(set(states)) == len(states) == len(rows)
+    for q, row in zip(states, rows):
+        assert [states[j] for j in row] == [dfa.step(q, v) for v in range(arena.n)]
     trivial = muller_monitor(
         arena, MullerCondition(frozenset({m(0), m(2), m(0, 1), m(1, 2), m(0, 1, 2)}))
     )
-    assert len(reachable_states(trivial)) == 1
+    assert reachable_states(trivial) == ((trivial.start,), [(0, 0, 0)])
 
 
 def test_product_with_trivial_monitor(example4):

@@ -71,15 +71,19 @@ def check_solution(game: SafetyGame):
             assert sol.strategy0[v] == min(t for t in arena.succ[v] if sol.w0 & bit(t))
         else:
             assert all(sol.w0 & bit(t) for t in arena.succ[v])
-    # -1 exactly where there is no move: outside the won Player-0 vertices,
-    # and outside the attracted Player-1 vertices that are not unsafe
-    assert len(sol.strategy0) == len(sol.strategy1) == arena.n
+    # Player 1's region is the attractor of the unsafe vertices, and its
+    # strategy is ``attractor``'s. -1 exactly where there is no move:
+    # outside the won Player-0 vertices, and outside the attracted Player-1
+    # vertices that are not unsafe
     unsafe = arena.full_mask & ~game.safe
+    attracted, strategy1 = attractor(arena, 1, unsafe)
+    assert attracted == sol.w1
+    assert len(sol.strategy0) == len(strategy1) == arena.n
     for v in range(arena.n):
         won0 = arena.owner[v] == 0 and sol.w0 & bit(v)
         attracted1 = arena.owner[v] == 1 and sol.w1 & ~unsafe & bit(v)
         assert (sol.strategy0[v] == -1) == (not won0)
-        assert (sol.strategy1[v] == -1) == (not attracted1)
+        assert (strategy1[v] == -1) == (not attracted1)
 
     # under strategy1, Player 1 reaches the unsafe set within |V| steps from
     # every w1 vertex, whatever Player 0 does
@@ -89,7 +93,7 @@ def check_solution(game: SafetyGame):
         add = 0
         for v in iter_bits(sol.w1 & ~reach):
             if arena.owner[v] == 1:
-                if reach & bit(sol.strategy1[v]):
+                if reach & bit(strategy1[v]):
                     add |= bit(v)
             else:
                 if all(reach & bit(t) for t in arena.succ[v]):
@@ -123,7 +127,7 @@ def test_large_quotient_matches_naive_fixpoint():
     assert sol.w0 == mask_of(win)
     assert 0 < len(win) < quotient.n
     unsafe = quotient.full_mask & ~game.safe
-    assert attractor(quotient, 1, unsafe) == (sol.w1, sol.strategy1)
+    assert attractor(quotient, 1, unsafe)[0] == sol.w1
 
 
 @settings(max_examples=60, deadline=None)

@@ -156,17 +156,17 @@ def test_sheet_matches_recomputation(w):
     # the packed kernel of the quotient steps in lockstep with the sheet
     family = family_of([1, 2, 3, 4, 5, 6, 7])
     kernel = PackedKernel(family, 3)
+    lanes = kernel.lanes(range(3), (0, 0, 0))  # untagged: lanes[v] steps by v
     sheet = sheet_init(family, w[0])
-    x = kernel.step(0, w[0])
+    x = kernel.step_lanes(0, lanes)[0][w[0]]
     assert x == _pack(3, sheet.entries)
     assert kernel.entries(x) == sheet.entries
     for i, v in enumerate(w[1:], start=2):
         if sheet_terminal(sheet):
             return
         sheet = sheet_update(family, sheet, v)
-        ys, crossed = kernel.step_row(x, (v,), 3)
-        x = kernel.step(x, v)
-        assert ys == [x] and x == _pack(3, sheet.entries)
+        (x,), crossed = kernel.step_lanes(x, lanes[v : v + 1], 3)
+        assert x == _pack(3, sheet.entries)
         assert kernel.entries(x) == sheet.entries
         assert (crossed == [0]) == sheet_terminal(sheet)
         for f, st_ in zip(family, sheet.entries):
@@ -190,9 +190,10 @@ def _below(cap, n, f):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_packed_step_matches_entries_step(data):
-    # from any vector below the threshold, the packed step, the row step
-    # and the threshold test agree with entries_step and entries_terminal;
-    # the row step also with a caller's data in the bits above the fields
+    # from any vector below the threshold, the packed step of a row of
+    # untagged lanes and its threshold test agree with entries_step and
+    # entries_terminal, also with a caller's data in the bits above the
+    # fields, and tagged lanes differ from untagged ones only in those bits
     n = data.draw(st.integers(1, 8), label="n")
     family = family_of(data.draw(st.lists(st.integers(1, 2**n - 1), min_size=1, max_size=10)))
     cap = data.draw(st.sampled_from((2, 3)), label="cap")
@@ -205,7 +206,7 @@ def test_packed_step_matches_entries_step(data):
         row = data.draw(st.lists(st.integers(0, n - 1), max_size=n), label="row")
         high = data.draw(st.integers(0, 15), label="high")
         after = [entries_step(family, entries, u) for u in row]
-        ys, crossed = kernel.step_row(x | high << top, row, cap)
+        ys, crossed = kernel.step_lanes(x | high << top, kernel.lanes(row, [0] * len(row)), cap)
         assert ys == [_pack(n, e) for e in after]
         assert [kernel.entries(y) for y in ys] == after
         assert kernel.entries(x | high << top) == entries
@@ -217,9 +218,8 @@ def test_packed_step_matches_entries_step(data):
             crossed,
         )
         entries = entries_step(family, entries, v)
-        ys, crossed = kernel.step_row(x, (v,), cap)
-        x = kernel.step(x, v)
-        assert ys == [x] and x == _pack(n, entries)
+        (x,), crossed = kernel.step_lanes(x, kernel.lanes((v,), (0,)), cap)
+        assert x == _pack(n, entries)
         assert kernel.entries(x) == entries
         assert (crossed == [0]) == entries_terminal(entries, cap)
         if entries_terminal(entries, cap):
