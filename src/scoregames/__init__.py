@@ -34,10 +34,7 @@ from .scoring import (
     maxscore,
     score_step,
     score_word,
-    sheet_init,
     sheet_le,
-    sheet_terminal,
-    sheet_update,
 )
 from .reduction import SafetyGame, SafetyReduction, build_safety_game, lar_sum_bound
 from .safety_solver import SafetySolution, attractor, solve_safety

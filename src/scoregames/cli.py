@@ -113,6 +113,8 @@ def parse_game(text: str) -> tuple:
                 raise GameParseError(f"line {lineno}: expected 'vertex <id> <0|1>'")
             if parts[1] in ids:
                 raise GameParseError(f"line {lineno}: duplicate vertex {parts[1]!r}")
+            if problem := _unreadable(parts[1]):
+                raise GameParseError(f"line {lineno}: {problem}")
             ids[parts[1]] = len(names)
             names.append(parts[1])
             owners.append(int(parts[2]))
@@ -185,17 +187,24 @@ def parse_game(text: str) -> tuple:
     return arena, condition
 
 
+def _unreadable(name: str) -> str:
+    """Why a game file cannot read back the vertex name ``name`` (empty,
+    ``}``, or holding whitespace or ``#``), or "" if it can."""
+    if not name or name == "}" or "#" in name or any(ch.isspace() for ch in name):
+        return (
+            f"vertex name {name!r} cannot be read back: a name is not empty or '}}' "
+            "and holds no whitespace or '#'"
+        )
+    return ""
+
+
 def _check_names(arena: Arena) -> None:
     """Raise ValueError naming the first vertex whose name a file cannot
-    read back: a name that is empty, holds whitespace or ``#``, is ``}``,
-    or repeats an earlier vertex's name."""
+    read back: ``_unreadable``, or repeating an earlier vertex's name."""
     seen = set()
     for name in arena.names:
-        if not name or name == "}" or "#" in name or any(ch.isspace() for ch in name):
-            raise ValueError(
-                f"vertex name {name!r} cannot be read back: a name is not empty or '}}' "
-                "and holds no whitespace or '#'"
-            )
+        if problem := _unreadable(name):
+            raise ValueError(problem)
         if name in seen:
             raise ValueError(f"vertex name {name!r} is repeated")
         seen.add(name)

@@ -134,27 +134,20 @@ class SafetyReduction:
     the class's score vector ``x`` of ``scoring.PackedKernel`` into its low
     ``top`` bits and its last vertex above them (-1 for the sink), and
     ``parents[c]``, the class whose expansion found ``c`` (-1 for the
-    embedded vertices), in the search's ``array('i')``.  ``top`` is the
-    width of the kernel's fields, whose layout ``PackedKernel`` describes.
-    ``last(c)`` shifts the last vertex out of a key; the kernel reads only
-    the vector's bits, so it steps a key in place.  The quotient arena is
-    the only successor table: a successor ``t`` of ``c`` other than the
-    sink is the edge labelled ``last(t)``, and every other successor of the
-    last vertex leads to the sink (whose only successor is itself);
-    ``step_class`` and the strategy tables read a class's row this way.
-    Also stored: ``unsafe_class_count``, the number of distinct keys that
-    reached the threshold, ``_kernel``, which steps and decodes the keys,
-    and ``_lanes``, each base vertex's successor row as the kernel's lanes,
-    tagged with the successor as a key holds it.
+    embedded vertices).  ``top`` is the width of the kernel's fields, whose
+    layout ``PackedKernel`` describes.  The quotient arena is the only
+    successor table: a successor ``t`` of ``c`` other than the sink is the
+    edge labelled ``last(t)``, and every other successor of the last vertex
+    leads to the sink (whose only successor is itself); ``step_class`` and
+    the strategy tables read a class's row this way.  Also stored:
+    ``unsafe_class_count``, the number of distinct keys that reached the
+    threshold, and ``_kernel``, which decodes the keys.
 
-    Derived on access, with the entries decoded from the packed vectors:
-    the quotient's vertex names (``[`` + the base vertex names along
-    ``rep_words[c]`` + ``]``, joined as ``Arena.word_str`` joins them; the
-    sink's is ``unsafe``), ``sheets`` (the sink's is None), ``rep_words``
-    (the first play prefix that reached each class, from the parent chain;
-    the sink's is the first prefix that crossed the threshold) and
-    ``unsafe_sheets`` (one per distinct key that reached the threshold, in
-    the order in which the classes, taken by number, first step into them).
+    Derived on access: the quotient's vertex names (``[`` + the base vertex
+    names along ``rep_words[c]`` + ``]``, joined as ``Arena.word_str`` joins
+    them; the sink's is ``unsafe``), ``sheets`` (the decoded keys) and
+    ``rep_words`` (the first play prefix that reached each class, from the
+    parent chain); the sink's sheet and word are None.
     """
 
     game: SafetyGame
@@ -169,7 +162,6 @@ class SafetyReduction:
     unsafe_class_count: int
     top: int
     _kernel: PackedKernel = field(repr=False)
-    _lanes: list = field(repr=False)
 
     @property
     def n_classes(self) -> int:
@@ -183,44 +175,19 @@ class SafetyReduction:
     def rep_words(self) -> Sequence:
         return _ClassView(self.n_classes, self._rep_word)
 
-    @property
-    def unsafe_sheets(self) -> tuple:
-        flat, start = self.game.arena.succ.flat, self.game.arena.succ.start
-        crossings = (
-            y
-            for c in range(self.n_classes)
-            if c != self.sink and self.sink in flat[start[c] : start[c + 1]]
-            for y in self._crossings(c)
-        )
-        entries, top = self._kernel.entries, self.top
-        return tuple(ScoreSheet(y >> top, entries(y)) for y in dict.fromkeys(crossings))
-
     def last(self, c: int) -> int:
         """The last vertex of class ``c`` (not the sink)."""
         return self.keys[c] >> self.top
-
-    def _crossings(self, c: int) -> list:
-        """The steps of class ``c`` that reach the threshold, in successor
-        order: the key each one reaches as the build stepped it, the packed
-        vector with the successor above its fields."""
-        lanes = self._lanes[self.last(c)]
-        ys, crossed = self._kernel.step_lanes(self.keys[c], lanes, self.threshold)
-        return [ys[i] for i in crossed]
-
-    def _word(self, c: int) -> Word:
-        """The last vertices along the parent chain of class ``c``."""
-        return _path(self.parents, c, self.last)
 
     def _sheet(self, c: int) -> Optional[ScoreSheet]:
         if c == self.sink:
             return None
         return ScoreSheet(self.last(c), self._kernel.entries(self.keys[c]))
 
-    def _rep_word(self, c: int) -> Word:
+    def _rep_word(self, c: int) -> Optional[Word]:
         if c == self.sink:
-            parent = self.parents[c]
-            return self._word(parent) + (self._crossings(parent)[0] >> self.top,)
-        return self._word(c)
+            return None
+        return _path(self.parents, c, self.last)
 
     def step_class(self, c: int, v: int) -> int:
         """The quotient successor of class ``c`` under vertex ``v``: the
@@ -313,7 +280,7 @@ def build_safety_game(
     keys, parents = search.keys, search.parents
     sink = keys.index(-1) if -1 in keys else None
 
-    # SafetyReduction._word, without a reference back to the reduction:
+    # SafetyReduction._rep_word, without a reference back to the reduction:
     # a reduction in no cycle is freed as soon as its last reference goes
     def name(c):
         if c == sink:
@@ -339,6 +306,5 @@ def build_safety_game(
         unsafe_class_count=len(unsafe),
         top=top,
         _kernel=kernel,
-        _lanes=lanes,
     )
     return reduction

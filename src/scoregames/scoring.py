@@ -202,26 +202,6 @@ class ScoreSheet(NamedTuple):
     last: int
     entries: tuple
 
-    def max_score(self) -> int:
-        return max((st[0] for st in self.entries), default=0)
-
-
-def sheet_init(family: Sequence[int], v: int) -> ScoreSheet:
-    return ScoreSheet(v, entries_init(family, v))
-
-
-def sheet_update(family: Sequence[int], sheet: ScoreSheet, v: int, cap: int = 3) -> ScoreSheet:
-    """Advance the sheet by one vertex.  Scores saturate at ``cap``: a sheet
-    holding an entry at the cap is terminal and must not be advanced further.
-    """
-    if entries_terminal(sheet.entries, cap):
-        raise ValueError(f"sheet already holds a score of {cap}; terminal sheets are frozen")
-    return ScoreSheet(v, entries_step(family, sheet.entries, v))
-
-
-def sheet_terminal(sheet: ScoreSheet, cap: int = 3) -> bool:
-    return entries_terminal(sheet.entries, cap)
-
 
 def sheet_le(family: Sequence[int], a: ScoreSheet, b: ScoreSheet) -> bool:
     """The score preorder: same last vertex, and for every tracked set either

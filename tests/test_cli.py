@@ -2,7 +2,7 @@ import functools
 import re
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from scoregames.cli import (
@@ -57,6 +57,11 @@ priority a 0
 priority b 1
 """
 
+# '}' names a vertex that no group lists
+BRACE_VERTEX_TEXT = (
+    "vertex } 0\nvertex a 1\nedge } a\nedge a }\nedge a a\ncondition muller\nf0 { a }\n"
+)
+
 
 def test_parse_example4(example4):
     arena, muller = example4
@@ -81,6 +86,10 @@ def test_parse_errors_carry_line_numbers():
     # a second priority for a vertex is an error, not an override
     with pytest.raises(GameParseError, match="line 9: duplicate 'priority a'"):
         parse_game(PARITY_TEXT + "priority a 2\n")
+    # the reader refuses the vertex names the writers refuse: no file
+    # written for this game could be read back
+    with pytest.raises(GameParseError, match="^line 1: vertex name '}' cannot be read back"):
+        parse_game(BRACE_VERTEX_TEXT)
 
 
 def test_roundtrip_example4(example4):
@@ -475,6 +484,12 @@ def test_cli_errors(tmp_path, capsys):
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+    # so is a vertex name that no file written for the game could read back
+    brace = game_file(tmp_path, BRACE_VERTEX_TEXT, "brace.txt")
+    for argv in (("solve", brace), ("strategy", brace), ("verify", brace, str(not_utf8))):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 1: vertex name '}' cannot be read back")
     # a construction over its state cap is its own exit code, with one line
     parity = game_file(tmp_path, PARITY_TEXT, "parity.txt")
     for command, path, cap in (
@@ -703,3 +718,40 @@ def test_cli_fuzzed_arguments_exit_with_a_code(tmp_path, data):
     )
     broken = (str(tmp_path / "missing.txt"), str(tmp_path))
     assert main(data.draw(fuzzed_argv(games, strategies, broken))) in (0, 1, 2, 3)
+
+
+# tokens the file formats or the CLI's output give a meaning of their own
+NAME_TOKENS = ("}", "{", ",", ".", "bot", "unsafe", "q0")
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    seed=st.integers(0, 500),
+    kind=st.sampled_from(["muller", "buchi", "cobuchi", "parity", "rr"]),
+    renames=st.dictionaries(st.integers(0, 4), st.sampled_from(NAME_TOKENS), min_size=1),
+)
+# vertex 1 is in no f0 set, so a file naming it '}' reads as a valid game
+@example(seed=1, kind="muller", renames={1: "}"})
+def test_cli_fuzzed_vertex_names_exit_with_a_code(tmp_path, seed, kind, renames):
+    # whatever tokens a game file uses as vertex names, main returns a
+    # documented exit code (0-3) instead of raising
+    arena, condition = random_game(
+        GeneratorConfig(n=2 + seed % 4, density=0.5, seed=seed, kind=kind)
+    )
+    names = tuple(f"v{v}" for v in range(arena.n))
+    text = serialize_game(Arena(names, arena.owner, arena.succ), condition)
+    renamed = {f"v{v}": token for v, token in renames.items()}
+    lines = [" ".join(renamed.get(tok, tok) for tok in line.split()) for line in text.splitlines()]
+    game = game_file(tmp_path, "\n".join(lines) + "\n")
+    strat = game_file(tmp_path, "player 0\n", "strategy.txt")
+    for argv in (
+        ["solve", game, "--max-states", "2000"],
+        ["reduce", game, "--max-states", "2000"],
+        ["strategy", game, "--max-states", "2000"],
+        ["oracle", game],
+        ["monitor", game, "--max-states", "2000"],
+        ["verify", game, strat],
+    ):
+        assert main(argv) in (0, 1, 2, 3), argv

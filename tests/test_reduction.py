@@ -9,7 +9,7 @@ from scoregames.arena import Arena, MullerCondition, SizeLimitError, bit, mask_o
 from scoregames.oracle import GeneratorConfig, random_game
 from scoregames.reduction import Search, build_safety_game, lar_sum_bound
 from scoregames.safety_solver import solve_safety
-from scoregames.scoring import sheet_init, sheet_terminal, sheet_update
+from scoregames.scoring import ScoreSheet, entries_init, entries_step, entries_terminal
 
 from conftest import m, random_muller_game, word
 
@@ -57,6 +57,32 @@ def test_search_numbers_keys_breadth_first():
     assert table[0] == (2, 3)
 
 
+def unsafe_steps(red):
+    """An independent recount of the keys that reached the threshold: each
+    class's decoded entries stepped by entries_step along every successor
+    of its last vertex, the distinct (vertex, entries) pairs that reach
+    the threshold, each with the first class that steps into it."""
+    steps = {}
+    for c, sheet in enumerate(red.sheets):
+        if c == red.sink:
+            continue
+        for u in red.base_arena.succ[sheet.last]:
+            after = entries_step(red.family, sheet.entries, u)
+            if entries_terminal(after, red.threshold):
+                steps.setdefault((u, after), c)
+    return steps
+
+
+def check_unsafe_steps(red):
+    # the build counts one key per distinct crossing, and each crossing
+    # leads from its class's representative prefix to the sink
+    steps = unsafe_steps(red)
+    assert len(steps) == red.unsafe_class_count
+    assert (red.sink is None) == (not steps)
+    for (u, _), c in steps.items():
+        assert red.class_of(red.rep_words[c] + (u,)) == red.sink
+
+
 @pytest.fixture
 def ex4_reduction(example4):
     arena, muller = example4
@@ -78,12 +104,11 @@ def test_example4_embedding(ex4_reduction):
         c = red.embed[v]
         assert red.game.safe & bit(c)
         assert red.class_of((v,)) == c
-        assert red.sheets[c].max_score() <= 1
+        assert not entries_terminal(red.sheets[c].entries, 2)
     for c in range(red.n_classes):
         if c != red.sink:
-            assert red.sheets[c].max_score() < red.threshold
-    for sheet in red.unsafe_sheets:
-        assert sheet.max_score() >= red.threshold
+            assert not entries_terminal(red.sheets[c].entries, red.threshold)
+    check_unsafe_steps(red)
 
 
 def test_example4_class_merging(ex4_reduction):
@@ -127,8 +152,9 @@ def test_quotient_ownership_and_edges(ex4_reduction, example4):
 def test_sink_is_terminal_and_looped(ex4_reduction):
     red = ex4_reduction
     assert red.sheets[red.sink] is None
-    for sheet in red.unsafe_sheets:
-        assert sheet_terminal(sheet, red.threshold)
+    assert red.rep_words[red.sink] is None
+    assert red.game.arena.succ[red.sink] == (red.sink,)
+    check_unsafe_steps(red)
 
 
 def test_build_is_deterministic(example4):
@@ -156,6 +182,7 @@ def test_tracked_player_zero_swaps_roles(example4):
     red = build_safety_game(arena, muller, tracked_player=0)
     assert red.base_arena.owner == (0, 1, 0)
     assert set(red.family) == {m(0), m(2), m(0, 1, 2)}
+    check_unsafe_steps(red)
     # Player 1 cannot bound Player 0's scores anywhere in this game
     from scoregames.safety_solver import solve_safety
 
@@ -166,6 +193,7 @@ def test_tracked_player_zero_swaps_roles(example4):
 def test_threshold_two_is_sound_but_incomplete(example4):
     arena, muller = example4
     red2 = build_safety_game(arena, muller, threshold=2)
+    check_unsafe_steps(red2)
     from scoregames.safety_solver import solve_safety
 
     sol = solve_safety(red2.game)
@@ -214,17 +242,10 @@ def test_random_reductions_respect_bounds_and_edges(seed):
         if c == red.sink:
             continue
         sheet = red.sheets[c]
-        assert not sheet_terminal(sheet, red.threshold)
-        assert sheet.max_score() < red.threshold
+        assert not entries_terminal(sheet.entries, red.threshold)
         for v in arena.succ[sheet.last]:
             red.step_class(c, v)
-    for sheet in red.unsafe_sheets:
-        assert sheet.max_score() >= red.threshold
-    # one unsafe sheet per distinct key that reached the threshold
-    assert len(red.unsafe_sheets) == red.unsafe_class_count
-    assert len(set(red.unsafe_sheets)) == red.unsafe_class_count
-    if red.sink is not None:
-        assert red.class_of(red.rep_words[red.sink]) == red.sink
+    check_unsafe_steps(red)
 
 
 @pytest.mark.parametrize(
@@ -255,10 +276,11 @@ def test_transitions_agree_with_class_lookup(seed):
     import random as rnd
 
     def fold(path):
-        sheet = sheet_init(red.family, path[0])
+        entries = entries_init(red.family, path[0])
         for u in path[1:]:
-            sheet = sheet_update(red.family, sheet, u, red.threshold)
-        return sheet
+            assert not entries_terminal(entries, red.threshold)
+            entries = entries_step(red.family, entries, u)
+        return ScoreSheet(path[-1], entries)
 
     arena, muller = random_muller_game(seed, max_n=4)
     red = build_safety_game(arena, muller)
@@ -266,18 +288,18 @@ def test_transitions_agree_with_class_lookup(seed):
     v = rng.randrange(arena.n)
     path = (v,)
     c = red.embed[v]
-    sheet = sheet_init(red.family, v)
+    entries = entries_init(red.family, v)
     for _ in range(12):
         v = rng.choice(arena.succ[path[-1]])
         path = path + (v,)
         c = red.step_class(c, v)
-        sheet = sheet_update(red.family, sheet, v, red.threshold)
+        entries = entries_step(red.family, entries, v)
         assert c == red.class_of(path)
-        assert red.class_of(red.rep_words[c]) == c
         if c == red.sink:
-            assert sheet_terminal(sheet, red.threshold)
+            assert entries_terminal(entries, red.threshold)
             break
-        assert red.sheets[c] == sheet
+        assert red.class_of(red.rep_words[c]) == c
+        assert red.sheets[c] == (v, entries)
         assert red.sheets[c] == fold(red.rep_words[c])
 
 

@@ -350,6 +350,81 @@ def test_solve_via_safety_request_response_hand_analyzed():
     assert w0 == m(0)
 
 
+def rr_regions_by_buchi(arena, pairs):
+    """Player 0's region of a request-response game, solved as a Buchi game
+    with no monitor: a position is (vertex, pending pairs, awaited pair).
+
+    Entering a vertex first answers the pairs whose response set holds it
+    and then opens the pairs whose request set holds it; the first vertex
+    of a play counts.  Pair j is served at (v, P) when j is not pending or
+    v answers it (v may also have opened j again).  A play wins iff every
+    pair is served infinitely often, so the awaited pair moves on round
+    robin when served, and the Buchi positions are those where the last
+    pair is served."""
+    r = len(pairs)
+
+    def enter(pending, v):
+        for j, (req, resp) in enumerate(pairs):
+            if resp >> v & 1:
+                pending &= ~(1 << j)
+            if req >> v & 1:
+                pending |= 1 << j
+        return pending
+
+    def served(v, pending, j):
+        return not pending >> j & 1 or pairs[j][1] >> v & 1
+
+    starts = {v: (v, enter(0, v), 0) for v in range(arena.n)}
+    succ, todo = {}, list(starts.values())
+    while todo:
+        pos = todo.pop()
+        if pos in succ:
+            continue
+        v, pending, j = pos
+        nxt = (j + 1) % r if served(v, pending, j) else j
+        succ[pos] = [(u, enter(pending, u), nxt) for u in arena.succ[v]]
+        todo += succ[pos]
+    buchi = {(v, p, j) for v, p, j in succ if j == r - 1 and served(v, p, j)}
+
+    def attractor(player, target, alive):
+        # positions of ``alive`` from which ``player`` forces a visit to
+        # ``target``, every play kept inside ``alive``
+        attr = set(target & alive)
+        changed = True
+        while changed:
+            changed = False
+            for pos in alive - attr:
+                inside = [t for t in succ[pos] if t in alive]
+                hits = [t in attr for t in inside]
+                if any(hits) if arena.owner[pos[0]] == player else all(hits):
+                    attr.add(pos)
+                    changed = True
+        return attr
+
+    alive = set(succ)
+    while True:
+        lost = alive - attractor(0, buchi, alive)
+        if not lost:
+            break
+        alive -= attractor(1, lost, alive)
+    return mask_of(v for v, pos in starts.items() if pos in alive)
+
+
+def test_rr_regions_match_a_buchi_solver():
+    # request-response has no oracle of its own: compare the monitor route
+    # with a Buchi game solved from scratch, on the monitor_products games
+    # (n = 6..10, density 0.25) and on criterion 8's small arenas
+    kinds = {"mixed": 0, "full": 0, "empty": 0}
+    for seed in range(1000, 1100):
+        density = (0.3, 0.5, 0.7, 0.9)[(seed // 4) % 4]
+        for n, d in ((6 + seed % 5, 0.25), (2 + seed % 4, density)):
+            arena, rr = random_game(GeneratorConfig(n=n, density=d, seed=seed, kind="rr"))
+            w0, _ = solve_via_safety(arena, rr, rr_monitor(arena, rr.pairs))
+            assert w0 == rr_regions_by_buchi(arena, rr.pairs), (seed, n)
+            kinds["full" if w0 == arena.full_mask else "mixed" if w0 else "empty"] += 1
+    assert kinds == {"mixed": 86, "full": 79, "empty": 35}
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000), kind=st.sampled_from(["buchi", "cobuchi", "parity"]))
 def test_framework_matches_oracle(seed, kind):

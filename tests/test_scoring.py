@@ -1,14 +1,15 @@
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scoregames.arena import is_loop
 from scoregames.scoring import (
     PackedKernel,
+    ScoreSheet,
     ScoreState,
     ZERO,
+    entries_init,
     entries_step,
     entries_terminal,
     family_of,
@@ -16,10 +17,7 @@ from scoregames.scoring import (
     maxscore,
     score_step,
     score_word,
-    sheet_init,
     sheet_le,
-    sheet_terminal,
-    sheet_update,
 )
 
 from conftest import m, random_muller_game, word
@@ -58,44 +56,40 @@ def test_lar():
 FAMILY = family_of([F01, F12])
 
 
-def sheet_of(w):
-    sheet = sheet_init(FAMILY, w[0])
+def fold(family, w):
+    entries = entries_init(family, w[0])
     for v in w[1:]:
-        sheet = sheet_update(FAMILY, sheet, v)
-    return sheet
+        entries = entries_step(family, entries, v)
+    return entries
 
 
-def entry(sheet, f):
-    return sheet.entries[FAMILY.index(f)]
+def sheet_of(w):
+    return ScoreSheet(w[-1], fold(FAMILY, w))
+
+
+def entry(entries, f):
+    return entries[FAMILY.index(f)]
 
 
 def test_sheet_init_values():
-    s = sheet_init(FAMILY, 1)
-    assert s.last == 1
-    assert entry(s, F01) == (0, m(1))
-    assert entry(s, F12) == (0, m(1))
-    s = sheet_init(family_of([m(1)]), 1)
-    assert s.entries == ((1, 0),)
-    s = sheet_init(family_of([m(0)]), 1)
-    assert s.entries == ((0, 0),)
+    e = entries_init(FAMILY, 1)
+    assert entry(e, F01) == (0, m(1))
+    assert entry(e, F12) == (0, m(1))
+    assert entries_init(family_of([m(1)]), 1) == ((1, 0),)
+    assert entries_init(family_of([m(0)]), 1) == ((0, 0),)
 
 
 def test_sheet_update_values():
-    s = sheet_of(word("1001"))
-    s2 = sheet_update(FAMILY, s, 2)
-    assert s2 == sheet_of(word("12"))
+    e = fold(FAMILY, word("1001"))
+    assert entries_step(FAMILY, e, 2) == fold(FAMILY, word("12"))
 
-    s = sheet_of(word("10010"))
-    s2 = sheet_update(FAMILY, s, 1)
-    assert entry(s2, F01)[0] == 3
-    assert sheet_terminal(s2)
-    with pytest.raises(ValueError):
-        sheet_update(FAMILY, s2, 0)
+    e = entries_step(FAMILY, fold(FAMILY, word("10010")), 1)
+    assert entry(e, F01)[0] == 3
+    assert entries_terminal(e)
 
-    s = sheet_update(FAMILY, sheet_init(FAMILY, 1), 0)
-    assert s.last == 0
-    assert entry(s, F01) == (1, 0)
-    assert entry(s, F12) == (0, 0)
+    e = entries_step(FAMILY, entries_init(FAMILY, 1), 0)
+    assert entry(e, F01) == (1, 0)
+    assert entry(e, F12) == (0, 0)
 
 
 def test_score_equivalent_prefixes_share_a_sheet():
@@ -153,28 +147,27 @@ def _pack(n, entries):
 @settings(max_examples=120, deadline=None)
 @given(w=words3)
 def test_sheet_matches_recomputation(w):
-    # the packed kernel of the quotient steps in lockstep with the sheet
+    # the packed kernel of the quotient steps in lockstep with entries_step
     family = family_of([1, 2, 3, 4, 5, 6, 7])
     kernel = PackedKernel(family, 3)
     lanes = kernel.lanes(range(3), (0, 0, 0))  # untagged: lanes[v] steps by v
-    sheet = sheet_init(family, w[0])
+    entries = entries_init(family, w[0])
     x = kernel.step_lanes(0, lanes)[0][w[0]]
-    assert x == _pack(3, sheet.entries)
-    assert kernel.entries(x) == sheet.entries
+    assert x == _pack(3, entries)
+    assert kernel.entries(x) == entries
     for i, v in enumerate(w[1:], start=2):
-        if sheet_terminal(sheet):
+        if entries_terminal(entries):
             return
-        sheet = sheet_update(family, sheet, v)
+        entries = entries_step(family, entries, v)
         (x,), crossed = kernel.step_lanes(x, lanes[v : v + 1], 3)
-        assert x == _pack(3, sheet.entries)
-        assert kernel.entries(x) == sheet.entries
-        assert (crossed == [0]) == sheet_terminal(sheet)
-        for f, st_ in zip(family, sheet.entries):
+        assert x == _pack(3, entries)
+        assert kernel.entries(x) == entries
+        assert (crossed == [0]) == entries_terminal(entries)
+        for f, st_ in zip(family, entries):
             expected = score_word(f, w[:i])
             assert st_[0] == min(expected.score, 3)
             if expected.score < 3:
                 assert st_ == expected
-    assert sheet.last == w[-1]
 
 
 def _below(cap, n, f):
