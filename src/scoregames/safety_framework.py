@@ -231,11 +231,13 @@ def rr_monitor(arena: Arena, pairs: Sequence) -> MonitorDFA:
 def muller_monitor(arena: Arena, muller: MullerCondition) -> MonitorDFA:
     """Score entries for Player 1's loop family; any score reaching 3
     rejects.  The product of the arena with this monitor is the score-class
-    quotient."""
+    quotient.  The monitor owns one ``entries_step`` pair table, which its
+    step reads, so all its states share their equal (score, acc) pairs."""
     family = family_of(f1_loops(arena, muller))
+    pairs = {}
 
     def step(entries, v):
-        nxt = entries_step(family, entries, v)
+        nxt = entries_step(family, entries, v, pairs)
         return REJECT if entries_terminal(nxt, 3) else nxt
 
     return MonitorDFA(arena.n, (ZERO,) * len(family), step)

@@ -81,19 +81,22 @@ def entries_init(family: Sequence[int], v: int) -> tuple:
     return tuple(score_step(f, ZERO, v) for f in family)
 
 
-def entries_step(family: Sequence[int], entries: Sequence[ScoreState], v: int) -> tuple:
-    # hot path of the quotient construction; plain tuples compare and hash
-    # exactly like ScoreState
+def entries_step(family: Sequence[int], entries: Sequence[ScoreState], v: int, pairs: dict) -> tuple:
+    # A reset is ZERO; every other pair comes from ``pairs``, a table the
+    # caller owns that maps each (score, acc) it has seen to its one plain
+    # tuple, so equal pairs in the caller's states are one object.  The
+    # table grows to the distinct pairs of its caller; plain tuples compare
+    # and hash exactly like ScoreState.
     b = 1 << v
     out = []
     push = out.append
+    share = pairs.setdefault
     for f, (score, acc) in zip(family, entries):
         if not f & b:
             push(ZERO)
-        elif acc == f & ~b:
-            push((score + 1, 0))
         else:
-            push((score, acc | b))
+            p = (score + 1, 0) if acc == f & ~b else (score, acc | b)
+            push(share(p, p))
     return tuple(out)
 
 

@@ -328,7 +328,9 @@ def verify_bounded_scores(
     state count, beyond which SizeLimitError is raised.  A True verdict
     certifies that the strategy is winning from ``start``: bounded opponent
     scores force the infinity set into the owner's family.  Strategies for
-    Player 1 are checked on the role-swapped game.
+    Player 1 are checked on the role-swapped game.  The call owns one
+    ``entries_step`` pair table, so the product's states share their equal
+    (score, acc) pairs, and drops it on return.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
@@ -344,6 +346,7 @@ def verify_bounded_scores(
         raise ValueError(f"strategy is for {len(strat.init)} vertices, the arena has {n}")
     update, next_move, move_sets = strat.update, strat.next_move, strat.move_sets
     rows = tuple(arena.succ)  # each vertex's row, read once, not once a state
+    pairs = {}
 
     search = Search((v, strat.init_of(v), entries_init(family, v)) for v in iter_bits(start))
     for i, (v, m, entries) in search:
@@ -357,7 +360,7 @@ def verify_bounded_scores(
         for u in targets:
             if u not in succ:
                 raise ValueError(f"strategy proposes a non-edge {v} -> {u}")
-            nxt_entries = entries_step(family, entries, u)
+            nxt_entries = entries_step(family, entries, u, pairs)
             j = update[row + u]
             if j < 0:
                 strat.step_of(m, u)  # raises: the entry is missing

@@ -61,13 +61,15 @@ def unsafe_steps(red):
     """An independent recount of the keys that reached the threshold: each
     class's decoded entries stepped by entries_step along every successor
     of its last vertex, the distinct (vertex, entries) pairs that reach
-    the threshold, each with the first class that steps into it."""
+    the threshold, each with the first class that steps into it.  One
+    pair table serves the whole recount."""
     steps = {}
+    pairs = {}
     for c, sheet in enumerate(red.sheets):
         if c == red.sink:
             continue
         for u in red.base_arena.succ[sheet.last]:
-            after = entries_step(red.family, sheet.entries, u)
+            after = entries_step(red.family, sheet.entries, u, pairs)
             if entries_terminal(after, red.threshold):
                 steps.setdefault((u, after), c)
     return steps
@@ -275,11 +277,11 @@ def test_transitions_agree_with_class_lookup(seed):
     # LAR included, is the spec fold along its representative prefix
     import random as rnd
 
-    def fold(path):
+    def fold(path, pairs):
         entries = entries_init(red.family, path[0])
         for u in path[1:]:
             assert not entries_terminal(entries, red.threshold)
-            entries = entries_step(red.family, entries, u)
+            entries = entries_step(red.family, entries, u, pairs)
         return ScoreSheet(path[-1], entries)
 
     arena, muller = random_muller_game(seed, max_n=4)
@@ -289,18 +291,19 @@ def test_transitions_agree_with_class_lookup(seed):
     path = (v,)
     c = red.embed[v]
     entries = entries_init(red.family, v)
+    pairs = {}  # one table for the walk and every fold
     for _ in range(12):
         v = rng.choice(arena.succ[path[-1]])
         path = path + (v,)
         c = red.step_class(c, v)
-        entries = entries_step(red.family, entries, v)
+        entries = entries_step(red.family, entries, v, pairs)
         assert c == red.class_of(path)
         if c == red.sink:
             assert entries_terminal(entries, red.threshold)
             break
         assert red.class_of(red.rep_words[c]) == c
         assert red.sheets[c] == (v, entries)
-        assert red.sheets[c] == fold(red.rep_words[c])
+        assert red.sheets[c] == fold(red.rep_words[c], pairs)
 
 
 @settings(max_examples=20, deadline=None)

@@ -35,8 +35,10 @@ from scoregames.safety_framework import (
     solve_via_safety,
 )
 from scoregames.safety_solver import solve_safety
+from scoregames.scoring import ZERO
 
 from conftest import m, random_lasso, word
+from test_acceptance import corpus_config
 
 
 def test_run_dfa_basics():
@@ -118,6 +120,17 @@ def test_muller_monitor_language(example4):
         arena, MullerCondition(frozenset({m(0), m(2), m(0, 1), m(1, 2), m(0, 1, 2)}))
     )
     assert reachable_states(trivial) == ((trivial.start,), [(0, 0, 0)])
+
+
+@pytest.mark.parametrize("seed", [5, 10, 14])
+def test_muller_monitor_states_share_their_pairs(seed):
+    # the monitor's one pair table makes each distinct non-ZERO (score, acc)
+    # pair of its reachable states one object
+    arena, muller = random_game(corpus_config(seed))
+    states, _ = reachable_states(muller_monitor(arena, muller))
+    pairs = [p for q in states if q is not REJECT for p in q if p is not ZERO]
+    assert len(pairs) > len(set(pairs)) > 1
+    assert len({id(p) for p in pairs}) == len(set(pairs))
 
 
 def test_product_with_trivial_monitor(example4):

@@ -56,15 +56,15 @@ def test_lar():
 FAMILY = family_of([F01, F12])
 
 
-def fold(family, w):
+def fold(family, w, pairs):
     entries = entries_init(family, w[0])
     for v in w[1:]:
-        entries = entries_step(family, entries, v)
+        entries = entries_step(family, entries, v, pairs)
     return entries
 
 
 def sheet_of(w):
-    return ScoreSheet(w[-1], fold(FAMILY, w))
+    return ScoreSheet(w[-1], fold(FAMILY, w, {}))
 
 
 def entry(entries, f):
@@ -80,16 +80,33 @@ def test_sheet_init_values():
 
 
 def test_sheet_update_values():
-    e = fold(FAMILY, word("1001"))
-    assert entries_step(FAMILY, e, 2) == fold(FAMILY, word("12"))
+    pairs = {}
+    e = fold(FAMILY, word("1001"), pairs)
+    assert entries_step(FAMILY, e, 2, pairs) == fold(FAMILY, word("12"), pairs)
 
-    e = entries_step(FAMILY, fold(FAMILY, word("10010")), 1)
+    e = entries_step(FAMILY, fold(FAMILY, word("10010"), pairs), 1, pairs)
     assert entry(e, F01)[0] == 3
     assert entries_terminal(e)
 
-    e = entries_step(FAMILY, entries_init(FAMILY, 1), 0)
+    e = entries_step(FAMILY, entries_init(FAMILY, 1), 0, pairs)
     assert entry(e, F01) == (1, 0)
     assert entry(e, F12) == (0, 0)
+
+
+def test_one_table_one_object_per_pair():
+    # two different vectors reach equal pairs through one table and get one
+    # object for each, with the values a fresh table gives; a reset is ZERO
+    # itself and never enters the table
+    pairs = {}
+    steps = [(entries_init(FAMILY, 0), 1), (entries_init(FAMILY, 2), 1)]
+    a, b = (entries_step(FAMILY, e, v, pairs) for e, v in steps)
+    assert a == ((1, 0), (0, m(1))) and b == ((0, m(1)), (1, 0))
+    assert a[0] is b[1] and a[1] is b[0]
+    assert [a, b] == [entries_step(FAMILY, e, v, {}) for e, v in steps]
+    assert all(type(p) is tuple for p in a + b)
+    c = entries_step(FAMILY, a, 0, pairs)
+    assert c == ((1, m(0)), ZERO) and c[1] is ZERO
+    assert c[0] is pairs[1, m(0)] and len(pairs) == 3
 
 
 def test_score_equivalent_prefixes_share_a_sheet():
@@ -151,6 +168,7 @@ def test_sheet_matches_recomputation(w):
     family = family_of([1, 2, 3, 4, 5, 6, 7])
     kernel = PackedKernel(family, 3)
     lanes = kernel.lanes(range(3), (0, 0, 0))  # untagged: lanes[v] steps by v
+    pairs = {}  # one table through every step of the example
     entries = entries_init(family, w[0])
     x = kernel.step_lanes(0, lanes)[0][w[0]]
     assert x == _pack(3, entries)
@@ -158,7 +176,7 @@ def test_sheet_matches_recomputation(w):
     for i, v in enumerate(w[1:], start=2):
         if entries_terminal(entries):
             return
-        entries = entries_step(family, entries, v)
+        entries = entries_step(family, entries, v, pairs)
         (x,), crossed = kernel.step_lanes(x, lanes[v : v + 1], 3)
         assert x == _pack(3, entries)
         assert kernel.entries(x) == entries
@@ -195,10 +213,11 @@ def test_packed_step_matches_entries_step(data):
     entries = data.draw(st.tuples(*(_below(cap, n, f) for f in family)), label="entries")
     x = _pack(n, entries)
     assert kernel.entries(x) == entries
+    pairs = {}  # one table through every step of the example
     for v in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=20), label="word"):
         row = data.draw(st.lists(st.integers(0, n - 1), max_size=n), label="row")
         high = data.draw(st.integers(0, 15), label="high")
-        after = [entries_step(family, entries, u) for u in row]
+        after = [entries_step(family, entries, u, pairs) for u in row]
         ys, crossed = kernel.step_lanes(x | high << top, kernel.lanes(row, [0] * len(row)), cap)
         assert ys == [_pack(n, e) for e in after]
         assert [kernel.entries(y) for y in ys] == after
@@ -210,7 +229,7 @@ def test_packed_step_matches_entries_step(data):
             [y | u << top for y, u in zip(ys, row)],
             crossed,
         )
-        entries = entries_step(family, entries, v)
+        entries = entries_step(family, entries, v, pairs)
         (x,), crossed = kernel.step_lanes(x, kernel.lanes((v,), (0,)), cap)
         assert x == _pack(n, entries)
         assert kernel.entries(x) == entries

@@ -331,12 +331,14 @@ def test_random_games_strategies_verified(seed):
 def reference_verify(arena, muller, strat, start, bound):
     """``verify_bounded_scores`` on state labels: a plain breadth-first
     search over (vertex, label, score entries) through ``initial``, ``step``
-    and ``moves``, with its own queue and parent links, returning the
-    same verdict and witness or raising the same ValueError."""
+    and ``moves``, with its own queue, parent links and pair table,
+    returning the same verdict and witness or raising the same
+    ValueError."""
     if strat.owner_player == 1:
         arena, muller = swap_roles(arena, muller)
     family = family_of(f1_loops(arena, muller))
     parent = {}
+    pairs = {}
     queue = deque()
     for v in iter_bits(start):
         node = (v, strat.initial(v), entries_init(family, v))
@@ -349,7 +351,7 @@ def reference_verify(arena, muller, strat, start, bound):
         for u in strat.moves(v, mem) if arena.owner[v] == 0 else arena.succ[v]:
             if u not in arena.succ[v]:
                 raise ValueError(f"strategy proposes a non-edge {v} -> {u}")
-            nxt = entries_step(family, entries, u)
+            nxt = entries_step(family, entries, u, pairs)
             child = (u, strat.step(mem, u), nxt)
             if entries_terminal(nxt, bound + 1):
                 prefix = [u]
