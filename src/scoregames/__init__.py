@@ -21,14 +21,11 @@ from .arena import (
     is_loop,
     iter_bits,
     mask_of,
-    occ,
-    swap_roles,
     validate,
     winner,
 )
 from .scoring import (
     ScoreSheet,
-    ScoreState,
     family_of,
     lar_of,
     maxscore,

@@ -255,11 +255,6 @@ class Lasso:
         return tuple(self.stem) + tuple(self.cycle)
 
 
-def occ(word: Sequence[int]) -> int:
-    """The set of vertices occurring in ``word``, as a bitmask."""
-    return mask_of(word)
-
-
 def infi(lasso: Lasso) -> int:
     """The infinity set of the represented play: the vertices on the cycle."""
     return mask_of(lasso.cycle)
@@ -379,12 +374,6 @@ def enumerate_loops(arena: Arena) -> tuple:
 def f1_loops(arena: Arena, muller: MullerCondition) -> tuple:
     """The loops that are not in ``f0``, sorted."""
     return tuple(s for s in enumerate_loops(arena) if s not in muller.f0)
-
-
-def swap_roles(arena: Arena, muller: MullerCondition) -> tuple:
-    """The game seen from Player 1's side: players exchanged, ``f0`` replaced
-    by the complementary loop family."""
-    return arena.swap_roles(), MullerCondition(frozenset(f1_loops(arena, muller)))
 
 
 def validate(arena: Arena, condition: Condition) -> list:

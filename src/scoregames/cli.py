@@ -43,7 +43,6 @@ from .oracle import GeneratorConfig, encode_as_muller, random_game, zielonka
 from .reduction import DEFAULT_MAX_STATES, SafetyReduction, build_safety_game
 from .safety_framework import (
     MonitorDFA,
-    ProductGame,
     monitor_for,
     reachable_states,
     solve_via_safety,
@@ -89,6 +88,14 @@ def _brace_groups(lineno: int, parts: list, expected: int) -> list:
     return groups
 
 
+def _vertex(ids: dict, lineno: int, name: str) -> int:
+    """The number of the vertex named ``name`` in a file's name→number
+    table ``ids``."""
+    if name not in ids:
+        raise GameParseError(f"line {lineno}: unknown vertex {name!r}")
+    return ids[name]
+
+
 def parse_game(text: str) -> tuple:
     """Parse a game file into a validated (arena, condition) pair."""
     names: list = []
@@ -100,11 +107,6 @@ def parse_game(text: str) -> tuple:
     priorities: dict = {}
     finals = 0
     pairs: list = []
-
-    def vertex_id(lineno, name):
-        if name not in ids:
-            raise GameParseError(f"line {lineno}: unknown vertex {name!r}")
-        return ids[name]
 
     for lineno, parts in _tokens(text):
         head = parts[0]
@@ -121,7 +123,7 @@ def parse_game(text: str) -> tuple:
         elif head == "edge":
             if len(parts) != 3:
                 raise GameParseError(f"line {lineno}: expected 'edge <id> <id>'")
-            edges.append((vertex_id(lineno, parts[1]), vertex_id(lineno, parts[2])))
+            edges.append((_vertex(ids, lineno, parts[1]), _vertex(ids, lineno, parts[2])))
         elif head == "condition":
             if kind is not None:
                 raise GameParseError(f"line {lineno}: duplicate condition block")
@@ -134,14 +136,14 @@ def parse_game(text: str) -> tuple:
             if kind != "muller":
                 raise GameParseError(f"line {lineno}: 'f0' outside a muller condition")
             (group,) = _brace_groups(lineno, parts[1:], 1)
-            muller_sets.append(mask_of(vertex_id(lineno, nm) for nm in group))
+            muller_sets.append(mask_of(_vertex(ids, lineno, nm) for nm in group))
         elif head == "priority":
             if kind != "parity":
                 raise GameParseError(f"line {lineno}: 'priority' outside a parity condition")
             # isdigit() also accepts digits such as '²' that int() rejects
             if len(parts) != 3 or not (parts[2].isascii() and parts[2].isdigit()):
                 raise GameParseError(f"line {lineno}: expected 'priority <id> <nat>'")
-            if (v := vertex_id(lineno, parts[1])) in priorities:
+            if (v := _vertex(ids, lineno, parts[1])) in priorities:
                 raise GameParseError(f"line {lineno}: duplicate 'priority {parts[1]}'")
             priorities[v] = int(parts[2])
         elif head == "final":
@@ -149,15 +151,15 @@ def parse_game(text: str) -> tuple:
                 raise GameParseError(f"line {lineno}: 'final' outside a buchi/cobuchi condition")
             if len(parts) != 2:
                 raise GameParseError(f"line {lineno}: expected 'final <id>'")
-            finals |= bit(vertex_id(lineno, parts[1]))
+            finals |= bit(_vertex(ids, lineno, parts[1]))
         elif head == "pair":
             if kind != "rr":
                 raise GameParseError(f"line {lineno}: 'pair' outside an rr condition")
             req, resp = _brace_groups(lineno, parts[1:], 2)
             pairs.append(
                 (
-                    mask_of(vertex_id(lineno, nm) for nm in req),
-                    mask_of(vertex_id(lineno, nm) for nm in resp),
+                    mask_of(_vertex(ids, lineno, nm) for nm in req),
+                    mask_of(_vertex(ids, lineno, nm) for nm in resp),
                 )
             )
         else:
@@ -189,11 +191,13 @@ def parse_game(text: str) -> tuple:
 
 def _unreadable(name: str) -> str:
     """Why a game file cannot read back the vertex name ``name`` (empty,
-    ``}``, or holding whitespace or ``#``), or "" if it can."""
-    if not name or name == "}" or "#" in name or any(ch.isspace() for ch in name):
+    ``}``, or holding whitespace, ``#`` or ``,``), or "" if it can.  A ``,``
+    would make a region ambiguous: ``set_str`` and ``verify --start`` join
+    names with it."""
+    if not name or name == "}" or any(ch in "#," or ch.isspace() for ch in name):
         return (
             f"vertex name {name!r} cannot be read back: a name is not empty or '}}' "
-            "and holds no whitespace or '#'"
+            "and holds no whitespace, '#' or ','"
         )
     return ""
 
@@ -255,12 +259,9 @@ def parse_strategy(text: str, arena: Arena) -> FiniteStateStrategy:
     init: dict = {}
     update: dict = {}
     moves: dict = {}
-
-    def vid(lineno, name):
-        try:
-            return arena.index(name)
-        except KeyError:
-            raise GameParseError(f"line {lineno}: unknown vertex {name!r}") from None
+    ids: dict = {}
+    for v, name in enumerate(arena.names):
+        ids.setdefault(name, v)  # a repeated name reads as its first vertex
 
     def sid(lineno, label):
         if label not in declared:
@@ -285,26 +286,26 @@ def parse_strategy(text: str, arena: Arena) -> FiniteStateStrategy:
         elif head == "init":
             if len(parts) != 3:
                 raise GameParseError(f"line {lineno}: expected 'init <vertex> <state>'")
-            if (v := vid(lineno, parts[1])) in init:
+            if (v := _vertex(ids, lineno, parts[1])) in init:
                 raise GameParseError(f"line {lineno}: duplicate 'init {parts[1]}'")
             init[v] = sid(lineno, parts[2])
         elif head == "update":
             if len(parts) != 4:
                 raise GameParseError(f"line {lineno}: expected 'update <state> <vertex> <state>'")
-            if (key := (sid(lineno, parts[1]), vid(lineno, parts[2]))) in update:
+            if (key := (sid(lineno, parts[1]), _vertex(ids, lineno, parts[2]))) in update:
                 raise GameParseError(f"line {lineno}: duplicate 'update {parts[1]} {parts[2]}'")
             update[key] = sid(lineno, parts[3])
         elif head == "move":
             if len(parts) < 5:
                 raise GameParseError(f"line {lineno}: expected 'move <vertex> <state> {{ ... }}'")
-            v = vid(lineno, parts[1])
+            v = _vertex(ids, lineno, parts[1])
             m = sid(lineno, parts[2])
             if (v, m) in moves:
                 raise GameParseError(f"line {lineno}: duplicate 'move {parts[1]} {parts[2]}'")
             (group,) = _brace_groups(lineno, parts[3:], 1)
             if not group:
                 raise GameParseError(f"line {lineno}: empty move set")
-            targets = tuple(vid(lineno, nm) for nm in group)
+            targets = tuple(_vertex(ids, lineno, nm) for nm in group)
             for u in targets:
                 if not arena.has_edge(v, u):
                     raise GameParseError(
@@ -364,8 +365,8 @@ def _node(name, owner, doubled=False):
 
 def export_dot(obj) -> str:
     """Graphviz text for an arena, a safety reduction (safe classes drawn
-    with double lines), a product game, or a strategy product."""
-    if isinstance(obj, (Arena, SafetyReduction, ProductGame)):
+    with double lines), or a strategy product."""
+    if isinstance(obj, (Arena, SafetyReduction)):
         arena, safe = (obj, 0) if isinstance(obj, Arena) else (obj.game.arena, obj.game.safe)
         names = arena.names
         nodes = [_node(names[v], arena.owner[v], bool(safe & bit(v))) for v in range(arena.n)]
@@ -543,16 +544,6 @@ def _cmd_random(args) -> int:
 
 def _cmd_monitor(args) -> int:
     arena, condition = _load_game(args.game)
-    kinds = {
-        MullerCondition: "muller",
-        BuchiCondition: "buchi",
-        CoBuchiCondition: "cobuchi",
-        ParityCondition: "parity",
-        RequestResponseCondition: "rr",
-    }
-    actual = kinds[type(condition)]
-    if args.kind is not None and args.kind != actual:
-        raise GameParseError(f"game has a {actual} condition, not {args.kind}")
     dfa = monitor_for(arena, condition)
     if args.out == "dot":
         sys.stdout.write(monitor_dot(dfa, arena, args.max_states))
@@ -640,7 +631,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("monitor", help="the safety monitor of a game's condition")
     p.add_argument("game")
-    p.add_argument("--kind", choices=("buchi", "cobuchi", "parity", "rr", "muller"))
     p.add_argument("--out", choices=("text", "dot"), default="text")
     p.add_argument("--max-states", type=_at_least_one, default=DEFAULT_MAX_STATES)
     p.set_defaults(func=_cmd_monitor)

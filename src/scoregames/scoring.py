@@ -14,16 +14,12 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence
 
-
-class ScoreState(NamedTuple):
-    score: int
-    acc: int  # bitmask, always a proper subset of the tracked set
-
-
-ZERO = ScoreState(0, 0)
+# A state of one tracked set is the plain pair (score, acc); ``acc`` is a
+# bitmask, always a proper subset of the set.  ZERO is the one reset pair.
+ZERO = (0, 0)
 
 
-def score_step(f: int, state: ScoreState, v: int) -> ScoreState:
+def score_step(f: int, state: tuple, v: int) -> tuple:
     """One letter of the scoring update for the set ``f`` (a bitmask):
 
     - v outside f resets to (0, {});
@@ -37,12 +33,13 @@ def score_step(f: int, state: ScoreState, v: int) -> ScoreState:
     b = 1 << v
     if not f & b:
         return ZERO
-    if state.acc == f & ~b:
-        return ScoreState(state.score + 1, 0)
-    return ScoreState(state.score, state.acc | b)
+    score, acc = state
+    if acc == f & ~b:
+        return (score + 1, 0)
+    return (score, acc | b)
 
 
-def score_word(f: int, word: Sequence[int]) -> ScoreState:
+def score_word(f: int, word: Sequence[int]) -> tuple:
     if not word:
         raise ValueError("score of the empty word is undefined")
     state = ZERO
@@ -60,8 +57,8 @@ def maxscore(family: Iterable[int], word: Sequence[int]) -> int:
         state = ZERO
         for v in word:
             state = score_step(f, state, v)
-            if state.score > best:
-                best = state.score
+            if state[0] > best:
+                best = state[0]
     return best
 
 
@@ -81,12 +78,11 @@ def entries_init(family: Sequence[int], v: int) -> tuple:
     return tuple(score_step(f, ZERO, v) for f in family)
 
 
-def entries_step(family: Sequence[int], entries: Sequence[ScoreState], v: int, pairs: dict) -> tuple:
+def entries_step(family: Sequence[int], entries: Sequence[tuple], v: int, pairs: dict) -> tuple:
     # A reset is ZERO; every other pair comes from ``pairs``, a table the
-    # caller owns that maps each (score, acc) it has seen to its one plain
+    # caller owns that maps each (score, acc) it has seen to its one
     # tuple, so equal pairs in the caller's states are one object.  The
-    # table grows to the distinct pairs of its caller; plain tuples compare
-    # and hash exactly like ScoreState.
+    # table grows to the distinct pairs of its caller.
     b = 1 << v
     out = []
     push = out.append
@@ -100,7 +96,7 @@ def entries_step(family: Sequence[int], entries: Sequence[ScoreState], v: int, p
     return tuple(out)
 
 
-def entries_terminal(entries: Sequence[ScoreState], cap: int = 3) -> bool:
+def entries_terminal(entries: Sequence[tuple], cap: int = 3) -> bool:
     return any(st[0] >= cap for st in entries)
 
 

@@ -13,7 +13,7 @@ from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .arena import Arena, MullerCondition, bit, f1_loops, iter_bits, swap_roles
+from .arena import Arena, MullerCondition, bit, f1_loops, iter_bits
 from .reduction import DEFAULT_MAX_STATES, SafetyReduction, Search, _path, build_safety_game
 from .safety_solver import SafetySolution, solve_safety
 from .scoring import entries_init, entries_step, entries_terminal, family_of, sheet_le
@@ -337,7 +337,8 @@ def verify_bounded_scores(
     if start & ~arena.full_mask:
         raise ValueError("start vertices outside the arena")
     if strat.owner_player == 1:
-        arena, muller = swap_roles(arena, muller)
+        # Player 1's side: players exchanged, f0 the loops Player 0 loses
+        arena, muller = arena.swap_roles(), MullerCondition(frozenset(f1_loops(arena, muller)))
     family = family_of(f1_loops(arena, muller))
     cap = bound + 1
 

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from scoregames.arena import Arena, Lasso, MullerCondition, mask_of
+from scoregames.arena import Arena, Lasso, MullerCondition, iter_bits, mask_of
 from scoregames.oracle import GeneratorConfig, random_game
+from scoregames.safety_framework import REJECT
 
 
 @pytest.fixture
@@ -79,3 +80,21 @@ def alternating_strategy():
     return FiniteStateStrategy.from_tables(
         0, 3, states, init.items(), update.items(), next_move.items()
     )
+
+
+def strategy_keeps_reject_unreachable(arena, dfa, w0, strat):
+    """True iff no play from ``w0`` consistent with the Player-0 monitor
+    strategy ``strat`` reaches the monitor ``dfa``'s REJECT state."""
+    stack = [(v, strat.initial(v)) for v in iter_bits(w0)]
+    seen = set(stack)
+    while stack:
+        v, q = stack.pop()
+        if q is REJECT:
+            return False
+        targets = strat.moves(v, q) if arena.owner[v] == 0 else arena.succ[v]
+        for u in targets:
+            child = (u, dfa.step(q, u))
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
+    return True

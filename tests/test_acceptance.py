@@ -16,12 +16,7 @@ from scoregames.arena import bit, iter_bits, mask_of
 from scoregames.cli import main
 from scoregames.oracle import GeneratorConfig, encode_as_muller, random_game, zielonka
 from scoregames.reduction import build_safety_game, lar_sum_bound
-from scoregames.safety_framework import (
-    REJECT,
-    monitor_for,
-    muller_monitor,
-    solve_via_safety,
-)
+from scoregames.safety_framework import monitor_for, muller_monitor, solve_via_safety
 from scoregames.safety_solver import solve_safety
 from scoregames.scoring import maxscore, score_word, sheet_le
 from scoregames.strategy import (
@@ -34,7 +29,13 @@ from scoregames.strategy import (
     verify_bounded_scores,
 )
 
-from conftest import EXAMPLE4_GAME_TEXT, alternating_strategy, m, word
+from conftest import (
+    EXAMPLE4_GAME_TEXT,
+    alternating_strategy,
+    m,
+    strategy_keeps_reject_unreachable,
+    word,
+)
 
 
 @contextmanager
@@ -235,7 +236,7 @@ def framework_corpus():
             zw0, _ = zielonka(arena, encode_as_muller(arena, condition))
             if w0 != zw0:
                 results["mismatches"].append((seed, kind))
-            if not _reject_unreachable(arena, dfa, w0, strat):
+            if not strategy_keeps_reject_unreachable(arena, dfa, w0, strat):
                 results["reject_reached"].append((seed, kind))
 
         # the Muller monitor route agrees with the quotient construction
@@ -247,27 +248,10 @@ def framework_corpus():
         direct = mask_of(v for v in range(n) if sol.w0 & bit(red.embed[v]))
         if w0m != direct:
             results["muller_mismatches"].append(seed)
-        if not _reject_unreachable(arena, dfa, w0m, strat):
+        if not strategy_keeps_reject_unreachable(arena, dfa, w0m, strat):
             results["reject_reached"].append((seed, "muller"))
         results["arenas"] += 1
     return results
-
-
-def _reject_unreachable(arena, dfa, w0, strat):
-    seen = set()
-    stack = [(v, strat.initial(v)) for v in iter_bits(w0)]
-    seen.update(stack)
-    while stack:
-        v, q = stack.pop()
-        if q is REJECT:
-            return False
-        targets = strat.moves(v, q) if arena.owner[v] == 0 else arena.succ[v]
-        for u in targets:
-            child = (u, dfa.step(q, u))
-            if child not in seen:
-                seen.add(child)
-                stack.append(child)
-    return True
 
 
 def test_criterion_08_framework_agreement(framework_corpus):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -18,8 +19,7 @@ from scoregames.arena import (
     f1_loops,
     infi,
     is_loop,
-    occ,
-    swap_roles,
+    mask_of,
     validate,
     winner,
 )
@@ -77,9 +77,10 @@ def test_validate_condition_messages(example4):
 
 
 def test_occ():
-    assert occ(word("10012100")) == m(0, 1, 2)
-    assert occ(word("0")) == m(0)
-    assert occ(word("1212")) == m(1, 2)
+    # the vertices occurring in a word, as a bitmask
+    assert mask_of(word("10012100")) == m(0, 1, 2)
+    assert mask_of(word("0")) == m(0)
+    assert mask_of(word("1212")) == m(1, 2)
 
 
 def test_infi():
@@ -104,6 +105,28 @@ def test_winner_rejects_non_path(example4):
     arena, muller = example4
     with pytest.raises(ValueError):
         winner(arena, muller, Lasso((0,), (2,)))
+
+
+@pytest.mark.parametrize(
+    "lasso, problem",
+    [
+        (Lasso(word("1"), ()), "empty cycle"),
+        (Lasso((), (0, 5)), "unknown vertex in lasso"),
+        (Lasso(word("02"), word("2")), "stem.cycle is not a path"),
+        (Lasso((), word("0012")), "cycle does not close"),
+    ],
+)
+def test_winner_names_the_lasso_problem(example4, lasso, problem):
+    arena, muller = example4
+    with pytest.raises(ValueError, match=f"^invalid lasso: {re.escape(problem)}$"):
+        winner(arena, muller, lasso)
+
+
+def test_build_rejects_bad_input():
+    with pytest.raises(ValueError, match="^names and owner must have the same length$"):
+        Arena.build([0, 1], [(0, 1), (1, 0)], ["a"])
+    with pytest.raises(ValueError, match=r"^edge \(0, 2\) references an unknown vertex$"):
+        Arena.build([0, 1], [(0, 1), (0, 2)])
 
 
 def test_winner_buchi_cobuchi():
@@ -170,10 +193,11 @@ def test_f1_loops(example4):
 
 def test_swap_roles(example4):
     arena, muller = example4
-    swapped, smuller = swap_roles(arena, muller)
+    swapped = arena.swap_roles()
     assert swapped.owner == (0, 1, 0)
-    assert smuller.f0 == frozenset({m(0, 1), m(1, 2)})
     assert swapped.succ == arena.succ
+    # Player 1's family on the swapped game: the loops Player 0 loses
+    assert frozenset(f1_loops(arena, muller)) == frozenset({m(0, 1), m(1, 2)})
 
 
 @settings(max_examples=60, deadline=None)

@@ -14,7 +14,7 @@ from scoregames.cli import (
     serialize_game,
     serialize_strategy,
 )
-from scoregames import strategy
+from scoregames import cli, strategy
 from scoregames.arena import Arena, MullerCondition, SizeLimitError
 from scoregames.oracle import GeneratorConfig, random_game
 from scoregames.reduction import Search, build_safety_game
@@ -56,6 +56,12 @@ condition parity
 priority a 0
 priority b 1
 """
+
+BUCHI_TEXT = "vertex a 0\nvertex b 1\nedge a b\nedge b a\nedge b b\ncondition buchi\nfinal a\n"
+RR_TEXT = (
+    "vertex a 1\nvertex b 0\nvertex c 1\nedge a b\nedge b a\nedge b c\nedge c a\n"
+    "condition rr\npair { a } { c }\n"
+)
 
 # '}' names a vertex that no group lists
 BRACE_VERTEX_TEXT = (
@@ -129,11 +135,12 @@ def test_strategy_roundtrip(example4):
 
 
 @pytest.mark.parametrize(
-    "names", [("ok", "a b"), ("ok", "}"), ("ok", "#x"), ("ok", ""), ("x", "x")]
+    "names", [("ok", "a b"), ("ok", "}"), ("ok", "#x"), ("ok", ""), ("x", "x"), ("ok", "a,b")]
 )
 def test_names_that_cannot_be_read_back_are_refused(names):
     # parse_game would misread or reject each second name: whitespace and
-    # '#' split it, '}' closes a group, and a repeated name is a duplicate
+    # '#' split it, '}' closes a group, ',' joins the names of a region, and
+    # a repeated name is a duplicate
     arena = Arena.build([0, 1], [(0, 1), (1, 0)], names)
     muller = MullerCondition(frozenset({0b11}))
     red = build_safety_game(arena, muller)
@@ -145,9 +152,9 @@ def test_names_that_cannot_be_read_back_are_refused(names):
 
 
 # any name parse_game reads back as one token: not empty or '}', and
-# without whitespace or '#'
+# without whitespace, '#' or ','
 READABLE_NAME = st.text(
-    st.characters(exclude_characters="#", exclude_categories=("Cs",)), min_size=1
+    st.characters(exclude_characters="#,", exclude_categories=("Cs",)), min_size=1
 ).filter(lambda name: name != "}" and not any(ch.isspace() for ch in name))
 
 
@@ -433,8 +440,6 @@ def test_cli_monitor(tmp_path, capsys):
     code, out, _ = run(capsys, "monitor", path, "--out", "dot")
     assert code == 0
     assert out.startswith("digraph")
-    code, _, err = run(capsys, "monitor", path, "--kind", "parity")
-    assert code == 2
 
 
 @pytest.mark.parametrize("seed, kind", [(1005, "parity"), (1001, "buchi"), (1002, "rr")])
@@ -555,6 +560,68 @@ def test_cli_errors(tmp_path, capsys):
     assert err == "error: strategy file: strategy has no initial state for vertex b\n"
 
 
+# a vertex named 'a,b' next to vertices a and b: the region {a, b} would
+# print as {a,b} and 'verify --start a,b' would read as {a, b}
+COMMA_VERTEX_TEXT = (
+    "vertex a 0\nvertex b 0\nvertex a,b 1\nedge a a\nedge b b\nedge a,b a,b\n"
+    "condition muller\nf0 { a }\nf0 { b }\n"
+)
+
+# (game file, strategy file or None, message); game files alone are read by
+# solve, strategy files (for the running example) by verify
+ERROR_PATHS = [
+    (RR_TEXT.replace("pair { a } { c }", "pair { a }"), None, "line 9: expected 2 braced group(s)"),
+    (BUCHI_TEXT.replace("final a", "final a b"), None, "line 7: expected 'final <id>'"),
+    (EXAMPLE4_GAME_TEXT + "pair { 0 } { 1 }\n", None, "line 15: 'pair' outside an rr condition"),
+    ("condition muller\n", None, "no vertices declared"),
+    (PARITY_TEXT.replace("priority b 1\n", ""), None, "missing priority for vertices: b"),
+    (
+        COMMA_VERTEX_TEXT,
+        None,
+        "line 3: vertex name 'a,b' cannot be read back: a name is not empty or '}' and holds"
+        " no whitespace, '#' or ','",
+    ),
+    (EXAMPLE4_GAME_TEXT, "player 0 1\n", "line 1: expected 'player <0|1>'"),
+    (EXAMPLE4_GAME_TEXT, "player 0\nstate\n", "line 2: expected 'state <label>'"),
+    (EXAMPLE4_GAME_TEXT, "player 0\nstate s\ninit 0\n", "line 3: expected 'init <vertex> <state>'"),
+    (
+        EXAMPLE4_GAME_TEXT,
+        "player 0\nstate s\nupdate s 0\n",
+        "line 3: expected 'update <state> <vertex> <state>'",
+    ),
+    (
+        EXAMPLE4_GAME_TEXT,
+        "player 0\nstate s\nmove 1 s\n",
+        "line 3: expected 'move <vertex> <state> { ... }'",
+    ),
+    (EXAMPLE4_GAME_TEXT, "player 0\nstate s\nmove 1 s { }\n", "line 3: empty move set"),
+    (EXAMPLE4_GAME_TEXT, "player 0\nstate s\ninit 9 s\n", "line 3: unknown vertex '9'"),
+    (EXAMPLE4_GAME_TEXT, "player 0\nstate s\nmove 1 s { 9 }\n", "line 3: unknown vertex '9'"),
+]
+
+
+@pytest.mark.parametrize(
+    "game_text, strategy_text, message", ERROR_PATHS, ids=range(len(ERROR_PATHS))
+)
+def test_cli_error_paths_exit_2_with_their_message(
+    tmp_path, capsys, game_text, strategy_text, message
+):
+    # every failure reaches the command line as its exit code and message
+    game = game_file(tmp_path, game_text)
+    if strategy_text is None:
+        argv = ("solve", game)
+    else:
+        argv = ("verify", game, game_file(tmp_path, strategy_text, "strategy.txt"))
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_cli_oracle_disagreement_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_regions", lambda arena, condition: (0, arena.full_mask))
+    code, out, err = run(capsys, "oracle", game_file(tmp_path))
+    assert (code, err) == (1, "")
+    assert out.endswith("solver W0 = {}\nsolver W1 = {0,1,2}\nagreement: NO\n")
+
+
 def test_cli_determinism(tmp_path, capsys):
     path = game_file(tmp_path)
     for argv in (
@@ -597,11 +664,6 @@ def test_cli_permissive_for_player1_is_rejected(tmp_path, capsys):
     assert "player 0" in err
 
 
-BUCHI_TEXT = "vertex a 0\nvertex b 1\nedge a b\nedge b a\nedge b b\ncondition buchi\nfinal a\n"
-RR_TEXT = (
-    "vertex a 1\nvertex b 0\nvertex c 1\nedge a b\nedge b a\nedge b c\nedge c a\n"
-    "condition rr\npair { a } { c }\n"
-)
 JUNK = ("{", "}", "0", "1", "2", "3", "-1", "a", "b", "x", "bot", "s", "go0", "\u00b2", "player")
 
 
@@ -690,8 +752,7 @@ def fuzzed_argv(draw, games, strategies, broken):
         "random": {"--vertices": value("1", "2", "3"), "--density": value("0.5", "1", huge),
                    "--owner-bias": value("0.5", "nan"), "--seed": value("1", huge),
                    "--kind": value("muller", "buchi", "cobuchi", "parity", "rr")},
-        "monitor": {"--kind": value("muller", "buchi", "cobuchi", "parity", "rr"),
-                    "--out": value("text", "dot"), "--max-states": count},
+        "monitor": {"--out": value("text", "dot"), "--max-states": count},
     }
     command = draw(st.sampled_from(sorted(options)))
     argv = [command]

@@ -122,11 +122,12 @@ def test_example4_class_merging(ex4_reduction):
 
 def test_class_of_rejects_bad_input(ex4_reduction):
     red = ex4_reduction
-    with pytest.raises(ValueError):
-        red.class_of(word("02"))  # not a path
-    with pytest.raises(ValueError):
-        red.class_of(word("1001011"))  # proper prefix already crossed
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^word is not a path of the arena$"):
+        red.class_of(word("02"))
+    # a path whose proper prefix 100101 already reached the sink
+    with pytest.raises(ValueError, match="^a proper prefix already reached the threshold$"):
+        red.class_of(word("1001010"))
+    with pytest.raises(ValueError, match="^empty play prefix$"):
         red.class_of(())
 
 

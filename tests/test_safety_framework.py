@@ -14,7 +14,6 @@ from scoregames.arena import (
     ParityCondition,
     RequestResponseCondition,
     bit,
-    iter_bits,
     mask_of,
     winner,
 )
@@ -37,7 +36,7 @@ from scoregames.safety_framework import (
 from scoregames.safety_solver import solve_safety
 from scoregames.scoring import ZERO
 
-from conftest import m, random_lasso, word
+from conftest import m, random_lasso, strategy_keeps_reject_unreachable, word
 from test_acceptance import corpus_config
 
 
@@ -316,26 +315,6 @@ def test_solve_via_safety_muller_example4(example4):
     sol = solve_safety(red.game)
     embedded = mask_of(v for v in range(3) if sol.w0 & bit(red.embed[v]))
     assert w0 == embedded
-
-
-def strategy_keeps_reject_unreachable(arena, dfa, w0, strat):
-    seen = set()
-    queue = []
-    for v in iter_bits(w0):
-        node = (v, strat.initial(v))
-        seen.add(node)
-        queue.append(node)
-    while queue:
-        v, q = queue.pop()
-        if q is REJECT:
-            return False
-        targets = strat.moves(v, q) if arena.owner[v] == 0 else arena.succ[v]
-        for u in targets:
-            child = (u, dfa.step(q, u))
-            if child not in seen:
-                seen.add(child)
-                queue.append(child)
-    return True
 
 
 def test_solve_via_safety_request_response_hand_analyzed():

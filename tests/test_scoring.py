@@ -7,7 +7,6 @@ from scoregames.arena import is_loop
 from scoregames.scoring import (
     PackedKernel,
     ScoreSheet,
-    ScoreState,
     ZERO,
     entries_init,
     entries_step,
@@ -41,8 +40,8 @@ def test_maxscore_paper_values():
 
 
 def test_score_step_cases():
-    assert score_step(F01, ScoreState(1, m(0)), 1) == (2, 0)
-    assert score_step(F01, ScoreState(2, m(0)), 2) == (0, 0)
+    assert score_step(F01, (1, m(0)), 1) == (2, 0)
+    assert score_step(F01, (2, m(0)), 2) == (0, 0)
     assert score_word(m(1), word("1")) == (1, 0)
     assert score_step(m(1), ZERO, 1) == (1, 0)
 
@@ -73,6 +72,7 @@ def entry(entries, f):
 
 def test_sheet_init_values():
     e = entries_init(FAMILY, 1)
+    assert all(type(p) is tuple for p in e)
     assert entry(e, F01) == (0, m(1))
     assert entry(e, F12) == (0, m(1))
     assert entries_init(family_of([m(1)]), 1) == ((1, 0),)
@@ -148,11 +148,10 @@ def test_congruence_of_scores(w, w2, u, f):
     # appending the same suffix preserves the per-set comparison
     if w[-1] != w2[-1]:
         return
-    a, b = score_word(f, w), score_word(f, w2)
-    le = a.score < b.score or (a.score == b.score and a.acc & ~b.acc == 0)
-    if le:
-        a2, b2 = score_word(f, w + u), score_word(f, w2 + u)
-        assert a2.score < b2.score or (a2.score == b2.score and a2.acc & ~b2.acc == 0)
+    (sa, aa), (sb, ab) = score_word(f, w), score_word(f, w2)
+    if sa < sb or (sa == sb and aa & ~ab == 0):
+        (sa, aa), (sb, ab) = score_word(f, w + u), score_word(f, w2 + u)
+        assert sa < sb or (sa == sb and aa & ~ab == 0)
 
 
 def _pack(n, entries):
@@ -183,8 +182,8 @@ def test_sheet_matches_recomputation(w):
         assert (crossed == [0]) == entries_terminal(entries)
         for f, st_ in zip(family, entries):
             expected = score_word(f, w[:i])
-            assert st_[0] == min(expected.score, 3)
-            if expected.score < 3:
+            assert st_[0] == min(expected[0], 3)
+            if expected[0] < 3:
                 assert st_ == expected
 
 
@@ -245,14 +244,14 @@ def test_lar_determines_scores(w):
     lar = lar_of(w)
     suffixes = [m(*lar[i:]) for i in range(len(lar))]
     for f in range(1, 16):
-        st_ = score_word(f, w)
-        if st_.score > 0:
+        score, acc = score_word(f, w)
+        if score > 0:
             assert f in suffixes
             shorter = [s for s in suffixes if s & ~f == 0 and s != f] + [0]
-            assert st_.acc in shorter
+            assert acc in shorter
         else:
             inside = [s for s in suffixes if s & ~f == 0]
-            assert st_.acc == (max(inside, key=lambda s: s.bit_count()) if inside else 0)
+            assert acc == (max(inside, key=lambda s: s.bit_count()) if inside else 0)
 
 
 @settings(max_examples=80, deadline=None)
@@ -269,7 +268,7 @@ def test_score_two_implies_loop(seed):
         state = ZERO
         for u in walk:
             state = score_step(f, state, u)
-            if state.score >= 2:
+            if state[0] >= 2:
                 assert is_loop(arena, f)
                 break
 
@@ -289,9 +288,9 @@ def test_sheet_le_is_a_preorder(a, b, c):
 @settings(max_examples=100, deadline=None)
 @given(w=words3, f=sets3)
 def test_accumulator_is_proper_subset(w, f):
-    st_ = score_word(f, w)
-    assert st_.acc & ~f == 0
-    assert st_.acc != f
+    _, acc = score_word(f, w)
+    assert acc & ~f == 0
+    assert acc != f
 
 
 def test_entries_terminal():

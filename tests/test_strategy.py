@@ -17,7 +17,6 @@ from scoregames.arena import (
     f1_loops,
     is_path,
     iter_bits,
-    swap_roles,
 )
 from scoregames.cli import parse_strategy, serialize_strategy
 from scoregames.oracle import GeneratorConfig, random_game
@@ -225,6 +224,22 @@ def test_subsumption_rejects_unbounded_candidate(ex4_pipeline):
         check_subsumption_bounded(arena, muller, stubborn_strategy(), perm, 1, 20)
 
 
+def test_verify_and_subsumption_reject_bad_strategies(example4):
+    arena, muller = example4
+    short = FiniteStateStrategy.from_tables(0, 2, ("s",), [(0, "s"), (1, "s")], (), ())
+    with pytest.raises(ValueError, match="^strategy is for 2 vertices, the arena has 3$"):
+        verify_bounded_scores(arena, muller, short, m(0), 2)
+    # vertex 1 has no self-loop
+    stray = FiniteStateStrategy.from_tables(
+        0, 3, ("s",), [(1, "s")], [(("s", v), "s") for v in range(3)], [((1, "s"), (1,))]
+    )
+    with pytest.raises(ValueError, match="^strategy proposes a non-edge 1 -> 1$"):
+        verify_bounded_scores(arena, muller, stray, m(1), 2)
+    player1 = FiniteStateStrategy.from_tables(1, 3, ("s",), (), (), ())
+    with pytest.raises(ValueError, match="^strategies must belong to the same player$"):
+        check_subsumption_bounded(arena, muller, alternating_strategy(), player1, 1, 5)
+
+
 def test_subsumption_fails_at_its_depth(ex4_pipeline):
     # vertex 0 is Player 1's, so the first prefix consistent with the
     # permissive strategy and not with the antichain one is 0 1 0: after
@@ -335,7 +350,7 @@ def reference_verify(arena, muller, strat, start, bound):
     returning the same verdict and witness or raising the same
     ValueError."""
     if strat.owner_player == 1:
-        arena, muller = swap_roles(arena, muller)
+        arena, muller = arena.swap_roles(), MullerCondition(frozenset(f1_loops(arena, muller)))
     family = family_of(f1_loops(arena, muller))
     parent = {}
     pairs = {}
