@@ -326,6 +326,7 @@ def serialize_strategy(strat: FiniteStateStrategy, arena: Arena) -> str:
     """The strategy file of ``strat``: state ``i`` is labelled ``m<i>``,
     and BOTTOM ``bot``; each table is written in state-number order, and
     the moves vertex by vertex."""
+    strat.check_arena(arena)
     _check_names(arena)
     n, names = arena.n, arena.names
     labels = ["bot" if m is BOTTOM else f"m{i}" for i, m in enumerate(strat.states)]

@@ -17,7 +17,7 @@ from math import comb, factorial
 from typing import Callable, Iterable, Optional
 
 from .arena import Arena, MullerCondition, SizeLimitError, Successors, Word, f1_loops, is_path
-from .scoring import PackedKernel, ScoreSheet, family_of
+from .scoring import PackedKernel, family_of
 
 DEFAULT_MAX_STATES = 500_000
 
@@ -130,18 +130,16 @@ class SafetyReduction:
     Class numbering is breadth-first discovery order and therefore
     reproducible.
 
-    Stored per class: ``keys[c]``, one int ``x | last << top`` that packs
-    the class's score vector ``x`` of ``scoring.PackedKernel`` into its low
-    ``top`` bits and its last vertex above them (-1 for the sink), and
+    Stored per class: ``keys[c]``, the class's score sheet packed into one
+    int by ``_kernel``, a ``scoring.PackedKernel`` (-1 for the sink), and
     ``parents[c]``, the class whose expansion found ``c`` (-1 for the
-    embedded vertices).  ``top`` is the width of the kernel's fields, whose
-    layout ``PackedKernel`` describes.  The quotient arena is the only
-    successor table: a successor ``t`` of ``c`` other than the sink is the
-    edge labelled ``last(t)``, and every other successor of the last vertex
-    leads to the sink (whose only successor is itself); ``step_class`` and
-    the strategy tables read a class's row this way.  Also stored:
+    embedded vertices).  The quotient arena is the only successor table: a
+    successor ``t`` of ``c`` other than the sink is the edge labelled
+    ``last(t)``, and every other successor of the last vertex leads to the
+    sink (whose only successor is itself); ``step_class`` and the strategy
+    tables read a class's row this way.  Also stored:
     ``unsafe_class_count``, the number of distinct keys that reached the
-    threshold, and ``_kernel``, which decodes the keys.
+    threshold.
 
     Derived on access: the quotient's vertex names (``[`` + the base vertex
     names along ``rep_words[c]`` + ``]``, joined as ``Arena.word_str`` joins
@@ -160,7 +158,6 @@ class SafetyReduction:
     family: tuple
     sink: Optional[int]
     unsafe_class_count: int
-    top: int
     _kernel: PackedKernel = field(repr=False)
 
     @property
@@ -177,17 +174,13 @@ class SafetyReduction:
 
     def last(self, c: int) -> int:
         """The last vertex of class ``c`` (not the sink)."""
-        return self.keys[c] >> self.top
+        return self._kernel.last(self.keys[c])
 
-    def _sheet(self, c: int) -> Optional[ScoreSheet]:
-        if c == self.sink:
-            return None
-        return ScoreSheet(self.last(c), self._kernel.entries(self.keys[c]))
+    def _sheet(self, c: int):
+        return None if c == self.sink else self._kernel.sheet(self.keys[c])
 
     def _rep_word(self, c: int) -> Optional[Word]:
-        if c == self.sink:
-            return None
-        return _path(self.parents, c, self.last)
+        return None if c == self.sink else _path(self.parents, c, self.last)
 
     def step_class(self, c: int, v: int) -> int:
         """The quotient successor of class ``c`` under vertex ``v``: the
@@ -195,8 +188,7 @@ class SafetyReduction:
         the sink."""
         if 0 <= c < self.n_classes and c != self.sink:
             if v in self.base_arena.succ[self.last(c)]:
-                flat, start = self.game.arena.succ.flat, self.game.arena.succ.start
-                for t in flat[start[c] : start[c + 1]]:
+                for t in self.game.arena.succ[c]:
                     if t != self.sink and self.last(t) == v:
                         return t
                 return self.sink
@@ -250,18 +242,15 @@ def build_safety_game(
         base = arena.swap_roles()
         family = family_of(muller.f0)
 
-    # a key is x | last << top, so every key but the sink's (-1) is >= 0;
-    # the kernel reads only the vector's bits, so it steps a key in place
-    top = len(family) * (base.n + 2)
     kernel = PackedKernel(family, base.n)
-    # each vertex's successor row as kernel lanes, tagged with the
-    # successor, made once per vertex
-    lanes = [kernel.lanes(row, [v << top for v in row]) for row in base.succ]
+    last, top = kernel.last, kernel.top  # expand inlines last as key >> top
+    # each vertex's successor row as kernel lanes, made once per vertex
+    lanes = [kernel.lanes(row) for row in base.succ]
     step_lanes = kernel.step_lanes
     unsafe: set = set()
 
     def expand(key):
-        if key < 0:
+        if key < 0:  # the sink's key; every other key is >= 0
             return (-1,)  # the sink is absorbing
         ys, crossed = step_lanes(key, lanes[key >> top], threshold)
         if crossed:
@@ -274,7 +263,7 @@ def build_safety_game(
 
     # the seeds differ in their vertex, so vertex v is class v; each is
     # one step from the empty play's all-zero vector
-    seeds, _ = step_lanes(0, kernel.lanes(range(base.n), [v << top for v in range(base.n)]))
+    seeds, _ = step_lanes(0, kernel.lanes(range(base.n)))
     search = Search(seeds, max_states)
     succ = search.table(expand)
     keys, parents = search.keys, search.parents
@@ -285,15 +274,15 @@ def build_safety_game(
     def name(c):
         if c == sink:
             return "unsafe"
-        return "[" + base.word_str(_path(parents, c, lambda i: keys[i] >> top)) + "]"
+        return "[" + base.word_str(_path(parents, c, lambda i: last(keys[i]))) + "]"
 
     # the sink is absorbing, so its owner never matters
-    owner = tuple(1 if key < 0 else base.owner[key >> top] for key in keys)
+    owner = tuple(1 if key < 0 else base.owner[last(key)] for key in keys)
     quotient = Arena(_ClassView(len(keys), name), owner, succ)
     safe = (1 << len(keys)) - 1
     if sink is not None:
         safe &= ~(1 << sink)
-    reduction = SafetyReduction(
+    return SafetyReduction(
         game=SafetyGame(quotient, safe),
         base_arena=base,
         embed=tuple(range(base.n)),
@@ -304,7 +293,5 @@ def build_safety_game(
         family=family,
         sink=sink,
         unsafe_class_count=len(unsafe),
-        top=top,
         _kernel=kernel,
     )
-    return reduction

@@ -109,10 +109,12 @@ class PackedKernel:
     accumulator in the low n bits and its score in the next two.  Vectors
     below the threshold have scores of at most 2, so one increment still
     fits in the field; the all-zero vector is the empty play, so stepping
-    it gives the single-letter vector of a vertex.  A step reads only the
-    fields, so a caller may keep its own data in the bits above them and
-    step the whole int, and a lane's tag sets those bits in the vector a
-    step reaches: the quotient keeps a class's last vertex there.
+    it gives the single-letter vector of a vertex.  A class key of the
+    quotient is a vector with its play's last vertex above the ``top`` bits
+    of the fields; a step reads only the fields, so it steps a key in place,
+    and the lane of successor ``v`` puts ``v`` above the fields it writes.
+    ``last(key)`` reads the vertex back; a caller's hot loop may inline it
+    as ``key >> top``, so a change of this layout changes that caller too.
     """
 
     def __init__(self, family: Sequence[int], n: int):
@@ -125,6 +127,7 @@ class PackedKernel:
             accm |= ones << i * width
             slo |= 1 << i * width + n
         self._accm, self._slo = accm, slo
+        self.top = len(self.family) * width
         # per vertex v: keep (the fields of sets containing v), rem (f minus
         # v, and all ones for the other fields, which never match) and bv
         # (bit v in the fields of keep)
@@ -141,24 +144,23 @@ class PackedKernel:
                     rem |= ones << i * width
             self._masks.append((keep, rem, bv))
 
-    def lanes(self, vs: Iterable[int], tags: Iterable[int]) -> tuple:
+    def lanes(self, vs: Iterable[int]) -> tuple:
         """A row of successors ``vs`` made ready for ``step_lanes``: one
-        lane per successor, holding what its step reads and the caller's
-        tag for it, ``tags[i]``, which the step ORs into the vector after
-        ``vs[i]``.  A tag must have no bit in the fields.  A caller
-        stepping many vectors through one row makes its lanes once."""
-        masks = self._masks
-        return tuple(masks[v] + (tag,) for v, tag in zip(vs, tags))
+        lane per successor, holding what its step reads and the successor
+        shifted above the fields.  A caller stepping many keys through one
+        row makes its lanes once."""
+        masks, top = self._masks, self.top
+        return tuple(masks[v] + (v << top,) for v in vs)
 
     def step_lanes(self, x: int, lanes: Iterable[tuple], cap: int = 3) -> tuple:
-        """The vector after each successor of a row of ``lanes`` from
-        ``x``, in order and ORed with the lane's tag, as a list, and the
-        list of the positions of the steps whose vector has a score of
-        ``cap`` (2 or 3).  Every score of ``x`` must be below ``cap``.
+        """The key after each successor of a row of ``lanes`` from the key
+        or vector ``x``, in order, as a list, and the list of the positions
+        of the steps whose vector has a score of ``cap`` (2 or 3).  Every
+        score of ``x`` must be below ``cap``.
 
         One step resets the sets without v, lets a set whose accumulator is
         f minus v score and empty it, and adds v to the accumulator of the
-        others; the bits above the fields come out as the tag.  Equality of
+        others; the bits above the fields come out as v.  Equality of
         each field with f minus v is read off the carry of ``d + accm`` into
         the field's score bit, and a step crosses ``cap`` where such a field
         scored ``cap - 1`` before.
@@ -168,26 +170,27 @@ class PackedKernel:
         below = cap - 2
         ys, crossed = [], []
         append = ys.append
-        for keep, rem, bv, tag in lanes:
+        for keep, rem, bv, last in lanes:
             y = x & keep
             d = (y ^ rem) & accm  # zero in the fields whose accumulator is f minus v
             eq = slo & ~(d + accm)
             if eq & y >> below:
                 crossed.append(len(ys))
             eq_acc = eq - (eq >> n)  # the accumulator bits of the eq fields
-            append(((y | bv) & ~eq_acc) + eq | tag)
+            append(((y | bv) & ~eq_acc) + eq | last)
         return ys, crossed
 
-    def entries(self, x: int) -> tuple:
-        """The (score, acc) pair of each tracked set, as ``entries_step``
-        gives them."""
-        width = self.n + 2
-        ones = (1 << self.n) - 1
-        out = []
-        for i in range(len(self.family)):
-            field_ = x >> i * width
-            out.append((field_ >> self.n & 3, field_ & ones))
-        return tuple(out)
+    def last(self, key: int) -> int:
+        """The last vertex of the play whose class key is ``key``."""
+        return key >> self.top
+
+    def sheet(self, key: int) -> ScoreSheet:
+        """The score sheet a class key packs: its last vertex and the
+        (score, acc) pair of each tracked set, as ``entries_step`` gives
+        them."""
+        n, width, ones = self.n, self.n + 2, (1 << self.n) - 1
+        fields = [key >> i * width for i in range(len(self.family))]
+        return ScoreSheet(self.last(key), tuple((f >> n & 3, f & ones) for f in fields))
 
 
 class ScoreSheet(NamedTuple):

@@ -70,18 +70,26 @@ class FiniteStateStrategy:
         """The strategy on ``n`` vertices whose labelled tables are given as
         iterables of (key, value) pairs: ``init`` of (vertex, label),
         ``update`` of ((label, vertex), label) and ``next_move`` of
-        ((vertex, label), move).  Every label is one of ``states``."""
+        ((vertex, label), move).  Every label is one of ``states``, and an
+        entry naming a vertex outside ``0..n-1`` raises ValueError."""
         states = tuple(states)
         number = {m: i for i, m in enumerate(states)}
+        outside = f"strategy entry {{!r}} names a vertex outside 0..{n - 1}"
         init_table = array("i", [-1]) * n
         for v, m in init:
+            if not 0 <= v < n:
+                raise ValueError(outside.format((v, m)))
             init_table[v] = number[m]
         update_table = array("i", [-1]) * (len(states) * n)
         for (m, v), target in update:
+            if not 0 <= v < n:
+                raise ValueError(outside.format(((m, v), target)))
             update_table[number[m] * n + v] = number[target]
         move_table = array("i", [-1]) * (len(states) * n)
         move_sets: list = [{} for _ in range(n)]
         for (v, m), move in next_move:
+            if not 0 <= v < n:
+                raise ValueError(outside.format(((v, m), move)))
             move_table[number[m] * n + v] = move_sets[v].setdefault(move, len(move_sets[v]))
         return cls(
             owner_player,
@@ -92,6 +100,11 @@ class FiniteStateStrategy:
             tuple(map(tuple, move_sets)),
             names,
         )
+
+    def check_arena(self, arena: Arena) -> None:
+        """Raise ValueError unless the strategy is one on ``arena``'s vertices."""
+        if len(self.init) != arena.n:
+            raise ValueError(f"strategy is for {len(self.init)} vertices, the arena has {arena.n}")
 
     def _vertex(self, v: int):
         return self.names[v] if self.names else v
@@ -342,29 +355,19 @@ def verify_bounded_scores(
     family = family_of(f1_loops(arena, muller))
     cap = bound + 1
 
-    n = arena.n
-    if len(strat.init) != n:
-        raise ValueError(f"strategy is for {len(strat.init)} vertices, the arena has {n}")
-    update, next_move, move_sets = strat.update, strat.next_move, strat.move_sets
+    strat.check_arena(arena)
+    moves_of, step_of = strat.moves_of, strat.step_of
     rows = tuple(arena.succ)  # each vertex's row, read once, not once a state
     pairs = {}
 
     search = Search((v, strat.init_of(v), entries_init(family, v)) for v in iter_bits(start))
     for i, (v, m, entries) in search:
-        row = m * n
         succ = rows[v]
-        if arena.owner[v] == 0:
-            k = next_move[row + v]
-            targets = move_sets[v][k] if k >= 0 else strat.moves_of(v, m)
-        else:
-            targets = succ
-        for u in targets:
+        for u in moves_of(v, m) if arena.owner[v] == 0 else succ:
             if u not in succ:
                 raise ValueError(f"strategy proposes a non-edge {v} -> {u}")
             nxt_entries = entries_step(family, entries, u, pairs)
-            j = update[row + u]
-            if j < 0:
-                strat.step_of(m, u)  # raises: the entry is missing
+            j = step_of(m, u)
             if entries_terminal(nxt_entries, cap):
                 return False, _path(search.parents, i, lambda p: search.keys[p][0]) + (u,)
             search.add((u, j, nxt_entries), i)
@@ -389,6 +392,10 @@ def check_subsumption_bounded(
     """
     if sigma.owner_player != sigma_prime.owner_player:
         raise ValueError("strategies must belong to the same player")
+    if not 0 <= start < arena.n:
+        raise ValueError(f"start vertex {start} is not a vertex of the arena")
+    sigma.check_arena(arena)
+    sigma_prime.check_arena(arena)
     ok, _ = verify_bounded_scores(arena, muller, sigma, bit(start), 2)
     if not ok:
         raise ValueError("candidate strategy does not bound the opponent's scores by 2")
@@ -425,6 +432,7 @@ class StrategyProduct:
 
 
 def consistent_product(arena: Arena, strat: FiniteStateStrategy, start: int) -> StrategyProduct:
+    strat.check_arena(arena)
     # searched on state numbers; the nodes are labelled at the end, and
     # each node's edges are in the order the strategy lists its moves
     search = Search([(v, strat.init_of(v)) for v in iter_bits(start)])

@@ -21,6 +21,7 @@ from scoregames.reduction import Search, build_safety_game
 from scoregames.safety_solver import solve_safety
 from scoregames.strategy import (
     BOTTOM,
+    FiniteStateStrategy,
     build_antichain_strategy,
     build_permissive_strategy,
     consistent_product,
@@ -132,6 +133,17 @@ def test_strategy_roundtrip(example4):
         copy = consistent_product(arena, back, m(0, 1, 2))
         assert len(orig.nodes) == len(copy.nodes)
         assert len(orig.edges) == len(copy.edges)
+
+
+@pytest.mark.parametrize("n_strategy, n_arena", [(2, 3), (3, 2)])
+def test_serialize_strategy_refuses_another_vertex_count(n_strategy, n_arena):
+    # the writer indexes the arena's names by the strategy's vertices
+    arena = Arena.build([0] * n_arena, [(v, v) for v in range(n_arena)])
+    init = [(v, "s") for v in range(n_strategy)]
+    strat = FiniteStateStrategy.from_tables(0, n_strategy, ("s",), init, (), ())
+    message = f"^strategy is for {n_strategy} vertices, the arena has {n_arena}$"
+    with pytest.raises(ValueError, match=message):
+        serialize_strategy(strat, arena)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import tracemalloc
 
 import pytest
@@ -12,6 +13,7 @@ from scoregames.safety_solver import solve_safety
 from scoregames.scoring import ScoreSheet, entries_init, entries_step, entries_terminal
 
 from conftest import m, random_muller_game, word
+from test_acceptance import corpus_config
 
 
 def test_search_numbers_keys_breadth_first():
@@ -363,3 +365,27 @@ def test_quotient_keeps_few_bytes_per_class_and_solving_adds_little():
     assert red.n_classes == 10_346 and sol.w0
     assert kept <= 100 * red.n_classes
     assert peak - kept <= 40 * red.n_classes
+
+
+@pytest.mark.parametrize(
+    "seed, tracked, threshold, digest",
+    [
+        (7, 1, 2, "c03304fa032d24d468064d3d17f8bd6902f16546e70a9fecb9418b51dcecc51e"),
+        (7, 1, 3, "b185e1203dabc7856dc904c8409e073c9ca045e983f5a19e3cb647462e49dfca"),
+        (7, 0, 2, "e5187bd51c7c8f94ec2004f2f8f4055588f31560aadf841a6c533704e33ff878"),
+        (7, 0, 3, "6f4b85f589298df10d186f16d9b92dd10147ffc1ceedc907311065584465be5d"),
+        (11, 1, 2, "f9b91b0e81ce8ef82155e26df746047bc8a886751701faca53aa2cb079da09f1"),
+        (11, 1, 3, "e413fccc300f0ed8aacfb5f8e53afa5296a3923bd885b0c235fd467190235a46"),
+        (11, 0, 2, "04778877da5dc8ddbeb67a735d3c9ac0fc5e4f16928476c6859e1fd6c92f2654"),
+        (11, 0, 3, "1acb47c1e2b988998b26b7d25318e7e64ad9dbfb7e17dadfbcf09c71fafd6335"),
+    ],
+)
+def test_quotient_keys_and_numbering_are_pinned(seed, tracked, threshold, digest):
+    # the packed keys, the class numbering and the successor table, bit
+    # for bit: a change to the key layout or the search order shows here
+    arena, muller = random_game(corpus_config(seed))
+    red = build_safety_game(arena, muller, tracked_player=tracked, threshold=threshold)
+    succ = red.game.arena.succ
+    arrays = (red.keys, red.parents, succ.flat, succ.start)
+    text = "\n".join(" ".join(map(str, seq)) for seq in arrays)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -166,19 +166,19 @@ def test_sheet_matches_recomputation(w):
     # the packed kernel of the quotient steps in lockstep with entries_step
     family = family_of([1, 2, 3, 4, 5, 6, 7])
     kernel = PackedKernel(family, 3)
-    lanes = kernel.lanes(range(3), (0, 0, 0))  # untagged: lanes[v] steps by v
+    lanes = kernel.lanes(range(3))  # lanes[v] steps by v
     pairs = {}  # one table through every step of the example
     entries = entries_init(family, w[0])
     x = kernel.step_lanes(0, lanes)[0][w[0]]
-    assert x == _pack(3, entries)
-    assert kernel.entries(x) == entries
+    assert x == _pack(3, entries) | w[0] << kernel.top
+    assert kernel.sheet(x) == (w[0], entries)
     for i, v in enumerate(w[1:], start=2):
         if entries_terminal(entries):
             return
         entries = entries_step(family, entries, v, pairs)
         (x,), crossed = kernel.step_lanes(x, lanes[v : v + 1], 3)
-        assert x == _pack(3, entries)
-        assert kernel.entries(x) == entries
+        assert x == _pack(3, entries) | v << kernel.top
+        assert kernel.sheet(x) == (v, entries)
         assert (crossed == [0]) == entries_terminal(entries)
         for f, st_ in zip(family, entries):
             expected = score_word(f, w[:i])
@@ -200,38 +200,33 @@ def _below(cap, n, f):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_packed_step_matches_entries_step(data):
-    # from any vector below the threshold, the packed step of a row of
-    # untagged lanes and its threshold test agree with entries_step and
-    # entries_terminal, also with a caller's data in the bits above the
-    # fields, and tagged lanes differ from untagged ones only in those bits
+    # from any vector below the threshold, whatever its bits above the
+    # fields, the packed step of a row of lanes and its threshold test
+    # agree with entries_step and entries_terminal, and each key reached
+    # holds its successor above the fields
     n = data.draw(st.integers(1, 8), label="n")
     family = family_of(data.draw(st.lists(st.integers(1, 2**n - 1), min_size=1, max_size=10)))
     cap = data.draw(st.sampled_from((2, 3)), label="cap")
     kernel = PackedKernel(family, n)
-    top = len(family) * (n + 2)
+    top = kernel.top
+    assert top == len(family) * (n + 2)  # keys keep their last vertex above the fields
     entries = data.draw(st.tuples(*(_below(cap, n, f) for f in family)), label="entries")
     x = _pack(n, entries)
-    assert kernel.entries(x) == entries
+    assert kernel.sheet(x) == (0, entries)
     pairs = {}  # one table through every step of the example
     for v in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=20), label="word"):
         row = data.draw(st.lists(st.integers(0, n - 1), max_size=n), label="row")
         high = data.draw(st.integers(0, 15), label="high")
         after = [entries_step(family, entries, u, pairs) for u in row]
-        ys, crossed = kernel.step_lanes(x | high << top, kernel.lanes(row, [0] * len(row)), cap)
-        assert ys == [_pack(n, e) for e in after]
-        assert [kernel.entries(y) for y in ys] == after
-        assert kernel.entries(x | high << top) == entries
+        ys, crossed = kernel.step_lanes(x | high << top, kernel.lanes(row), cap)
+        assert ys == [_pack(n, e) | u << top for e, u in zip(after, row)]
+        assert [kernel.sheet(y) for y in ys] == list(zip(row, after))
+        assert kernel.sheet(x | high << top).entries == entries
         assert crossed == [i for i, e in enumerate(after) if entries_terminal(e, cap)]
-        # a lane's tag sets the bits above the fields of the vector it reaches
-        lanes = kernel.lanes(row, [u << top for u in row])
-        assert kernel.step_lanes(x | high << top, lanes, cap) == (
-            [y | u << top for y, u in zip(ys, row)],
-            crossed,
-        )
         entries = entries_step(family, entries, v, pairs)
-        (x,), crossed = kernel.step_lanes(x, kernel.lanes((v,), (0,)), cap)
-        assert x == _pack(n, entries)
-        assert kernel.entries(x) == entries
+        (x,), crossed = kernel.step_lanes(x, kernel.lanes((v,)), cap)
+        assert x == _pack(n, entries) | v << top
+        assert kernel.sheet(x) == (v, entries)
         assert (crossed == [0]) == entries_terminal(entries, cap)
         if entries_terminal(entries, cap):
             break

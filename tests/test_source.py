@@ -1,0 +1,73 @@
+"""Static checks on the package source: no import a module never uses, and
+no private module-level name or private method that nothing in ``src/``
+references, so the leftovers of a removal show up here."""
+import ast
+from pathlib import Path
+
+import pytest
+
+import scoregames
+
+PACKAGE = Path(scoregames.__file__).parent
+MODULES = sorted(PACKAGE.glob("*.py"))
+TREES = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
+
+
+def _loaded_names(tree) -> set:
+    """The names a module reads, and the attributes it reads off anything."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+@pytest.mark.parametrize("module", [name for name in TREES if name != "__init__.py"])
+def test_every_import_is_used(module):
+    # the package's __init__ imports to re-export, so it is not checked
+    tree = TREES[module]
+    imported = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = _loaded_names(tree)
+    assert [name for name in imported if name not in used] == []
+
+
+def test_every_private_name_is_referenced():
+    # a private name counts as referenced when any module of the package
+    # reads it or imports it by name
+    referenced = set()
+    for tree in TREES.values():
+        referenced |= _loaded_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                referenced.update(a.name for a in node.names)
+    defined = []
+    for module, tree in TREES.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((module, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(module, t.id) for t in targets if isinstance(t, ast.Name)]
+            if isinstance(node, ast.ClassDef):
+                defined += [
+                    (module, f"{node.name}.{item.name}")
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                ]
+    unused = [
+        (module, name)
+        for module, name in defined
+        if _is_private(name.split(".")[-1]) and name.split(".")[-1] not in referenced
+    ]
+    assert unused == []

@@ -238,6 +238,32 @@ def test_verify_and_subsumption_reject_bad_strategies(example4):
     player1 = FiniteStateStrategy.from_tables(1, 3, ("s",), (), (), ())
     with pytest.raises(ValueError, match="^strategies must belong to the same player$"):
         check_subsumption_bounded(arena, muller, alternating_strategy(), player1, 1, 5)
+    with pytest.raises(ValueError, match="^start vertex -1 is not a vertex of the arena$"):
+        check_subsumption_bounded(arena, muller, alternating_strategy(), short, -1, 5)
+    # a complete strategy on 2 vertices: unchecked, subsumption answered
+    # False and the product was built on the 3-vertex arena
+    two = FiniteStateStrategy.from_tables(
+        0, 2, ("s",), [(0, "s"), (1, "s")], [(("s", v), "s") for v in range(2)], [((1, "s"), (0,))]
+    )
+    with pytest.raises(ValueError, match="^strategy is for 2 vertices, the arena has 3$"):
+        check_subsumption_bounded(arena, muller, alternating_strategy(), two, 1, 5)
+    with pytest.raises(ValueError, match="^strategy is for 2 vertices, the arena has 3$"):
+        consistent_product(arena, two, m(0))
+
+
+@pytest.mark.parametrize(
+    "init, update, message",
+    [
+        # vertex 5 would land in state b's row at vertex 2
+        ([(0, "a")], [(("a", 5), "b")], "(('a', 5), 'b')"),
+        # vertex -1 would set vertex 2's initial state
+        ([(-1, "a")], [], "(-1, 'a')"),
+    ],
+)
+def test_from_tables_refuses_vertices_outside_the_arena(init, update, message):
+    with pytest.raises(ValueError) as err:
+        FiniteStateStrategy.from_tables(0, 3, ("a", "b"), init, update, ())
+    assert str(err.value) == f"strategy entry {message} names a vertex outside 0..2"
 
 
 def test_subsumption_fails_at_its_depth(ex4_pipeline):
