@@ -46,9 +46,9 @@ class Successors(_Sequence):
     four bytes an edge and four a vertex.  ``flat`` holds every row, in
     vertex order, and ``start`` the n + 1 row offsets, so row ``v`` is
     ``flat[start[v]:start[v + 1]]``.  ``table[v]`` returns row ``v`` as a
-    tuple; a reader that walks the whole table reads the two arrays.
-    Tables compare equal by content, to each other and to a tuple of row
-    tuples."""
+    tuple, and a slice a tuple of rows; a reader that walks the whole
+    table reads the two arrays.  Tables compare equal by content, to each
+    other and to a tuple of row tuples."""
 
     __slots__ = ("flat", "start")
 
@@ -66,7 +66,9 @@ class Successors(_Sequence):
     def __len__(self):
         return len(self.start) - 1
 
-    def __getitem__(self, v: int) -> tuple:
+    def __getitem__(self, v) -> tuple:
+        if v.__class__ is slice:  # slice has no subclasses; cheaper than isinstance
+            return tuple(map(self.__getitem__, range(len(self))[v]))
         start = self.start
         if v < 0:
             v += len(start) - 1

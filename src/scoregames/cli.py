@@ -44,8 +44,8 @@ from .reduction import DEFAULT_MAX_STATES, SafetyReduction, build_safety_game
 from .safety_framework import (
     MonitorDFA,
     monitor_for,
+    product_game,
     reachable_states,
-    solve_via_safety,
 )
 from .safety_solver import solve_safety
 from .strategy import (
@@ -71,28 +71,28 @@ def _tokens(text: str):
             yield lineno, line.split()
 
 
-def _brace_groups(lineno: int, parts: list, expected: int) -> list:
+def _brace_groups(parts: list, expected: int) -> list:
     groups = []
     i = 0
     while i < len(parts):
         if parts[i] != "{":
-            raise GameParseError(f"line {lineno}: expected '{{', got {parts[i]!r}")
+            raise GameParseError(f"expected '{{', got {parts[i]!r}")
         try:
             close = parts.index("}", i)
         except ValueError:
-            raise GameParseError(f"line {lineno}: unclosed '{{'") from None
+            raise GameParseError("unclosed '{'") from None
         groups.append(parts[i + 1 : close])
         i = close + 1
     if len(groups) != expected:
-        raise GameParseError(f"line {lineno}: expected {expected} braced group(s)")
+        raise GameParseError(f"expected {expected} braced group(s)")
     return groups
 
 
-def _vertex(ids: dict, lineno: int, name: str) -> int:
+def _vertex(ids: dict, name: str) -> int:
     """The number of the vertex named ``name`` in a file's name→number
     table ``ids``."""
     if name not in ids:
-        raise GameParseError(f"line {lineno}: unknown vertex {name!r}")
+        raise GameParseError(f"unknown vertex {name!r}")
     return ids[name]
 
 
@@ -108,62 +108,61 @@ def parse_game(text: str) -> tuple:
     finals = 0
     pairs: list = []
 
-    for lineno, parts in _tokens(text):
-        head = parts[0]
-        if head == "vertex":
-            if len(parts) != 3 or parts[2] not in ("0", "1"):
-                raise GameParseError(f"line {lineno}: expected 'vertex <id> <0|1>'")
-            if parts[1] in ids:
-                raise GameParseError(f"line {lineno}: duplicate vertex {parts[1]!r}")
-            if problem := _unreadable(parts[1]):
-                raise GameParseError(f"line {lineno}: {problem}")
-            ids[parts[1]] = len(names)
-            names.append(parts[1])
-            owners.append(int(parts[2]))
-        elif head == "edge":
-            if len(parts) != 3:
-                raise GameParseError(f"line {lineno}: expected 'edge <id> <id>'")
-            edges.append((_vertex(ids, lineno, parts[1]), _vertex(ids, lineno, parts[2])))
-        elif head == "condition":
-            if kind is not None:
-                raise GameParseError(f"line {lineno}: duplicate condition block")
-            if len(parts) != 2 or parts[1] not in ("muller", "parity", "buchi", "cobuchi", "rr"):
-                raise GameParseError(
-                    f"line {lineno}: expected 'condition muller|parity|buchi|cobuchi|rr'"
-                )
-            kind = parts[1]
-        elif head == "f0":
-            if kind != "muller":
-                raise GameParseError(f"line {lineno}: 'f0' outside a muller condition")
-            (group,) = _brace_groups(lineno, parts[1:], 1)
-            muller_sets.append(mask_of(_vertex(ids, lineno, nm) for nm in group))
-        elif head == "priority":
-            if kind != "parity":
-                raise GameParseError(f"line {lineno}: 'priority' outside a parity condition")
-            # isdigit() also accepts digits such as '²' that int() rejects
-            if len(parts) != 3 or not (parts[2].isascii() and parts[2].isdigit()):
-                raise GameParseError(f"line {lineno}: expected 'priority <id> <nat>'")
-            if (v := _vertex(ids, lineno, parts[1])) in priorities:
-                raise GameParseError(f"line {lineno}: duplicate 'priority {parts[1]}'")
-            priorities[v] = int(parts[2])
-        elif head == "final":
-            if kind not in ("buchi", "cobuchi"):
-                raise GameParseError(f"line {lineno}: 'final' outside a buchi/cobuchi condition")
-            if len(parts) != 2:
-                raise GameParseError(f"line {lineno}: expected 'final <id>'")
-            finals |= bit(_vertex(ids, lineno, parts[1]))
-        elif head == "pair":
-            if kind != "rr":
-                raise GameParseError(f"line {lineno}: 'pair' outside an rr condition")
-            req, resp = _brace_groups(lineno, parts[1:], 2)
-            pairs.append(
-                (
-                    mask_of(_vertex(ids, lineno, nm) for nm in req),
-                    mask_of(_vertex(ids, lineno, nm) for nm in resp),
-                )
-            )
-        else:
-            raise GameParseError(f"line {lineno}: unknown directive {head!r}")
+    try:
+        for lineno, parts in _tokens(text):
+            head = parts[0]
+            if head == "vertex":
+                if len(parts) != 3 or parts[2] not in ("0", "1"):
+                    raise GameParseError("expected 'vertex <id> <0|1>'")
+                if parts[1] in ids:
+                    raise GameParseError(f"duplicate vertex {parts[1]!r}")
+                if problem := _unreadable(parts[1]):
+                    raise GameParseError(problem)
+                ids[parts[1]] = len(names)
+                names.append(parts[1])
+                owners.append(int(parts[2]))
+            elif head == "edge":
+                if len(parts) != 3:
+                    raise GameParseError("expected 'edge <id> <id>'")
+                edges.append((_vertex(ids, parts[1]), _vertex(ids, parts[2])))
+            elif head == "condition":
+                if kind is not None:
+                    raise GameParseError("duplicate condition block")
+                if parts[1:] not in (["muller"], ["parity"], ["buchi"], ["cobuchi"], ["rr"]):
+                    raise GameParseError("expected 'condition muller|parity|buchi|cobuchi|rr'")
+                kind = parts[1]
+            elif head == "f0":
+                if kind != "muller":
+                    raise GameParseError("'f0' outside a muller condition")
+                (group,) = _brace_groups(parts[1:], 1)
+                muller_sets.append(mask_of(_vertex(ids, nm) for nm in group))
+            elif head == "priority":
+                if kind != "parity":
+                    raise GameParseError("'priority' outside a parity condition")
+                # isdigit() also accepts digits such as '²' that int() rejects
+                if len(parts) != 3 or not (parts[2].isascii() and parts[2].isdigit()):
+                    raise GameParseError("expected 'priority <id> <nat>'")
+                if (v := _vertex(ids, parts[1])) in priorities:
+                    raise GameParseError(f"duplicate 'priority {parts[1]}'")
+                try:
+                    priorities[v] = int(parts[2])
+                except ValueError:  # more digits than int() converts
+                    raise GameParseError(f"{len(parts[2])}-digit priority is too long") from None
+            elif head == "final":
+                if kind not in ("buchi", "cobuchi"):
+                    raise GameParseError("'final' outside a buchi/cobuchi condition")
+                if len(parts) != 2:
+                    raise GameParseError("expected 'final <id>'")
+                finals |= bit(_vertex(ids, parts[1]))
+            elif head == "pair":
+                if kind != "rr":
+                    raise GameParseError("'pair' outside an rr condition")
+                groups = _brace_groups(parts[1:], 2)
+                pairs.append(tuple(mask_of(_vertex(ids, nm) for nm in g) for g in groups))
+            else:
+                raise GameParseError(f"unknown directive {head!r}")
+    except GameParseError as exc:
+        raise GameParseError(f"line {lineno}: {exc}") from None
 
     if not names:
         raise GameParseError("no vertices declared")
@@ -263,57 +262,60 @@ def parse_strategy(text: str, arena: Arena) -> FiniteStateStrategy:
     for v, name in enumerate(arena.names):
         ids.setdefault(name, v)  # a repeated name reads as its first vertex
 
-    def sid(lineno, label):
+    def sid(label):
         if label not in declared:
-            raise GameParseError(f"line {lineno}: undeclared state {label!r}")
+            raise GameParseError(f"undeclared state {label!r}")
         return BOTTOM if label == "bot" else label
 
-    for lineno, parts in _tokens(text):
-        head = parts[0]
-        if head == "player":
-            if len(parts) != 2 or parts[1] not in ("0", "1"):
-                raise GameParseError(f"line {lineno}: expected 'player <0|1>'")
-            if player is not None:
-                raise GameParseError(f"line {lineno}: duplicate 'player'")
-            player = int(parts[1])
-        elif head == "state":
-            if len(parts) != 2:
-                raise GameParseError(f"line {lineno}: expected 'state <label>'")
-            if parts[1] in declared:
-                raise GameParseError(f"line {lineno}: duplicate 'state {parts[1]}'")
-            declared.add(parts[1])
-            states.append(sid(lineno, parts[1]))
-        elif head == "init":
-            if len(parts) != 3:
-                raise GameParseError(f"line {lineno}: expected 'init <vertex> <state>'")
-            if (v := _vertex(ids, lineno, parts[1])) in init:
-                raise GameParseError(f"line {lineno}: duplicate 'init {parts[1]}'")
-            init[v] = sid(lineno, parts[2])
-        elif head == "update":
-            if len(parts) != 4:
-                raise GameParseError(f"line {lineno}: expected 'update <state> <vertex> <state>'")
-            if (key := (sid(lineno, parts[1]), _vertex(ids, lineno, parts[2]))) in update:
-                raise GameParseError(f"line {lineno}: duplicate 'update {parts[1]} {parts[2]}'")
-            update[key] = sid(lineno, parts[3])
-        elif head == "move":
-            if len(parts) < 5:
-                raise GameParseError(f"line {lineno}: expected 'move <vertex> <state> {{ ... }}'")
-            v = _vertex(ids, lineno, parts[1])
-            m = sid(lineno, parts[2])
-            if (v, m) in moves:
-                raise GameParseError(f"line {lineno}: duplicate 'move {parts[1]} {parts[2]}'")
-            (group,) = _brace_groups(lineno, parts[3:], 1)
-            if not group:
-                raise GameParseError(f"line {lineno}: empty move set")
-            targets = tuple(_vertex(ids, lineno, nm) for nm in group)
-            for u in targets:
-                if not arena.has_edge(v, u):
-                    raise GameParseError(
-                        f"line {lineno}: move {arena.names[v]} -> {arena.names[u]} is not an edge"
-                    )
-            moves[v, m] = targets
-        else:
-            raise GameParseError(f"line {lineno}: unknown directive {head!r}")
+    try:
+        for lineno, parts in _tokens(text):
+            head = parts[0]
+            if head == "player":
+                if len(parts) != 2 or parts[1] not in ("0", "1"):
+                    raise GameParseError("expected 'player <0|1>'")
+                if player is not None:
+                    raise GameParseError("duplicate 'player'")
+                player = int(parts[1])
+            elif head == "state":
+                if len(parts) != 2:
+                    raise GameParseError("expected 'state <label>'")
+                if parts[1] in declared:
+                    raise GameParseError(f"duplicate 'state {parts[1]}'")
+                declared.add(parts[1])
+                states.append(sid(parts[1]))
+            elif head == "init":
+                if len(parts) != 3:
+                    raise GameParseError("expected 'init <vertex> <state>'")
+                if (v := _vertex(ids, parts[1])) in init:
+                    raise GameParseError(f"duplicate 'init {parts[1]}'")
+                init[v] = sid(parts[2])
+            elif head == "update":
+                if len(parts) != 4:
+                    raise GameParseError("expected 'update <state> <vertex> <state>'")
+                if (key := (sid(parts[1]), _vertex(ids, parts[2]))) in update:
+                    raise GameParseError(f"duplicate 'update {parts[1]} {parts[2]}'")
+                update[key] = sid(parts[3])
+            elif head == "move":
+                if len(parts) < 5:
+                    raise GameParseError("expected 'move <vertex> <state> { ... }'")
+                v = _vertex(ids, parts[1])
+                m = sid(parts[2])
+                if (v, m) in moves:
+                    raise GameParseError(f"duplicate 'move {parts[1]} {parts[2]}'")
+                (group,) = _brace_groups(parts[3:], 1)
+                if not group:
+                    raise GameParseError("empty move set")
+                targets = tuple(_vertex(ids, nm) for nm in group)
+                for u in targets:
+                    if not arena.has_edge(v, u):
+                        raise GameParseError(
+                            f"move {arena.names[v]} -> {arena.names[u]} is not an edge"
+                        )
+                moves[v, m] = targets
+            else:
+                raise GameParseError(f"unknown directive {head!r}")
+    except GameParseError as exc:
+        raise GameParseError(f"line {lineno}: {exc}") from None
 
     if player is None:
         raise GameParseError("missing 'player' line")
@@ -324,24 +326,21 @@ def parse_strategy(text: str, arena: Arena) -> FiniteStateStrategy:
 
 def serialize_strategy(strat: FiniteStateStrategy, arena: Arena) -> str:
     """The strategy file of ``strat``: state ``i`` is labelled ``m<i>``,
-    and BOTTOM ``bot``; each table is written in state-number order, and
-    the moves vertex by vertex."""
+    and BOTTOM ``bot``; the entries are written as ``table_entries`` walks
+    them."""
     strat.check_arena(arena)
     _check_names(arena)
-    n, names = arena.n, arena.names
+    names = arena.names
     labels = ["bot" if m is BOTTOM else f"m{i}" for i, m in enumerate(strat.states)]
+    init, update, moves = strat.table_entries()
     lines = [f"player {strat.owner_player}"]
     lines += [f"state {label}" for label in labels]
-    lines += [f"init {names[v]} {labels[i]}" for v, i in enumerate(strat.init) if i >= 0]
-    for i, label in enumerate(labels):
-        row = strat.update[i * n : (i + 1) * n]
-        lines += [f"update {label} {names[v]} {labels[j]}" for v, j in enumerate(row) if j >= 0]
-    for v in range(n):
-        for i, label in enumerate(labels):
-            k = strat.next_move[i * n + v]
-            if k >= 0:
-                body = " ".join(names[u] for u in strat.move_sets[v][k])
-                lines.append(f"move {names[v]} {label} {{ {body} }}")
+    lines += [f"init {names[v]} {labels[i]}" for v, i in init]
+    lines += [f"update {labels[i]} {names[v]} {labels[j]}" for (i, v), j in update]
+    lines += [
+        f"move {names[v]} {labels[i]} {{ {' '.join(names[u] for u in move)} }}"
+        for (v, i), move in moves
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -428,7 +427,8 @@ def _regions(arena: Arena, condition: Condition, max_states: int = DEFAULT_MAX_S
     if isinstance(condition, MullerCondition):
         sol = solve_muller(arena, condition, max_states=max_states)
         return sol.w0, sol.w1
-    w0, _ = solve_via_safety(arena, condition, monitor_for(arena, condition), max_states)
+    prod = product_game(arena, monitor_for(arena, condition), max_states)
+    w0 = solve_safety(prod.game).w0 & arena.full_mask
     return w0, arena.full_mask & ~w0
 
 

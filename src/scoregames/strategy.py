@@ -51,8 +51,9 @@ class FiniteStateStrategy:
     -1 marks a missing entry.  The numbered readers ``init_of``, ``step_of``
     and ``moves_of`` raise ValueError on one, and so do the label readers
     ``initial``, ``step`` and ``moves`` built on them, naming the vertex by
-    ``names`` when given and the state by its label.  ``from_tables``
-    builds a strategy from labelled tables.
+    ``names`` when given and the state by its label.  ``table_entries``
+    walks every entry that is not missing.  ``from_tables`` builds a
+    strategy from labelled tables.
     """
 
     owner_player: int
@@ -105,6 +106,18 @@ class FiniteStateStrategy:
         """Raise ValueError unless the strategy is one on ``arena``'s vertices."""
         if len(self.init) != arena.n:
             raise ValueError(f"strategy is for {len(self.init)} vertices, the arena has {arena.n}")
+
+    def table_entries(self) -> tuple:
+        """Lazy iterators over the defined entries, on state numbers, in
+        ``from_tables``' shapes and in strategy-file order: ``init`` (vertex,
+        state) by vertex, ``update`` ((state, vertex), state) by state, then
+        vertex, and the moves ((vertex, state), move) by vertex, then state."""
+        n, move_sets = len(self.init), self.move_sets
+        init = ((v, i) for v, i in enumerate(self.init) if i >= 0)
+        update = ((divmod(c, n), j) for c, j in enumerate(self.update) if j >= 0)
+        cols = (enumerate(self.next_move[v::n]) for v in range(n))
+        moves = (((v, i), move_sets[v][k]) for v, col in enumerate(cols) for i, k in col if k >= 0)
+        return init, update, moves
 
     def _vertex(self, v: int):
         return self.names[v] if self.names else v

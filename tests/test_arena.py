@@ -266,6 +266,10 @@ def test_successor_table_of_a_built_arena(n, data):
         arena.succ[n]
     with pytest.raises(IndexError):
         arena.succ[-n - 1]
+    # a slice is a tuple of rows, as a tuple of the rows would slice
+    assert arena.succ[0:2] == tuple(arena.succ)[0:2]
+    assert arena.succ[::-1] == tuple(arena.succ)[::-1]
+    assert arena.succ[-2:] == tuple(rows)[-2:]
     # the table made from the rows is the arena's
     assert Arena(arena.names, arena.owner, Successors.from_rows(rows)) == arena
 

@@ -1,5 +1,6 @@
 import functools
 import re
+import sys
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -625,6 +626,18 @@ def test_cli_error_paths_exit_2_with_their_message(
     else:
         argv = ("verify", game, game_file(tmp_path, strategy_text, "strategy.txt"))
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_cli_priority_longer_than_int_reads_exits_2(tmp_path, capsys):
+    # int() refuses a string of more than sys.get_int_max_str_digits()
+    # digits (4300 by default), which isdigit() lets through
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("int() reads any number of digits here")
+    digits = "9" * (limit + 1)
+    game = game_file(tmp_path, PARITY_TEXT.replace("priority a 0", f"priority a {digits}"))
+    message = f"error: line 7: {limit + 1}-digit priority is too long\n"
+    assert run(capsys, "solve", game) == (2, "", message)
 
 
 def test_cli_oracle_disagreement_exits_1(tmp_path, capsys, monkeypatch):

@@ -181,11 +181,16 @@ def test_product_isomorphic_to_reduction(example4):
         assert prod_targets == red_targets
 
 
-def set_cells(strat, table) -> list:
-    """(state label, vertex, value) for each cell of one of the strategy's
-    flat tables that holds an entry."""
-    n = len(strat.init)
-    return [(strat.states[c // n], c % n, value) for c, value in enumerate(table) if value >= 0]
+def set_cells(strat) -> tuple:
+    """The entries the strategy's ``update`` and move tables define, read
+    through ``table_entries`` and labelled: (state, vertex, next state) and
+    (state, vertex, move)."""
+    _, update, moves = strat.table_entries()
+    states = strat.states
+    return (
+        [(states[i], v, states[j]) for (i, v), j in update],
+        [(states[i], v, move) for (v, i), move in moves],
+    )
 
 
 @pytest.mark.parametrize("kind", ["buchi", "cobuchi", "parity", "rr"])
@@ -200,12 +205,11 @@ def test_next_move_follows_the_product_strategy(kind):
         position = {node: i for i, node in enumerate(prod.states)}
         _, strat = solve_via_safety(arena, condition, dfa)
         # one entry per Player-0 position
-        entries = set_cells(strat, strat.next_move)
+        _, entries = set_cells(strat)
         owned = [node for node in prod.states if arena.owner[node[0]] == 0]
         assert len(entries) == len(owned)
         assert {(v, q) for q, v, _ in entries} == set(owned)
-        for q, v, k in entries:
-            move = strat.move_sets[v][k]
+        for q, v, move in entries:
             pid = position[v, q]
             if sol.w0 & bit(pid):
                 assert move == (prod.states[sol.strategy0[pid]][0],)
@@ -238,9 +242,10 @@ def test_every_play_stays_on_the_product(kind):
         assert reached == set(product_game(arena, dfa).states)
         # every set cell is exactly a product pair; the labels are distinct
         assert len(set(strat.states)) == len(strat.states)
-        moves = {(v, q) for q, v, _ in set_cells(strat, strat.next_move)}
+        update_cells, move_cells = set_cells(strat)
+        moves = {(v, q) for q, v, _ in move_cells}
         assert moves == {(u, q) for u, q in reached if arena.owner[u] == 0}
-        updates = {(q, v) for q, v, _ in set_cells(strat, strat.update)}
+        updates = {(q, v) for q, v, _ in update_cells}
         assert updates == {(q, v) for u, q in reached for v in arena.succ[u]}
 
 

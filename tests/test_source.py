@@ -71,3 +71,36 @@ def test_every_private_name_is_referenced():
         if _is_private(name.split(".")[-1]) and name.split(".")[-1] not in referenced
     ]
     assert unused == []
+
+
+def _line_strings(tree) -> set:
+    """The source lines of the str constants and f-strings under ``tree``
+    whose text begins with ``line ``."""
+    out = set()
+    for node in ast.walk(tree):
+        first = node.values[0] if isinstance(node, ast.JoinedStr) and node.values else node
+        if isinstance(first, ast.Constant) and str(first.value).startswith("line "):
+            out.add(node.lineno)
+    return out
+
+
+def test_only_the_parse_loops_add_line_numbers():
+    # a directive's error gets its "line N: " from the one handler around
+    # its parser's loop over _tokens; a message that wrote the prefix itself
+    # would print it twice
+    tree = TREES["cli.py"]
+    handlers = {}
+    for func in tree.body:
+        for node in ast.walk(func):
+            if (
+                isinstance(node, ast.Try)
+                and len(node.body) == 1
+                and isinstance(loop := node.body[0], ast.For)
+                and isinstance(loop.iter, ast.Call)
+                and getattr(loop.iter.func, "id", None) == "_tokens"
+            ):
+                for handler in node.handlers:
+                    handlers.setdefault(func.name, set()).update(_line_strings(handler))
+    assert sorted(handlers) == ["parse_game", "parse_strategy"]
+    assert all(len(lines) == 1 for lines in handlers.values())
+    assert _line_strings(tree) == set.union(*handlers.values())

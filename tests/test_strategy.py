@@ -21,6 +21,7 @@ from scoregames.arena import (
 from scoregames.cli import parse_strategy, serialize_strategy
 from scoregames.oracle import GeneratorConfig, random_game
 from scoregames.reduction import Search, build_safety_game
+from scoregames.safety_framework import monitor_for, solve_via_safety
 from scoregames.safety_solver import solve_safety
 from scoregames.scoring import (
     entries_init,
@@ -264,6 +265,58 @@ def test_from_tables_refuses_vertices_outside_the_arena(init, update, message):
     with pytest.raises(ValueError) as err:
         FiniteStateStrategy.from_tables(0, 3, ("a", "b"), init, update, ())
     assert str(err.value) == f"strategy entry {message} names a vertex outside 0..2"
+
+
+def relabelled(strat):
+    """``from_tables`` fed ``strat``'s ``table_entries``, labelled through
+    its ``states``."""
+    states = strat.states
+    init, update, moves = strat.table_entries()
+    return FiniteStateStrategy.from_tables(
+        strat.owner_player,
+        len(strat.init),
+        states,
+        ((v, states[i]) for v, i in init),
+        (((states[i], v), states[j]) for (i, v), j in update),
+        (((v, states[i]), move) for (v, i), move in moves),
+    )
+
+
+def test_table_entries_round_trip():
+    # the builders' strategies for both players, the permissive one, the
+    # monitor strategies of every kind and parsed files
+    strategies = []
+    for seed in range(12):
+        arena, muller = random_game(corpus_config(seed))
+        sol = solve_muller(arena, muller)
+        red = build_safety_game(arena, muller, tracked_player=1)
+        permissive = build_permissive_strategy(red, solve_safety(red.game))
+        # a file that leaves out every third entry
+        lines = serialize_strategy(permissive, arena).splitlines()
+        kept = [ln for k, ln in enumerate(lines) if k % 3 or ln.startswith(("player", "state"))]
+        parsed = parse_strategy("\n".join(kept), arena)
+        strategies += [sol.strategy_p0, sol.strategy_p1, permissive, parsed]
+    for kind in ("buchi", "cobuchi", "parity", "rr", "muller"):
+        for seed in range(1000, 1006):
+            arena, condition = random_game(GeneratorConfig(n=2 + seed % 4, seed=seed, kind=kind))
+            strategies.append(solve_via_safety(arena, condition, monitor_for(arena, condition))[1])
+    for strat in strategies:
+        init, update, moves = map(list, strat.table_entries())
+        # the walk is in file order and finds every entry the tables define
+        assert [v for v, _ in init] == sorted({v for v, i in enumerate(strat.init) if i >= 0})
+        assert [key for key, _ in update] == sorted(key for key, _ in update)
+        assert len(update) == sum(j >= 0 for j in strat.update)
+        assert [key for key, _ in moves] == sorted(key for key, _ in moves)
+        assert len(moves) == sum(k >= 0 for k in strat.next_move)
+        assert all(i == strat.init_of(v) for v, i in init)
+        assert all(j == strat.step_of(i, v) for (i, v), j in update)
+        assert all(move == strat.moves_of(v, i) for (v, i), move in moves)
+        # the same strategy back; only the order in which each vertex
+        # numbers its moves may differ
+        back = relabelled(strat)
+        assert (back.owner_player, back.states) == (strat.owner_player, strat.states)
+        assert (back.init, back.update) == (strat.init, strat.update)
+        assert list(back.table_entries()[2]) == moves
 
 
 def test_subsumption_fails_at_its_depth(ex4_pipeline):
