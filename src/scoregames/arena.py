@@ -360,15 +360,20 @@ def _reach(s: int, first: int, neighbours: Callable) -> int:
     return reached
 
 
+def check_loop_limit(n: int) -> None:
+    """Raise SizeLimitError if loops over ``n`` vertices are too many to enumerate."""
+    if n > DEFAULT_LOOP_LIMIT:
+        raise SizeLimitError(
+            f"loop enumeration over {n} vertices exceeds the guard of {DEFAULT_LOOP_LIMIT}"
+        )
+
+
 def enumerate_loops(arena: Arena) -> tuple:
     """All loops of the arena, as a sorted tuple of bitmasks.
 
-    Exponential in the vertex count; guarded by ``DEFAULT_LOOP_LIMIT``.
+    Exponential in the vertex count; guarded by ``check_loop_limit``.
     """
-    if arena.n > DEFAULT_LOOP_LIMIT:
-        raise SizeLimitError(
-            f"loop enumeration over {arena.n} vertices exceeds the guard of {DEFAULT_LOOP_LIMIT}"
-        )
+    check_loop_limit(arena.n)
     pred = arena.predecessors()
     return tuple(s for s in range(1, arena.full_mask + 1) if is_loop(arena, s, pred))
 

@@ -21,6 +21,7 @@ from .arena import (
     RequestResponseCondition,
     SizeLimitError,
     bit,
+    check_loop_limit,
     enumerate_loops,
     iter_bits,
     mask_of,
@@ -118,8 +119,11 @@ class GeneratorConfig:
 
 
 def random_game(cfg: GeneratorConfig) -> tuple:
-    """A seeded, reproducible random game.  Vertices without outgoing edges
+    """A seeded, reproducible random game, refused before any draw if it is
+    a Muller game over the loop guard.  Vertices without outgoing edges
     are repaired with self-loops, so the arena is always well-formed."""
+    if cfg.kind == "muller":
+        check_loop_limit(cfg.n)
     rng = random.Random(cfg.seed)
     owner = tuple(0 if rng.random() < cfg.owner_bias else 1 for _ in range(cfg.n))
     edges = []

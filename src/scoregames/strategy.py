@@ -38,30 +38,31 @@ class FiniteStateStrategy:
     State ``i`` is labelled ``states[i]``: a quotient class number (with
     BOTTOM, an ordinary state, numbered last), a monitor state or a strategy
     file's label.  Labels are what files and DOT output print and what
-    callers compare; the tables hold state numbers only, each a flat
-    ``array('i')`` over the ``n = len(init)`` vertices:
+    callers compare.  Over ``n = len(init)`` vertices, ``init`` and ``update``
+    hold state numbers in flat ``array('i')`` tables, ``next_move`` moves:
 
     - ``init[v]`` is vertex ``v``'s initial state;
     - ``update[i * n + v]`` is the state that state ``i`` moves to on ``v``;
-    - ``next_move[i * n + v]``, for the vertices of ``owner_player``,
-      indexes ``move_sets[v]``, the distinct moves listed at ``v``.  A move
-      is a non-empty tuple of successors: one for a deterministic
+    - ``next_move[v]`` is vertex ``v``'s column, a list of its move in each
+      state, or None at a vertex without moves, such as the opponent's.  A
+      move is a non-empty tuple of successors: one for a deterministic
       strategy, several for a multi-strategy.
 
-    -1 marks a missing entry.  The numbered readers ``init_of``, ``step_of``
-    and ``moves_of`` raise ValueError on one, and so do the label readers
-    ``initial``, ``step`` and ``moves`` built on them, naming the vertex by
-    ``names`` when given and the state by its label.  ``table_entries``
-    walks every entry that is not missing.  ``from_tables`` builds a
-    strategy from labelled tables.
+    -1 marks a missing ``init`` or ``update`` entry and None a missing move.
+    The numbered readers ``init_of``, ``step_of`` and ``moves_of`` raise
+    ValueError on one, and so do the label readers ``initial``, ``step``
+    and ``moves`` built on them, naming the vertex by ``names`` if it has
+    one there and the state by its label.  ``table_entries`` walks every
+    entry that is not missing; ``from_tables`` builds a strategy from
+    labelled tables.  ``==`` leaves ``names`` out, so two strategies with
+    the same labels are equal exactly when they behave alike.
     """
 
     owner_player: int
     states: tuple
     init: array
     update: array
-    next_move: array
-    move_sets: tuple
+    next_move: list
     names: tuple = field(default=(), compare=False, repr=False)
 
     @classmethod
@@ -86,21 +87,14 @@ class FiniteStateStrategy:
             if not 0 <= v < n:
                 raise ValueError(outside.format(((m, v), target)))
             update_table[number[m] * n + v] = number[target]
-        move_table = array("i", [-1]) * (len(states) * n)
-        move_sets: list = [{} for _ in range(n)]
+        columns: list = [None] * n
+        shared: dict = {}  # one tuple object for equal moves
         for (v, m), move in next_move:
             if not 0 <= v < n:
                 raise ValueError(outside.format(((v, m), move)))
-            move_table[number[m] * n + v] = move_sets[v].setdefault(move, len(move_sets[v]))
-        return cls(
-            owner_player,
-            states,
-            init_table,
-            update_table,
-            move_table,
-            tuple(map(tuple, move_sets)),
-            names,
-        )
+            columns[v] = columns[v] or [None] * len(states)
+            columns[v][number[m]] = shared.setdefault(move, move)
+        return cls(owner_player, states, init_table, update_table, columns, names)
 
     def check_arena(self, arena: Arena) -> None:
         """Raise ValueError unless the strategy is one on ``arena``'s vertices."""
@@ -112,15 +106,15 @@ class FiniteStateStrategy:
         ``from_tables``' shapes and in strategy-file order: ``init`` (vertex,
         state) by vertex, ``update`` ((state, vertex), state) by state, then
         vertex, and the moves ((vertex, state), move) by vertex, then state."""
-        n, move_sets = len(self.init), self.move_sets
+        n = len(self.init)
         init = ((v, i) for v, i in enumerate(self.init) if i >= 0)
         update = ((divmod(c, n), j) for c, j in enumerate(self.update) if j >= 0)
-        cols = (enumerate(self.next_move[v::n]) for v in range(n))
-        moves = (((v, i), move_sets[v][k]) for v, col in enumerate(cols) for i, k in col if k >= 0)
+        cols = enumerate(self.next_move)
+        moves = (((v, i), mv) for v, c in cols for i, mv in enumerate(c or ()) if mv is not None)
         return init, update, moves
 
     def _vertex(self, v: int):
-        return self.names[v] if self.names else v
+        return self.names[v] if 0 <= v < len(self.names) else v
 
     def _no_update(self, m, v: int) -> ValueError:
         return ValueError(f"strategy update undefined for state {m!r}, vertex {self._vertex(v)}")
@@ -147,11 +141,11 @@ class FiniteStateStrategy:
         return j
 
     def moves_of(self, v: int, i: int) -> tuple:
-        n = len(self.init)
-        k = self.next_move[i * n + v] if 0 <= v < n else -1
-        if k < 0:
+        col = self.next_move[v] if 0 <= v < len(self.init) else None
+        move = None if col is None else col[i]
+        if move is None:
             raise self._no_move(v, self.states[i])
-        return self.move_sets[v][k]
+        return move
 
     def initial(self, v: int):
         return self.states[self.init_of(v)]
@@ -277,7 +271,7 @@ def _class_table(
     successor whose update is not BOTTOM (``every_move``) or only the first
     of them.  Where there is none, and at every other vertex, which
     consistent play never reaches in state ``m``, the table holds the first
-    successor, move 0 of every owned vertex.
+    successor.
     """
     base = red.base_arena
     n = base.n
@@ -286,8 +280,11 @@ def _class_table(
     sink, last = red.sink, red.last
     init = array("i", [lift(v) if sol.w0 & bit(v) else bottom for v in range(n)])
     update = array("i", [bottom]) * ((bottom + 1) * n)
-    next_move = array("i", [0 if base.owner[v] == 0 else -1 for v in range(n)]) * (bottom + 1)
-    move_sets = [{base.succ[v][:1]: 0} if base.owner[v] == 0 else {} for v in range(n)]
+    shared: dict = {}
+    keep = lambda move: shared.setdefault(move, move)  # one tuple object for equal moves
+    next_move = [
+        [keep(base.succ[v][:1])] * (bottom + 1) if base.owner[v] == 0 else None for v in range(n)
+    ]
     for i, c in enumerate(memory):
         row = i * n
         # an edge into the sink has no entry, so its update stays BOTTOM
@@ -297,18 +294,11 @@ def _class_table(
         v = last(c)
         if base.owner[v] == 0:
             allowed = tuple(u for u in base.succ[v] if update[row + u] != bottom)
-            move = (allowed if every_move else allowed[:1]) or base.succ[v][:1]
-            next_move[row + v] = move_sets[v].setdefault(move, len(move_sets[v]))
+            if allowed:
+                next_move[v][i] = keep(allowed if every_move else allowed[:1])
 
     owner_player = 0 if red.tracked_player == 1 else 1
-    return FiniteStateStrategy(
-        owner_player,
-        tuple(memory) + (BOTTOM,),
-        init,
-        update,
-        next_move,
-        tuple(map(tuple, move_sets)),
-    )
+    return FiniteStateStrategy(owner_player, tuple(memory) + (BOTTOM,), init, update, next_move)
 
 
 def solve_muller(

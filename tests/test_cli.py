@@ -415,6 +415,12 @@ def test_cli_oracle(tmp_path, capsys):
     assert "agreement: yes" in out
 
 
+def test_cli_random_muller_over_the_loop_guard(capsys):
+    code, out, err = run(capsys, "random", "--kind", "muller", "--vertices", "15")
+    assert (code, out) == (3, "")
+    assert err == "error: loop enumeration over 15 vertices exceeds the guard of 14\n"
+
+
 def test_cli_random_roundtrip(capsys):
     code, out, _ = run(capsys, "random", "--seed", "9", "--vertices", "4")
     assert code == 0

@@ -70,6 +70,18 @@ def test_random_game_deterministic():
     assert other != random_game(cfg)
 
 
+def test_random_muller_game_over_the_loop_guard_is_refused_before_drawing(monkeypatch):
+    # the guard is checked before the owners and edges are drawn, so the
+    # arena is never built
+    def build(*args):
+        raise AssertionError("the arena was built")
+
+    monkeypatch.setattr(Arena, "build", build)
+    message = "^loop enumeration over 15 vertices exceeds the guard of 14$"
+    with pytest.raises(SizeLimitError, match=message):
+        random_game(GeneratorConfig(n=15, kind="muller"))
+
+
 def test_random_game_density_extremes():
     arena, _ = random_game(GeneratorConfig(n=4, density=1.0, seed=1))
     assert all(arena.succ[v] == (0, 1, 2, 3) for v in range(4))

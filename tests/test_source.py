@@ -1,6 +1,7 @@
 """Static checks on the package source: no import a module never uses, and
 no private module-level name or private method that nothing in ``src/``
-references, so the leftovers of a removal show up here."""
+references, so the leftovers of a removal show up here, and one reader of
+the strategy tables."""
 import ast
 from pathlib import Path
 
@@ -104,3 +105,15 @@ def test_only_the_parse_loops_add_line_numbers():
     assert sorted(handlers) == ["parse_game", "parse_strategy"]
     assert all(len(lines) == 1 for lines in handlers.values())
     assert _line_strings(tree) == set.union(*handlers.values())
+
+
+def test_only_the_strategy_module_reads_the_strategy_tables():
+    # FiniteStateStrategy's table layout has one reader module, so a change
+    # of layout changes strategy.py alone
+    readers = {
+        module
+        for module, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("init", "next_move")
+    }
+    assert readers == {"strategy.py"}

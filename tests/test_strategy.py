@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from scoregames import strategy
 from scoregames.arena import (
+    Arena,
     MullerCondition,
     SizeLimitError,
     bit,
@@ -267,11 +268,10 @@ def test_from_tables_refuses_vertices_outside_the_arena(init, update, message):
     assert str(err.value) == f"strategy entry {message} names a vertex outside 0..2"
 
 
-def relabelled(strat):
-    """``from_tables`` fed ``strat``'s ``table_entries``, labelled through
-    its ``states``."""
+def from_entries(strat, init, update, moves):
+    """``from_tables`` fed entries in ``table_entries``' shapes, on
+    ``strat``'s state numbers, labelled through its ``states``."""
     states = strat.states
-    init, update, moves = strat.table_entries()
     return FiniteStateStrategy.from_tables(
         strat.owner_player,
         len(strat.init),
@@ -280,6 +280,11 @@ def relabelled(strat):
         (((states[i], v), states[j]) for (i, v), j in update),
         (((v, states[i]), move) for (v, i), move in moves),
     )
+
+
+def relabelled(strat):
+    """``from_entries`` fed ``strat``'s own ``table_entries``."""
+    return from_entries(strat, *strat.table_entries())
 
 
 def test_table_entries_round_trip():
@@ -307,16 +312,61 @@ def test_table_entries_round_trip():
         assert [key for key, _ in update] == sorted(key for key, _ in update)
         assert len(update) == sum(j >= 0 for j in strat.update)
         assert [key for key, _ in moves] == sorted(key for key, _ in moves)
-        assert len(moves) == sum(k >= 0 for k in strat.next_move)
+        columns = [col for col in strat.next_move if col is not None]
+        assert len(moves) == sum(move is not None for col in columns for move in col)
         assert all(i == strat.init_of(v) for v, i in init)
         assert all(j == strat.step_of(i, v) for (i, v), j in update)
         assert all(move == strat.moves_of(v, i) for (v, i), move in moves)
-        # the same strategy back; only the order in which each vertex
-        # numbers its moves may differ
-        back = relabelled(strat)
-        assert (back.owner_player, back.states) == (strat.owner_player, strat.states)
-        assert (back.init, back.update) == (strat.init, strat.update)
-        assert list(back.table_entries()[2]) == moves
+        # the same strategy back
+        assert relabelled(strat) == strat
+
+
+@pytest.mark.parametrize("seed", [4, 6, 7, 9])
+def test_equal_strategies_are_those_that_behave_alike(seed):
+    # a strategy's entries in two shuffled orders give equal strategies,
+    # whichever of a vertex's moves each order meets first (on these games
+    # some vertex has several); one other move, or one other update, gives
+    # an unequal one
+    arena, muller = random_game(corpus_config(seed))
+    red = build_safety_game(arena, muller, tracked_player=1)
+    sol = solve_safety(red.game)
+    rng = random.Random(seed)
+    for strat in (build_antichain_strategy(red, sol), build_permissive_strategy(red, sol)):
+        init, update, moves = map(list, strat.table_entries())
+        rebuilt = []
+        for _ in range(2):
+            for entries in (init, update, moves):
+                rng.shuffle(entries)
+            rebuilt.append(from_entries(strat, init, update, moves))
+        assert rebuilt[0] == rebuilt[1] == strat
+        (key, move), ((i, v), j) = moves[0], update[0]
+        other_move = [(key, move[1:] or (move[0] + 1,))] + moves[1:]
+        assert from_entries(strat, init, update, other_move) != strat
+        other_update = [((i, v), (j + 1) % len(strat.states))] + update[1:]
+        assert from_entries(strat, init, other_update, moves) != strat
+
+
+def test_readers_name_only_vertices_of_the_arena():
+    # a parsed strategy names its vertices; a number outside 0..n-1 names
+    # none of them, so the message keeps the number
+    arena = Arena.build([0, 1], [(0, 1), (1, 0)], ("a", "b"))
+    strat = parse_strategy("player 0\nstate s\nupdate s a s\nmove a s { b }\n", arena)
+    for v in (-1, 2, 7):
+        no_update = f"^strategy update undefined for state 's', vertex {v}$"
+        no_move = f"^strategy has no move for vertex {v} in state 's'$"
+        with pytest.raises(ValueError, match=f"^strategy has no initial state for vertex {v}$"):
+            strat.init_of(v)
+        with pytest.raises(ValueError, match=no_update):
+            strat.step("s", v)
+        with pytest.raises(ValueError, match=no_move):
+            strat.moves(v, "s")
+        with pytest.raises(ValueError, match=no_move):
+            strat.moves_of(v, 0)
+    # a vertex of the arena is named
+    with pytest.raises(ValueError, match="^strategy has no initial state for vertex b$"):
+        strat.init_of(1)
+    with pytest.raises(ValueError, match="^strategy update undefined for state 's', vertex b$"):
+        strat.step("s", 1)
 
 
 def test_subsumption_fails_at_its_depth(ex4_pipeline):
@@ -530,5 +580,5 @@ def test_permissive_table_is_compact():
         kept = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
-    # 14 bytes a cell with array tables, 156 with dict tables
+    # 14 bytes a cell with array tables and move columns, 156 with dict tables
     assert kept <= 48 * len(perm.states) * arena.n
