@@ -8,7 +8,6 @@ from .arena import (
     BuchiCondition,
     CoBuchiCondition,
     Condition,
-    Lasso,
     MullerCondition,
     ParityCondition,
     RequestResponseCondition,
@@ -17,23 +16,18 @@ from .arena import (
     bit,
     enumerate_loops,
     f1_loops,
-    infi,
     is_loop,
     iter_bits,
     mask_of,
     validate,
-    winner,
 )
 from .scoring import (
     ScoreSheet,
     family_of,
-    lar_of,
-    maxscore,
     score_step,
-    score_word,
     sheet_le,
 )
-from .reduction import SafetyGame, SafetyReduction, build_safety_game, lar_sum_bound
+from .reduction import SafetyGame, SafetyReduction, build_safety_game
 from .safety_solver import SafetySolution, attractor, solve_safety
 from .strategy import (
     BOTTOM,
@@ -53,7 +47,6 @@ from .safety_framework import (
     REJECT,
     buchi_monitor,
     cobuchi_monitor,
-    lasso_accepted_forever,
     monitor_for,
     muller_monitor,
     parity_monitor,

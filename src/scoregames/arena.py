@@ -246,85 +246,6 @@ Condition = Union[
 ]
 
 
-@dataclass(frozen=True)
-class Lasso:
-    """Finite representation ``stem . cycle^omega`` of an ultimately periodic play."""
-
-    stem: Word
-    cycle: Word
-
-    def unfolding(self) -> Word:
-        return tuple(self.stem) + tuple(self.cycle)
-
-
-def infi(lasso: Lasso) -> int:
-    """The infinity set of the represented play: the vertices on the cycle."""
-    return mask_of(lasso.cycle)
-
-
-def is_path(arena: Arena, word: Sequence[int]) -> bool:
-    return all(arena.has_edge(u, v) for u, v in zip(word, word[1:]))
-
-
-def lasso_violations(arena: Arena, lasso: Lasso) -> list:
-    """Check that stem.cycle and cycle.cycle are paths of the arena."""
-    out = []
-    if not lasso.cycle:
-        out.append("empty cycle")
-        return out
-    full = lasso.unfolding()
-    if any(not (0 <= v < arena.n) for v in full):
-        out.append("unknown vertex in lasso")
-        return out
-    if not is_path(arena, full):
-        out.append("stem.cycle is not a path")
-    if not arena.has_edge(lasso.cycle[-1], lasso.cycle[0]):
-        out.append("cycle does not close")
-    return out
-
-
-def _rr_pair_won(lasso: Lasso, request: int, response: int) -> bool:
-    inf = infi(lasso)
-    if inf & response:
-        return True  # responses recur, every request is answered
-    if inf & request:
-        return False  # requests recur but responses die out
-    # Responses occur at most in the stem; a request is pending at cycle
-    # entry iff the last request in the stem has no later response.
-    pending = False
-    for v in lasso.stem:
-        b = 1 << v
-        if b & response:
-            pending = False
-        if b & request:
-            pending = True
-    return not pending
-
-
-def winner(arena: Arena, condition: Condition, lasso: Lasso) -> int:
-    """The player winning the play represented by ``lasso``.
-
-    Raises ValueError if the lasso is not a path of the arena.
-    """
-    problems = lasso_violations(arena, lasso)
-    if problems:
-        raise ValueError("invalid lasso: " + "; ".join(problems))
-    inf = infi(lasso)
-    if isinstance(condition, MullerCondition):
-        return 0 if inf in condition.f0 else 1
-    if isinstance(condition, BuchiCondition):
-        return 0 if inf & condition.target else 1
-    if isinstance(condition, CoBuchiCondition):
-        return 0 if inf & ~condition.persistent == 0 else 1
-    if isinstance(condition, ParityCondition):
-        least = min(condition.priority[v] for v in iter_bits(inf))
-        return least % 2
-    if isinstance(condition, RequestResponseCondition):
-        won = all(_rr_pair_won(lasso, q, p) for q, p in condition.pairs)
-        return 0 if won else 1
-    raise TypeError(f"unsupported condition {type(condition).__name__}")
-
-
 def is_loop(arena: Arena, s: int, pred: tuple = None) -> bool:
     """True iff ``s`` is a non-empty strongly connected vertex set.
 

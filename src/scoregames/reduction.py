@@ -13,10 +13,9 @@ from __future__ import annotations
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from math import comb, factorial
 from typing import Callable, Iterable, Optional
 
-from .arena import Arena, MullerCondition, SizeLimitError, Successors, Word, f1_loops, is_path
+from .arena import Arena, MullerCondition, SizeLimitError, Successors, Word, f1_loops
 from .scoring import PackedKernel, family_of
 
 DEFAULT_MAX_STATES = 500_000
@@ -136,16 +135,15 @@ class SafetyReduction:
     embedded vertices).  The quotient arena is the only successor table: a
     successor ``t`` of ``c`` other than the sink is the edge labelled
     ``last(t)``, and every other successor of the last vertex leads to the
-    sink (whose only successor is itself); ``step_class`` and the strategy
-    tables read a class's row this way.  Also stored:
-    ``unsafe_class_count``, the number of distinct keys that reached the
-    threshold.
+    sink (whose only successor is itself); the strategy tables read a
+    class's row this way.  Also stored: ``unsafe_class_count``, the number
+    of distinct keys that reached the threshold.
 
     Derived on access: the quotient's vertex names (``[`` + the base vertex
-    names along ``rep_words[c]`` + ``]``, joined as ``Arena.word_str`` joins
-    them; the sink's is ``unsafe``), ``sheets`` (the decoded keys) and
-    ``rep_words`` (the first play prefix that reached each class, from the
-    parent chain); the sink's sheet and word are None.
+    names along the first play prefix that reached the class, read off the
+    parent chain, + ``]``, joined as ``Arena.word_str`` joins them; the
+    sink's is ``unsafe``) and ``sheets`` (the decoded keys; the sink's
+    sheet is None).
     """
 
     game: SafetyGame
@@ -168,52 +166,12 @@ class SafetyReduction:
     def sheets(self) -> Sequence:
         return _ClassView(self.n_classes, self._sheet)
 
-    @property
-    def rep_words(self) -> Sequence:
-        return _ClassView(self.n_classes, self._rep_word)
-
     def last(self, c: int) -> int:
         """The last vertex of class ``c`` (not the sink)."""
         return self._kernel.last(self.keys[c])
 
     def _sheet(self, c: int):
         return None if c == self.sink else self._kernel.sheet(self.keys[c])
-
-    def _rep_word(self, c: int) -> Optional[Word]:
-        return None if c == self.sink else _path(self.parents, c, self.last)
-
-    def step_class(self, c: int, v: int) -> int:
-        """The quotient successor of class ``c`` under vertex ``v``: the
-        successor other than the sink whose last vertex is ``v``, or else
-        the sink."""
-        if 0 <= c < self.n_classes and c != self.sink:
-            if v in self.base_arena.succ[self.last(c)]:
-                for t in self.game.arena.succ[c]:
-                    if t != self.sink and self.last(t) == v:
-                        return t
-                return self.sink
-        raise ValueError(f"no quotient edge from class {c} labelled {v}")
-
-    def class_of(self, word: Word) -> int:
-        """The class of a play prefix whose proper prefixes stay below the
-        threshold; the sink if the last letter crosses it."""
-        if not word:
-            raise ValueError("empty play prefix")
-        if not is_path(self.base_arena, word):
-            raise ValueError("word is not a path of the arena")
-        c = word[0]  # vertex v is class v
-        for v in word[1:]:
-            if c == self.sink:
-                raise ValueError("a proper prefix already reached the threshold")
-            c = self.step_class(c, v)
-        return c
-
-
-def lar_sum_bound(n: int) -> int:
-    """Upper bound on the class count: the number of latest appearance
-    records times the score/accumulator combinations per record, plus the
-    sink.  The coarser (n!)^3 form only dominates this sum for n >= 4."""
-    return sum(comb(n, k) * factorial(k) * 2**k * factorial(k) for k in range(1, n + 1)) + 1
 
 
 def build_safety_game(
@@ -269,8 +227,9 @@ def build_safety_game(
     keys, parents = search.keys, search.parents
     sink = keys.index(-1) if -1 in keys else None
 
-    # SafetyReduction._rep_word, without a reference back to the reduction:
-    # a reduction in no cycle is freed as soon as its last reference goes
+    # a class's name walks its first play prefix up the parent chain; the
+    # closure holds no reference back to the reduction, so a reduction in
+    # no cycle is freed as soon as its last reference goes
     def name(c):
         if c == sink:
             return "unsafe"

@@ -17,7 +17,6 @@ from .arena import (
     BuchiCondition,
     CoBuchiCondition,
     Condition,
-    Lasso,
     MullerCondition,
     ParityCondition,
     RequestResponseCondition,
@@ -61,12 +60,6 @@ class MonitorDFA:
 
     def is_accepting(self, q) -> bool:
         return q is not REJECT
-
-    def run(self, word: Sequence[int]):
-        q = self.start
-        for v in word:
-            q = self.step(q, v)
-        return q
 
 
 def reachable_states(dfa: MonitorDFA, max_states: int = DEFAULT_MAX_STATES) -> tuple:
@@ -257,21 +250,3 @@ def monitor_for(arena: Arena, condition: Condition) -> MonitorDFA:
         return muller_monitor(arena, condition)
     raise TypeError(f"no monitor for {type(condition).__name__}")
 
-
-def lasso_accepted_forever(dfa: MonitorDFA, lasso: Lasso) -> bool:
-    """Whether every prefix of the represented play is accepted.  Decidable
-    by pumping: once the state at the top of the cycle repeats, acceptance
-    repeats forever."""
-    q = dfa.start
-    for v in lasso.stem:
-        q = dfa.step(q, v)
-        if not dfa.is_accepting(q):
-            return False
-    seen = set()
-    while q not in seen:
-        seen.add(q)
-        for v in lasso.cycle:
-            q = dfa.step(q, v)
-            if not dfa.is_accepting(q):
-                return False
-    return True

@@ -39,36 +39,6 @@ def score_step(f: int, state: tuple, v: int) -> tuple:
     return (score, acc | b)
 
 
-def score_word(f: int, word: Sequence[int]) -> tuple:
-    if not word:
-        raise ValueError("score of the empty word is undefined")
-    state = ZERO
-    for v in word:
-        state = score_step(f, state, v)
-    return state
-
-
-def maxscore(family: Iterable[int], word: Sequence[int]) -> int:
-    """max over all sets in ``family`` and all prefixes of ``word``."""
-    if not word:
-        raise ValueError("maxscore of the empty word is undefined")
-    best = 0
-    for f in family:
-        state = ZERO
-        for v in word:
-            state = score_step(f, state, v)
-            if state[0] > best:
-                best = state[0]
-    return best
-
-
-def lar_of(word: Sequence[int]) -> tuple:
-    """The latest appearance record of ``word``: its distinct vertices in
-    the order of their last occurrence, the records ``lar_sum_bound``
-    counts."""
-    return tuple(reversed(dict.fromkeys(reversed(word))))
-
-
 def family_of(sets: Iterable[int]) -> tuple:
     """Canonical (sorted, deduplicated) tuple of tracked set masks."""
     return tuple(sorted(set(sets)))

@@ -52,10 +52,12 @@ class FiniteStateStrategy:
     The numbered readers ``init_of``, ``step_of`` and ``moves_of`` raise
     ValueError on one, and so do the label readers ``initial``, ``step``
     and ``moves`` built on them, naming the vertex by ``names`` if it has
-    one there and the state by its label.  ``table_entries`` walks every
-    entry that is not missing; ``from_tables`` builds a strategy from
-    labelled tables.  ``==`` leaves ``names`` out, so two strategies with
-    the same labels are equal exactly when they behave alike.
+    one there and the state by its label.  ``step_of`` and ``moves_of``
+    also raise ValueError on a state number outside ``0..len(states)-1``.
+    ``table_entries`` walks every entry that is not missing;
+    ``from_tables`` builds a strategy from labelled tables.  ``==`` leaves
+    ``names`` out, so two strategies with the same labels are equal exactly
+    when they behave alike.
     """
 
     owner_player: int
@@ -122,6 +124,9 @@ class FiniteStateStrategy:
     def _no_move(self, v: int, m) -> ValueError:
         return ValueError(f"strategy has no move for vertex {self._vertex(v)} in state {m!r}")
 
+    def _no_state(self, i: int) -> ValueError:
+        return ValueError(f"strategy has no state number {i}")
+
     @cached_property
     def _number(self) -> dict:
         """Each label's state number, built for the first label reader."""
@@ -134,6 +139,8 @@ class FiniteStateStrategy:
         return i
 
     def step_of(self, i: int, v: int) -> int:
+        if not 0 <= i < len(self.states):
+            raise self._no_state(i)
         n = len(self.init)
         j = self.update[i * n + v] if 0 <= v < n else -1
         if j < 0:
@@ -141,6 +148,8 @@ class FiniteStateStrategy:
         return j
 
     def moves_of(self, v: int, i: int) -> tuple:
+        if not 0 <= i < len(self.states):
+            raise self._no_state(i)
         col = self.next_move[v] if 0 <= v < len(self.init) else None
         move = None if col is None else col[i]
         if move is None:
@@ -435,6 +444,8 @@ class StrategyProduct:
 
 
 def consistent_product(arena: Arena, strat: FiniteStateStrategy, start: int) -> StrategyProduct:
+    if start & ~arena.full_mask:
+        raise ValueError("start vertices outside the arena")
     strat.check_arena(arena)
     # searched on state numbers; the nodes are labelled at the end, and
     # each node's edges are in the order the strategy lists its moves

@@ -2,9 +2,11 @@ import random
 
 import pytest
 
-from scoregames.arena import Arena, Lasso, MullerCondition, iter_bits, mask_of
+from scoregames.arena import Arena, MullerCondition, iter_bits, mask_of
 from scoregames.oracle import GeneratorConfig, random_game
 from scoregames.safety_framework import REJECT
+
+from reference import Lasso
 
 
 @pytest.fixture

@@ -15,10 +15,10 @@ import pytest
 from scoregames.arena import bit, iter_bits, mask_of
 from scoregames.cli import main
 from scoregames.oracle import GeneratorConfig, encode_as_muller, random_game, zielonka
-from scoregames.reduction import build_safety_game, lar_sum_bound
+from scoregames.reduction import build_safety_game
 from scoregames.safety_framework import monitor_for, muller_monitor, solve_via_safety
 from scoregames.safety_solver import solve_safety
-from scoregames.scoring import maxscore, score_word, sheet_le
+from scoregames.scoring import sheet_le
 from scoregames.strategy import (
     BOTTOM,
     build_antichain_strategy,
@@ -29,6 +29,7 @@ from scoregames.strategy import (
     verify_bounded_scores,
 )
 
+from reference import class_of, lar_sum_bound, maxscore, score_word
 from conftest import (
     EXAMPLE4_GAME_TEXT,
     alternating_strategy,
@@ -160,7 +161,7 @@ def test_criterion_02_running_example(example4):
         rsol = solve_safety(red.game)
         for v in range(3):
             assert rsol.w0 & bit(red.embed[v])
-        assert red.class_of(word("10012")) == red.class_of(word("12"))
+        assert class_of(red, word("10012")) == class_of(red, word("12"))
         assert red.unsafe_class_count == 4
         assert time.monotonic() - t0 < 1.0
 
@@ -196,7 +197,7 @@ def test_criterion_06_permissiveness(corpus, example4):
         sol = solve_safety(red.game)
         perm = build_permissive_strategy(red, sol)
         assert perm.moves(1, red.embed[1]) == (0, 2)
-        assert perm.moves(1, red.class_of(word("1001"))) == (2,)
+        assert perm.moves(1, class_of(red, word("1001"))) == (2,)
         for v in range(3):
             assert check_subsumption_bounded(
                 arena, muller, alternating_strategy(), perm, v, 20

@@ -9,7 +9,6 @@ from scoregames.arena import (
     Arena,
     BuchiCondition,
     CoBuchiCondition,
-    Lasso,
     MullerCondition,
     ParityCondition,
     RequestResponseCondition,
@@ -17,13 +16,12 @@ from scoregames.arena import (
     Successors,
     enumerate_loops,
     f1_loops,
-    infi,
     is_loop,
     mask_of,
     validate,
-    winner,
 )
 
+from reference import Lasso, infi, winner
 from conftest import m, random_lasso, random_muller_game, word
 
 

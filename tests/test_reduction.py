@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from scoregames.arena import Arena, MullerCondition, SizeLimitError, bit, mask_of
 from scoregames.oracle import GeneratorConfig, random_game
-from scoregames.reduction import Search, build_safety_game, lar_sum_bound
+from scoregames.reduction import Search, build_safety_game
 from scoregames.safety_solver import solve_safety
 from scoregames.scoring import ScoreSheet, entries_init, entries_step, entries_terminal
 
+from reference import class_of, lar_sum_bound, rep_word, rep_words, step_class
 from conftest import m, random_muller_game, word
 from test_acceptance import corpus_config
 
@@ -84,7 +85,7 @@ def check_unsafe_steps(red):
     assert len(steps) == red.unsafe_class_count
     assert (red.sink is None) == (not steps)
     for (u, _), c in steps.items():
-        assert red.class_of(red.rep_words[c] + (u,)) == red.sink
+        assert class_of(red, rep_word(red, c) + (u,)) == red.sink
 
 
 @pytest.fixture
@@ -107,7 +108,7 @@ def test_example4_embedding(ex4_reduction):
     for v in range(3):
         c = red.embed[v]
         assert red.game.safe & bit(c)
-        assert red.class_of((v,)) == c
+        assert class_of(red, (v,)) == c
         assert not entries_terminal(red.sheets[c].entries, 2)
     for c in range(red.n_classes):
         if c != red.sink:
@@ -117,20 +118,20 @@ def test_example4_embedding(ex4_reduction):
 
 def test_example4_class_merging(ex4_reduction):
     red = ex4_reduction
-    assert red.class_of(word("10012")) == red.class_of(word("12"))
-    assert red.class_of(word("100101")) == red.sink
-    assert red.class_of(word("10010")) != red.sink
+    assert class_of(red, word("10012")) == class_of(red, word("12"))
+    assert class_of(red, word("100101")) == red.sink
+    assert class_of(red, word("10010")) != red.sink
 
 
 def test_class_of_rejects_bad_input(ex4_reduction):
     red = ex4_reduction
     with pytest.raises(ValueError, match="^word is not a path of the arena$"):
-        red.class_of(word("02"))
+        class_of(red, word("02"))
     # a path whose proper prefix 100101 already reached the sink
     with pytest.raises(ValueError, match="^a proper prefix already reached the threshold$"):
-        red.class_of(word("1001010"))
+        class_of(red, word("1001010"))
     with pytest.raises(ValueError, match="^empty play prefix$"):
-        red.class_of(())
+        class_of(red, ())
 
 
 def test_quotient_ownership_and_edges(ex4_reduction, example4):
@@ -144,20 +145,20 @@ def test_quotient_ownership_and_edges(ex4_reduction, example4):
         sheet = red.sheets[c]
         assert quotient.owner[c] == arena.owner[sheet.last]
         # one quotient edge per arena edge out of the last vertex
-        targets = {red.step_class(c, v) for v in arena.succ[sheet.last]}
+        targets = {step_class(red, c, v) for v in arena.succ[sheet.last]}
         assert targets == set(quotient.succ[c])
         for v in arena.succ[sheet.last]:
-            t = red.step_class(c, v)
+            t = step_class(red, c, v)
             if t != red.sink:
                 assert red.sheets[t].last == v
     with pytest.raises(ValueError):
-        red.step_class(red.embed[0], 2)  # (0, 2) is not an arena edge
+        step_class(red, red.embed[0], 2)  # (0, 2) is not an arena edge
 
 
 def test_sink_is_terminal_and_looped(ex4_reduction):
     red = ex4_reduction
     assert red.sheets[red.sink] is None
-    assert red.rep_words[red.sink] is None
+    assert rep_word(red, red.sink) is None
     assert red.game.arena.succ[red.sink] == (red.sink,)
     check_unsafe_steps(red)
 
@@ -167,7 +168,7 @@ def test_build_is_deterministic(example4):
     a = build_safety_game(arena, muller)
     b = build_safety_game(arena, muller)
     assert a.embed == b.embed
-    assert a.rep_words == b.rep_words
+    assert rep_words(a) == rep_words(b)
     assert list(a.sheets) == list(b.sheets)
     assert a.game.arena == b.game.arena
     assert a.game.safe == b.game.safe
@@ -249,7 +250,7 @@ def test_random_reductions_respect_bounds_and_edges(seed):
         sheet = red.sheets[c]
         assert not entries_terminal(sheet.entries, red.threshold)
         for v in arena.succ[sheet.last]:
-            red.step_class(c, v)
+            step_class(red, c, v)
     check_unsafe_steps(red)
 
 
@@ -268,7 +269,7 @@ def test_class_names_follow_rep_words(example4, names, joiner):
     assert len(set(quotient.names)) == quotient.n
     for c in range(red.n_classes):
         if c != red.sink:
-            expected = "[" + joiner.join(names[v] for v in red.rep_words[c]) + "]"
+            expected = "[" + joiner.join(names[v] for v in rep_word(red, c)) + "]"
             assert quotient.names[c] == expected
 
 
@@ -298,15 +299,15 @@ def test_transitions_agree_with_class_lookup(seed):
     for _ in range(12):
         v = rng.choice(arena.succ[path[-1]])
         path = path + (v,)
-        c = red.step_class(c, v)
+        c = step_class(red, c, v)
         entries = entries_step(red.family, entries, v, pairs)
-        assert c == red.class_of(path)
+        assert c == class_of(red, path)
         if c == red.sink:
             assert entries_terminal(entries, red.threshold)
             break
-        assert red.class_of(red.rep_words[c]) == c
+        assert class_of(red, rep_word(red, c)) == c
         assert red.sheets[c] == (v, entries)
-        assert red.sheets[c] == fold(red.rep_words[c], pairs)
+        assert red.sheets[c] == fold(rep_word(red, c), pairs)
 
 
 @settings(max_examples=20, deadline=None)

@@ -15,7 +15,6 @@ from scoregames.arena import (
     RequestResponseCondition,
     bit,
     mask_of,
-    winner,
 )
 from scoregames.oracle import GeneratorConfig, encode_as_muller, random_game, zielonka
 from scoregames.reduction import build_safety_game
@@ -24,7 +23,6 @@ from scoregames.safety_framework import (
     MonitorDFA,
     buchi_monitor,
     cobuchi_monitor,
-    lasso_accepted_forever,
     monitor_for,
     muller_monitor,
     parity_monitor,
@@ -36,6 +34,7 @@ from scoregames.safety_framework import (
 from scoregames.safety_solver import solve_safety
 from scoregames.scoring import ZERO
 
+from reference import lasso_accepted_forever, run, winner
 from conftest import m, random_lasso, strategy_keeps_reject_unreachable, word
 from test_acceptance import corpus_config
 
@@ -43,10 +42,10 @@ from test_acceptance import corpus_config
 def test_run_dfa_basics():
     arena = Arena.build([0, 0], [(0, 1), (1, 0)])
     dfa = buchi_monitor(arena, m(0))
-    assert dfa.run(()) == dfa.start
-    assert dfa.run((1, 0)) == 0
-    assert dfa.run((1, 1)) is REJECT
-    assert dfa.run((1, 1, 0, 0)) is REJECT  # absorbing
+    assert run(dfa, ()) == dfa.start
+    assert run(dfa, (1, 0)) == 0
+    assert run(dfa, (1, 1)) is REJECT
+    assert run(dfa, (1, 1, 0, 0)) is REJECT  # absorbing
     with pytest.raises(ValueError):
         dfa.step(dfa.start, 5)
 
@@ -54,42 +53,42 @@ def test_run_dfa_basics():
 def test_buchi_monitor_language():
     arena = Arena.build([0, 0], [(0, 1), (1, 0)])
     dfa = buchi_monitor(arena, m(0))  # k = 1
-    assert dfa.is_accepting(dfa.run((1, 0)))
-    assert not dfa.is_accepting(dfa.run((1, 1)))
-    assert dfa.is_accepting(dfa.run((0,)))
+    assert dfa.is_accepting(run(dfa, (1, 0)))
+    assert not dfa.is_accepting(run(dfa, (1, 1)))
+    assert dfa.is_accepting(run(dfa, (0,)))
     full = buchi_monitor(arena, arena.full_mask)
-    assert dfa.is_accepting(full.run((0, 1) * 10))
+    assert dfa.is_accepting(run(full, (0, 1) * 10))
 
 
 def test_cobuchi_monitor_language():
     arena = Arena.build([0, 0], [(0, 1), (1, 0), (1, 1)])
     dfa = cobuchi_monitor(arena, m(1))  # vertex 0 is the bad one
-    assert dfa.is_accepting(dfa.run(word("011")))
-    assert not dfa.is_accepting(dfa.run(word("010")))
+    assert dfa.is_accepting(run(dfa, word("011")))
+    assert not dfa.is_accepting(run(dfa, word("010")))
     everything = cobuchi_monitor(arena, arena.full_mask)
-    assert everything.is_accepting(everything.run(word("010101")))
+    assert everything.is_accepting(run(everything, word("010101")))
 
 
 def test_parity_monitor_language():
     arena = Arena.build([0, 0], [(0, 1), (1, 0), (0, 0)])
     dfa = parity_monitor(arena, (1, 0))  # u=0 odd, v=1 even, n_1 = 1
-    assert not dfa.is_accepting(dfa.run(word("00")))
-    assert dfa.is_accepting(dfa.run(word("010")))
+    assert not dfa.is_accepting(run(dfa, word("00")))
+    assert dfa.is_accepting(run(dfa, word("010")))
     all_even = parity_monitor(arena, (0, 2))
-    assert all_even.is_accepting(all_even.run(word("0101010101")))
+    assert all_even.is_accepting(run(all_even, word("0101010101")))
     single = Arena.build([0], [(0, 0)])
     odd = parity_monitor(single, (1,))
-    assert odd.is_accepting(odd.run(word("0")))
-    assert not odd.is_accepting(odd.run(word("00")))
+    assert odd.is_accepting(run(odd, word("0")))
+    assert not odd.is_accepting(run(odd, word("00")))
 
 
 def test_parity_monitor_smaller_odd_does_not_reset():
     arena = Arena.build([0, 0, 0], [(0, 1), (1, 2), (2, 0), (0, 0), (1, 1), (2, 2)])
     dfa = parity_monitor(arena, (3, 1, 0))  # n_3 = n_1 = 1
     # visiting priority 1 does not reset priority 3's counter
-    assert dfa.run(word("010")) is REJECT
+    assert run(dfa, word("010")) is REJECT
     # but the even priority 0 resets both
-    assert dfa.is_accepting(dfa.run(word("0120")))
+    assert dfa.is_accepting(run(dfa, word("0120")))
 
 
 def test_rr_monitor_language():
@@ -97,19 +96,19 @@ def test_rr_monitor_language():
     pairs = ((m(0), m(2)),)
     dfa = rr_monitor(arena, pairs)  # k = 3 * 1 * 4 = 12
     # a request kept open for 13 steps rejects
-    assert dfa.is_accepting(dfa.run((0,) + (1,) * 12))
-    assert not dfa.is_accepting(dfa.run((0,) + (1,) * 13))
+    assert dfa.is_accepting(run(dfa, (0,) + (1,) * 12))
+    assert not dfa.is_accepting(run(dfa, (0,) + (1,) * 13))
     # no requests: accepted forever
-    assert dfa.is_accepting(dfa.run((1,) * 30))
+    assert dfa.is_accepting(run(dfa, (1,) * 30))
     # answered on the next step
-    assert dfa.is_accepting(dfa.run(word("012") * 10))
+    assert dfa.is_accepting(run(dfa, word("012") * 10))
 
 
 def test_muller_monitor_language(example4):
     arena, muller = example4
     dfa = muller_monitor(arena, muller)
-    assert dfa.run(word("100101")) is REJECT
-    assert dfa.is_accepting(dfa.run(word("10012100")))
+    assert run(dfa, word("100101")) is REJECT
+    assert dfa.is_accepting(run(dfa, word("10012100")))
     # rows[i][v] numbers state i's successor under letter v
     states, rows = reachable_states(dfa)
     assert states[0] == dfa.start and len(set(states)) == len(states) == len(rows)
@@ -445,7 +444,7 @@ def test_monitor_prefix_closure(seed, kind):
     dfa = monitor_for(arena, condition)
     rng = random.Random(seed)
     w = tuple(rng.randrange(arena.n) for _ in range(rng.randrange(1, 12)))
-    if dfa.is_accepting(dfa.run(w)):
+    if dfa.is_accepting(run(dfa, w)):
         q = dfa.start
         for v in w:
             q = dfa.step(q, v)

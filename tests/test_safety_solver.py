@@ -8,6 +8,7 @@ from scoregames.oracle import GeneratorConfig, random_game
 from scoregames.reduction import SafetyGame, build_safety_game
 from scoregames.safety_solver import attractor, solve_safety
 
+from reference import class_of
 from conftest import m, random_muller_game, word
 
 
@@ -49,11 +50,11 @@ def test_solve_safety_example4(example4):
     sol = solve_safety(red.game)
     for v in range(3):
         assert sol.w0 & bit(red.embed[v])
-    assert sol.w1 & bit(red.class_of(word("10010")))
+    assert sol.w1 & bit(class_of(red, word("10010")))
     assert bin(sol.w0).count("1") == 15
     # classes from which the opponent forces a third traversal
     for w in ("1010", "1212", "10010"):
-        assert sol.w1 & bit(red.class_of(word(w)))
+        assert sol.w1 & bit(class_of(red, word(w)))
 
 
 def check_solution(game: SafetyGame):

@@ -12,13 +12,11 @@ from scoregames.scoring import (
     entries_step,
     entries_terminal,
     family_of,
-    lar_of,
-    maxscore,
     score_step,
-    score_word,
     sheet_le,
 )
 
+from reference import lar_of, maxscore, score_word
 from conftest import m, random_muller_game, word
 
 F01 = m(0, 1)

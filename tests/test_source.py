@@ -1,8 +1,10 @@
-"""Static checks on the package source: no import a module never uses, and
-no private module-level name or private method that nothing in ``src/``
-references, so the leftovers of a removal show up here, and one reader of
-the strategy tables."""
+"""Static checks on the package source: no import a module never uses, no
+private module-level name or private method that nothing in ``src/``
+references, so the leftovers of a removal show up here, no public
+definition that only the tests run, and one reader of the strategy
+tables."""
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,17 +14,17 @@ import scoregames
 PACKAGE = Path(scoregames.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
 TREES = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
+BENCH = sorted((Path(__file__).parent.parent / "perfbench").glob("*.py"))
 
 
-def _loaded_names(tree) -> set:
-    """The names a module reads, and the attributes it reads off anything."""
-    out = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
-    return out
+def _reads(tree) -> Counter:
+    """How often ``tree`` reads each name, and each attribute off anything."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+        or isinstance(node, ast.Attribute)
+    )
 
 
 def _is_private(name: str) -> bool:
@@ -39,7 +41,7 @@ def test_every_import_is_used(module):
             imported += [(a.asname or a.name).split(".")[0] for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported += [a.asname or a.name for a in node.names]
-    used = _loaded_names(tree)
+    used = _reads(tree)
     assert [name for name in imported if name not in used] == []
 
 
@@ -48,7 +50,7 @@ def test_every_private_name_is_referenced():
     # reads it or imports it by name
     referenced = set()
     for tree in TREES.values():
-        referenced |= _loaded_names(tree)
+        referenced.update(_reads(tree))
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
                 referenced.update(a.name for a in node.names)
@@ -117,3 +119,48 @@ def test_only_the_strategy_module_reads_the_strategy_tables():
         if isinstance(node, ast.Attribute) and node.attr in ("init", "next_move")
     }
     assert readers == {"strategy.py"}
+
+
+def _bench_names() -> set:
+    """The names the benchmark's sources import, read as attributes or
+    spell as identifier strings, such as the tracer's ``"attractor"``."""
+    out = set()
+    for path in BENCH:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                out.update(a.name for a in node.names)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+            elif isinstance(node, ast.Constant) and str(node.value).isidentifier():
+                out.add(node.value)
+    return out
+
+
+def test_every_public_definition_is_run():
+    # a public function, class or method counts as run when the package
+    # reads it outside its own body, or the benchmark names it; the tests'
+    # reference definitions live in tests/reference.py, not here
+    assert BENCH, "perfbench/ not found next to tests/"
+    exempt = {"cli.main"}  # the console script's entry point
+    modules = {name: tree for name, tree in TREES.items() if name != "__init__.py"}
+    reads = sum(map(_reads, modules.values()), Counter())
+    bench = _bench_names()
+    unread = []
+    for module, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defs = [(node.name, node)]
+            if isinstance(node, ast.ClassDef):
+                defs += [
+                    (f"{node.name}.{item.name}", item)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                ]
+            for name, body in defs:
+                short, name = name.split(".")[-1], f"{module[:-3]}.{name}"
+                if short.startswith("_") or short in bench or name in exempt:
+                    continue
+                if reads[short] == _reads(body)[short]:
+                    unread.append(name)
+    assert unread == []

@@ -16,7 +16,6 @@ from scoregames.arena import (
     bit,
     enumerate_loops,
     f1_loops,
-    is_path,
     iter_bits,
 )
 from scoregames.cli import parse_strategy, serialize_strategy
@@ -29,7 +28,6 @@ from scoregames.scoring import (
     entries_step,
     entries_terminal,
     family_of,
-    maxscore,
     sheet_le,
 )
 from scoregames.strategy import (
@@ -43,6 +41,7 @@ from scoregames.strategy import (
     verify_bounded_scores,
 )
 
+from reference import class_of, is_path, maxscore
 from conftest import alternating_strategy, m, random_muller_game, word
 from test_acceptance import corpus_config
 
@@ -157,7 +156,7 @@ def test_permissive_moves_frozen_values(ex4_pipeline):
     arena, muller, red, sol = ex4_pipeline
     perm = build_permissive_strategy(red, sol)
     assert perm.moves(1, red.embed[1]) == (0, 2)
-    assert perm.moves(1, red.class_of(word("1001"))) == (2,)
+    assert perm.moves(1, class_of(red, word("1001"))) == (2,)
     assert perm.moves(1, BOTTOM) in ((0,), (2,))
 
 
@@ -186,7 +185,7 @@ def test_permissive_characterization(ex4_pipeline):
 
     def all_classes_winning(path):
         return all(
-            sol.w0 & bit(red.class_of(path[: i + 1])) for i in range(len(path))
+            sol.w0 & bit(class_of(red, path[: i + 1])) for i in range(len(path))
         )
 
     def walk(path):
@@ -369,6 +368,25 @@ def test_readers_name_only_vertices_of_the_arena():
         strat.step("s", 1)
 
 
+def test_numbered_readers_name_only_states_of_the_strategy():
+    # states go0 and go2 are numbers 0 and 1: -1 would read go2's row and
+    # 2 would run past the tables
+    strat = alternating_strategy()
+    assert (strat.moves_of(1, 1), strat.step_of(1, 0)) == ((2,), 1)
+    for i in (-1, len(strat.states), 5):
+        with pytest.raises(ValueError, match=f"^strategy has no state number {i}$"):
+            strat.moves_of(1, i)
+        with pytest.raises(ValueError, match=f"^strategy has no state number {i}$"):
+            strat.step_of(i, 0)
+
+
+@pytest.mark.parametrize("start", [1 << 3, 1 << 5, -1])
+def test_consistent_product_refuses_start_outside_the_arena(example4, start):
+    arena, _ = example4
+    with pytest.raises(ValueError, match="^start vertices outside the arena$"):
+        consistent_product(arena, alternating_strategy(), start)
+
+
 def test_subsumption_fails_at_its_depth(ex4_pipeline):
     # vertex 0 is Player 1's, so the first prefix consistent with the
     # permissive strategy and not with the antichain one is 0 1 0: after
@@ -412,7 +430,7 @@ def test_memory_over_approximates_play_class(ex4_pipeline):
             path = path + (nxt,)
             mem = strat.step(mem, nxt)
             assert mem is not BOTTOM
-            assert sheet_le(red.family, red.sheets[red.class_of(path)], red.sheets[mem])
+            assert sheet_le(red.family, red.sheets[class_of(red, path)], red.sheets[mem])
 
 
 def test_player1_strategy_verifies_when_player1_wins(example4):
