@@ -23,6 +23,7 @@ All output is deterministic: identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .arena import (
@@ -645,13 +646,20 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe also fails here, not only in a write
     except GameParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader closed stdout: the interpreter's last flush goes to
+        # devnull, and the exit code is a shell's for a tool SIGPIPE ended
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

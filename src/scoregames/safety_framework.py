@@ -26,7 +26,7 @@ from .arena import (
 )
 from .reduction import DEFAULT_MAX_STATES, SafetyGame, Search, _ClassView
 from .safety_solver import solve_safety
-from .scoring import ZERO, entries_step, entries_terminal, family_of
+from .scoring import AT_CAP, ZERO, CodeTable, entries_step, family_of
 from .strategy import FiniteStateStrategy
 
 
@@ -222,18 +222,18 @@ def rr_monitor(arena: Arena, pairs: Sequence) -> MonitorDFA:
 
 
 def muller_monitor(arena: Arena, muller: MullerCondition) -> MonitorDFA:
-    """Score entries for Player 1's loop family; any score reaching 3
+    """Score sheets for Player 1's loop family; any score reaching 3
     rejects.  The product of the arena with this monitor is the score-class
-    quotient.  The monitor owns one ``entries_step`` pair table, which its
-    step reads, so all its states share their equal (score, acc) pairs."""
+    quotient.  The monitor owns one ``CodeTable``, capped at 3, whose
+    strings are its states other than REJECT."""
     family = family_of(f1_loops(arena, muller))
-    pairs = {}
+    table = CodeTable(family, arena.n, 3)
 
-    def step(entries, v):
-        nxt = entries_step(family, entries, v, pairs)
-        return REJECT if entries_terminal(nxt, 3) else nxt
+    def step(sheet, v):
+        nxt = entries_step(sheet, v, table)
+        return REJECT if AT_CAP in nxt else nxt
 
-    return MonitorDFA(arena.n, (ZERO,) * len(family), step)
+    return MonitorDFA(arena.n, table.encode([ZERO] * len(family)), step)
 
 
 def monitor_for(arena: Arena, condition: Condition) -> MonitorDFA:

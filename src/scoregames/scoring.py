@@ -8,11 +8,17 @@ are the canonical representatives of score-equivalence classes.
 
 The quotient construction packs a family's states into one int, laid out
 and stepped by ``PackedKernel``: one kernel call steps a whole successor
-row, read from its lanes.
+row, read from its lanes.  The strategy verifier and the Muller monitor
+keep a family's states as a string of codes from a ``CodeTable`` and step
+it with ``entries_step``, one ``str.translate``.  The two kernels share
+only ``score_step``.
 """
 from __future__ import annotations
 
+import sys
 from typing import Iterable, NamedTuple, Sequence
+
+from .arena import SizeLimitError
 
 # A state of one tracked set is the plain pair (score, acc); ``acc`` is a
 # bitmask, always a proper subset of the set.  ZERO is the one reset pair.
@@ -44,34 +50,83 @@ def family_of(sets: Iterable[int]) -> tuple:
     return tuple(sorted(set(sets)))
 
 
-def entries_init(family: Sequence[int], v: int) -> tuple:
-    return tuple(score_step(f, ZERO, v) for f in family)
+# Two code points of a sheet are reserved: "\x00" marks a transition a
+# row has not computed yet and never appears in a sheet, and AT_CAP is a
+# score at the table's cap, in any set; the other codes are the table's.
+_UNKNOWN = 0
+AT_CAP = "\x01"
+_CODE_LIMIT = sys.maxunicode  # the last code point a str can hold
 
 
-def entries_step(family: Sequence[int], entries: Sequence[tuple], v: int, pairs: dict) -> tuple:
-    # A reset is ZERO; every other pair comes from ``pairs``, a table the
-    # caller owns that maps each (score, acc) it has seen to its one
-    # tuple, so equal pairs in the caller's states are one object.  The
-    # table grows to the distinct pairs of its caller.
-    b = 1 << v
-    out = []
-    push = out.append
-    share = pairs.setdefault
-    for f, (score, acc) in zip(family, entries):
-        if not f & b:
-            push(ZERO)
-        else:
-            p = (score + 1, 0) if acc == f & ~b else (score, acc | b)
-            push(share(p, p))
-    return tuple(out)
+class CodeTable:
+    """Score sheets as strings, for one tracked family on the vertices
+    ``0..n-1``, with scores capped at ``cap``.
+
+    Character i of a sheet is the code of tracked set i's (score, acc)
+    pair: AT_CAP for a score of ``cap``, else the code that ``codes`` lists
+    as (i, score, acc).  Codes are numbered from 2 in the order the table
+    meets them, up to the last code point a str holds; more raise
+    SizeLimitError.  ``rows[v]`` maps each code to its code after vertex v,
+    for ``str.translate``, and ``entries_step`` fills each entry from
+    ``score_step`` the first time a sheet needs it.  Every row covers every
+    code and holds only ints, since ``translate`` keeps a code past a list's
+    end and deletes one mapped to None.
+
+    Equal sheets are equal strings, which cache their hash and take one
+    byte per set while the table has fewer than 256 codes.  The caller owns
+    the table and drops it with its sheets.
+    """
+
+    def __init__(self, family: Sequence[int], n: int, cap: int):
+        self.family = tuple(family)
+        self.cap = cap
+        self.codes: list = [None, None]  # the reserved codes decode to nothing
+        self.rows = [[_UNKNOWN, ord(AT_CAP)] for _ in range(n)]  # a capped score stays
+        self._number: dict = {}
+
+    def _code(self, i: int, state: tuple) -> int:
+        score, acc = state
+        if score >= self.cap:
+            return ord(AT_CAP)
+        key = (i, score, acc)
+        c = self._number.get(key)
+        if c is None:
+            c = len(self.codes)
+            if c > _CODE_LIMIT:
+                raise SizeLimitError(f"score sheet code table exceeds its cap of {c - 2} codes")
+            self._number[key] = c
+            self.codes.append(key)
+            for row in self.rows:
+                row.append(_UNKNOWN)
+        return c
+
+    def encode(self, entries: Iterable[tuple]) -> str:
+        """The sheet of the (score, acc) pairs ``entries``, aligned with the
+        family."""
+        return "".join(chr(self._code(i, state)) for i, state in enumerate(entries))
+
+    def _fill(self, sheet: str, v: int) -> None:
+        row, family, codes = self.rows[v], self.family, self.codes
+        for c in set(map(ord, sheet)):
+            if row[c] == _UNKNOWN:
+                i, score, acc = codes[c]
+                row[c] = self._code(i, score_step(family[i], (score, acc), v))
 
 
-def entries_terminal(entries: Sequence[tuple], cap: int = 3) -> bool:
-    return any(st[0] >= cap for st in entries)
+def entries_step(sheet: str, v: int, table: CodeTable) -> str:
+    """The sheet after vertex ``v``: one ``str.translate`` through the
+    table's row for ``v``, and a second once the row's missing entries for
+    ``sheet`` are filled."""
+    row = table.rows[v]
+    out = sheet.translate(row)
+    if "\x00" in out:
+        table._fill(sheet, v)
+        out = sheet.translate(row)
+    return out
 
 
 class PackedKernel:
-    """``entries_step`` for a whole tracked family on one packed int, the
+    """``score_step`` for a whole tracked family on one packed int, the
     score vector of the quotient construction, where hashing and stepping
     dominate the running time.
 
@@ -156,8 +211,8 @@ class PackedKernel:
 
     def sheet(self, key: int) -> ScoreSheet:
         """The score sheet a class key packs: its last vertex and the
-        (score, acc) pair of each tracked set, as ``entries_step`` gives
-        them."""
+        (score, acc) pair of each tracked set, as folds of ``score_step``
+        give them."""
         n, width, ones = self.n, self.n + 2, (1 << self.n) - 1
         fields = [key >> i * width for i in range(len(self.family))]
         return ScoreSheet(self.last(key), tuple((f >> n & 3, f & ones) for f in fields))

@@ -16,7 +16,7 @@ from functools import cached_property
 from .arena import Arena, MullerCondition, bit, f1_loops, iter_bits
 from .reduction import DEFAULT_MAX_STATES, SafetyReduction, Search, _path, build_safety_game
 from .safety_solver import SafetySolution, solve_safety
-from .scoring import entries_init, entries_step, entries_terminal, family_of, sheet_le
+from .scoring import AT_CAP, ZERO, CodeTable, entries_step, family_of, score_step, sheet_le
 
 
 class _Bottom:
@@ -345,7 +345,7 @@ def verify_bounded_scores(
     ``start``.
 
     Explores the product of the restricted arena with score sheets capped at
-    bound + 1, states (vertex, memory state number, score entries),
+    bound + 1, states (vertex, memory state number, sheet),
     breadth-first on a ``Search`` and returns (True, None) or (False,
     witness prefix): the first play prefix, in breadth-first order, whose
     last step takes a score past ``bound``.  The strategy must be one on
@@ -354,8 +354,8 @@ def verify_bounded_scores(
     certifies that the strategy is winning from ``start``: bounded opponent
     scores force the infinity set into the owner's family.  Strategies for
     Player 1 are checked on the role-swapped game.  The call owns one
-    ``entries_step`` pair table, so the product's states share their equal
-    (score, acc) pairs, and drops it on return.
+    ``CodeTable``, whose strings are the product's sheets, and drops it on
+    return; a table over its code limit raises SizeLimitError too.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
@@ -365,24 +365,26 @@ def verify_bounded_scores(
         # Player 1's side: players exchanged, f0 the loops Player 0 loses
         arena, muller = arena.swap_roles(), MullerCondition(frozenset(f1_loops(arena, muller)))
     family = family_of(f1_loops(arena, muller))
-    cap = bound + 1
 
     strat.check_arena(arena)
     moves_of, step_of = strat.moves_of, strat.step_of
     rows = tuple(arena.succ)  # each vertex's row, read once, not once a state
-    pairs = {}
+    table = CodeTable(family, arena.n, bound + 1)
 
-    search = Search((v, strat.init_of(v), entries_init(family, v)) for v in iter_bits(start))
-    for i, (v, m, entries) in search:
+    search = Search(
+        (v, strat.init_of(v), table.encode(score_step(f, ZERO, v) for f in family))
+        for v in iter_bits(start)
+    )
+    for i, (v, m, sheet) in search:
         succ = rows[v]
         for u in moves_of(v, m) if arena.owner[v] == 0 else succ:
             if u not in succ:
                 raise ValueError(f"strategy proposes a non-edge {v} -> {u}")
-            nxt_entries = entries_step(family, entries, u, pairs)
+            nxt = entries_step(sheet, u, table)
             j = step_of(m, u)
-            if entries_terminal(nxt_entries, cap):
+            if AT_CAP in nxt:
                 return False, _path(search.parents, i, lambda p: search.keys[p][0]) + (u,)
-            search.add((u, j, nxt_entries), i)
+            search.add((u, j, nxt), i)
     return True, None
 
 

@@ -1,10 +1,12 @@
 """The paper's definitions, written out plainly as the tests' reference.
 
 The score of a word, the latest appearance record and its class-count
-bound, the class of a play prefix, lassos and their winner, and a monitor's
-run over a word.  No path of the ``scoregames`` package (command line,
-library pipeline or benchmark) runs this module; the tests check the
-package's kernels, quotients and solvers against it.
+bound, a family's score entries as tuples of (score, acc) pairs and the
+decoding of a code-string sheet back to them, the class of a play prefix,
+lassos and their winner, and a monitor's run over a word.  No path of the
+``scoregames`` package (command line, library pipeline or benchmark) runs
+this module; the tests check the package's kernels, quotients and solvers
+against it.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from scoregames.arena import (
 )
 from scoregames.reduction import SafetyReduction
 from scoregames.safety_framework import MonitorDFA
-from scoregames.scoring import ZERO, score_step
+from scoregames.scoring import AT_CAP, ZERO, CodeTable, score_step
 
 # -- lassos and their winner ---------------------------------------------
 
@@ -150,6 +152,47 @@ def lar_sum_bound(n: int) -> int:
     records times the score/accumulator combinations per record, plus the
     sink.  The coarser (n!)^3 form only dominates this sum for n >= 4."""
     return sum(comb(n, k) * factorial(k) * 2**k * factorial(k) for k in range(1, n + 1)) + 1
+
+
+# -- a family's score entries as tuples -----------------------------------
+
+
+def entries_init(family: Sequence[int], v: int) -> tuple:
+    """The (score, acc) pair of each set of ``family`` after the play ``v``."""
+    return tuple(score_step(f, ZERO, v) for f in family)
+
+
+def entries_step(family: Sequence[int], entries: Sequence[tuple], v: int, pairs: dict) -> tuple:
+    """``entries`` after vertex ``v``.  A reset is ZERO; every other pair
+    comes from ``pairs``, a table the caller owns that maps each (score,
+    acc) it has seen to its one tuple, so equal pairs are one object."""
+    out = []
+    for f, state in zip(family, entries):
+        p = score_step(f, state, v)
+        out.append(p if p is ZERO else pairs.setdefault(p, p))
+    return tuple(out)
+
+
+def entries_terminal(entries: Sequence[tuple], cap: int = 3) -> bool:
+    """Whether some set's score has reached ``cap``."""
+    return any(score >= cap for score, _ in entries)
+
+
+def decode(table: CodeTable, sheet: str) -> tuple:
+    """The (score, acc) pairs a code-string sheet of ``table`` stands for.
+    AT_CAP decodes to (cap, 0): a score reaches the cap by an increment,
+    which empties the accumulator.  A code listed for another set than its
+    position raises ValueError."""
+    out = []
+    for i, ch in enumerate(sheet):
+        if ch == AT_CAP:
+            out.append((table.cap, 0))
+            continue
+        j, score, acc = table.codes[ord(ch)]
+        if j != i:
+            raise ValueError(f"code {ord(ch)} of set {j} at position {i}")
+        out.append((score, acc))
+    return tuple(out)
 
 
 # -- classes of play prefixes in a reduction -----------------------------

@@ -15,7 +15,7 @@ from scoregames.cli import (
     serialize_game,
     serialize_strategy,
 )
-from scoregames import cli, strategy
+from scoregames import cli, scoring, strategy
 from scoregames.arena import Arena, MullerCondition, SizeLimitError
 from scoregames.oracle import GeneratorConfig, random_game
 from scoregames.reduction import Search, build_safety_game
@@ -406,6 +406,44 @@ def test_verify_is_capped(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_code_table_is_capped(tmp_path, capsys, monkeypatch):
+    # the stubborn strategy's scores climb towards the bound, a new code for
+    # each level; with the last code patched down to 40, its table fills
+    # before a score passes 1000
+    monkeypatch.setattr(scoring, "_CODE_LIMIT", 40)
+    arena, muller = parse_game(EXAMPLE4_GAME_TEXT)
+    message = "score sheet code table exceeds its cap of 39 codes"
+    with pytest.raises(SizeLimitError, match=message):
+        verify_bounded_scores(arena, muller, parse_strategy(STUBBORN_TEXT, arena), m(1), 1000)
+    strat = tmp_path / "stubborn.txt"
+    strat.write_text(STUBBORN_TEXT)
+    argv = ("verify", game_file(tmp_path), str(strat), "--bound", "1000")
+    assert run(capsys, *argv) == (3, "", f"error: {message}\n")
+    monkeypatch.undo()
+    code, out, _ = run(capsys, *argv)
+    assert code == 1 and out.startswith("violation: ")
+
+
+def test_cli_closed_stdout_exits_141_without_a_traceback(tmp_path, capsys):
+    # the monitor of this request-response game is 69,163 lines long; the
+    # reader takes the first and closes the pipe, so a later write or the
+    # last flush fails
+    import os
+    import subprocess
+
+    code, text, _ = run(capsys, "random", "--kind", "rr", "--vertices", "8", "--seed", "5")
+    assert code == 0
+    argv = [sys.executable, "-m", "scoregames", "monitor", game_file(tmp_path, text)]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 141
+    assert first == b"states 8645\n"
+    assert err == b""
 
 
 def test_cli_oracle(tmp_path, capsys):

@@ -10,9 +10,18 @@ from scoregames.arena import Arena, MullerCondition, SizeLimitError, bit, mask_o
 from scoregames.oracle import GeneratorConfig, random_game
 from scoregames.reduction import Search, build_safety_game
 from scoregames.safety_solver import solve_safety
-from scoregames.scoring import ScoreSheet, entries_init, entries_step, entries_terminal
+from scoregames.scoring import ScoreSheet
 
-from reference import class_of, lar_sum_bound, rep_word, rep_words, step_class
+from reference import (
+    class_of,
+    entries_init,
+    entries_step,
+    entries_terminal,
+    lar_sum_bound,
+    rep_word,
+    rep_words,
+    step_class,
+)
 from conftest import m, random_muller_game, word
 from test_acceptance import corpus_config
 

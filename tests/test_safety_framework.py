@@ -32,9 +32,9 @@ from scoregames.safety_framework import (
     solve_via_safety,
 )
 from scoregames.safety_solver import solve_safety
-from scoregames.scoring import ZERO
+from scoregames.scoring import AT_CAP, ZERO, CodeTable
 
-from reference import lasso_accepted_forever, run, winner
+from reference import decode, lasso_accepted_forever, run, winner
 from conftest import m, random_lasso, strategy_keeps_reject_unreachable, word
 from test_acceptance import corpus_config
 
@@ -120,15 +120,33 @@ def test_muller_monitor_language(example4):
     assert reachable_states(trivial) == ((trivial.start,), [(0, 0, 0)])
 
 
+@pytest.fixture
+def code_tables(monkeypatch):
+    """The code tables the safety framework's monitors make, in order."""
+    tables = []
+
+    def kept(*args):
+        tables.append(CodeTable(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(safety_framework, "CodeTable", kept)
+    return tables
+
+
 @pytest.mark.parametrize("seed", [5, 10, 14])
-def test_muller_monitor_states_share_their_pairs(seed):
-    # the monitor's one pair table makes each distinct non-ZERO (score, acc)
-    # pair of its reachable states one object
+def test_muller_monitor_states_share_their_pairs(seed, code_tables):
+    # the monitor's states are strings of its one code table, which gives
+    # each distinct (set, score, acc) of its reachable states one code; the
+    # non-ZERO pairs they decode to repeat across states
     arena, muller = random_game(corpus_config(seed))
     states, _ = reachable_states(muller_monitor(arena, muller))
-    pairs = [p for q in states if q is not REJECT for p in q if p is not ZERO]
+    (table,) = code_tables
+    sheets = [q for q in states if q is not REJECT]
+    assert all(type(q) is str and AT_CAP not in q for q in sheets)
+    pairs = [p for q in sheets for p in decode(table, q) if p != ZERO]
     assert len(pairs) > len(set(pairs)) > 1
-    assert len({id(p) for p in pairs}) == len(set(pairs))
+    cells = {(i, p) for q in sheets for i, p in enumerate(decode(table, q))}
+    assert len({ch for q in sheets for ch in q}) == len(cells)
 
 
 def test_product_with_trivial_monitor(example4):
@@ -155,10 +173,11 @@ def test_product_with_instant_reject(example4):
     assert w0 == 0
 
 
-def test_product_isomorphic_to_reduction(example4):
+def test_product_isomorphic_to_reduction(example4, code_tables):
     arena, muller = example4
     red = build_safety_game(arena, muller)
     prod = product_game(arena, muller_monitor(arena, muller))
+    (table,) = code_tables
     # safe product states correspond one-to-one to safe quotient classes,
     # looked up through the classes' decoded sheets
     classes = {sheet: c for c, sheet in enumerate(red.sheets) if sheet is not None}
@@ -166,7 +185,7 @@ def test_product_isomorphic_to_reduction(example4):
     for i, (v, q) in enumerate(prod.states):
         if q is REJECT:
             continue
-        cls = classes[v, q]
+        cls = classes[v, decode(table, q)]
         assert cls not in mapping.values()
         mapping[i] = cls
     assert len(mapping) == 19

@@ -1,22 +1,31 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scoregames.arena import is_loop
+from scoregames import scoring
+from scoregames.arena import SizeLimitError, is_loop
 from scoregames.scoring import (
+    AT_CAP,
+    CodeTable,
     PackedKernel,
     ScoreSheet,
     ZERO,
-    entries_init,
-    entries_step,
-    entries_terminal,
     family_of,
     score_step,
     sheet_le,
 )
 
-from reference import lar_of, maxscore, score_word
+from reference import (
+    decode,
+    entries_init,
+    entries_step,
+    entries_terminal,
+    lar_of,
+    maxscore,
+    score_word,
+)
 from conftest import m, random_muller_game, word
 
 F01 = m(0, 1)
@@ -290,3 +299,73 @@ def test_entries_terminal():
     assert entries_terminal(((3, 0), (0, 0)))
     assert not entries_terminal(((2, 1), (2, 0)))
     assert entries_terminal(((2, 0),), cap=2)
+
+
+# -- code-string sheets ----------------------------------------------------
+
+
+def test_code_table_fills_rows_on_demand():
+    # codes are numbered from 2 as the table meets them; a step fills only
+    # its own row's entries for the codes of its sheet, and every new code
+    # gets an unknown entry in every row
+    table = CodeTable(FAMILY, 3, 3)
+    a = table.encode(entries_init(FAMILY, 0))
+    assert a == "\x02\x03" and table.rows == [[0, 1, 0, 0]] * 3
+    b = scoring.entries_step(a, 1, table)
+    assert b == "\x04\x05"
+    assert table.codes[2:] == [(0, 0, m(0)), (1, 0, 0), (0, 1, 0), (1, 0, m(1))]
+    assert table.rows[1] == [0, 1, 4, 5, 0, 0]
+    assert table.rows[0] == table.rows[2] == [0, 1, 0, 0, 0, 0]
+    # the reset of the second set meets the ZERO code it already has
+    assert scoring.entries_step(b, 0, table) == "\x06\x03"
+    assert decode(table, "\x06\x03") == ((1, m(0)), ZERO)
+    assert scoring.entries_step(a, 1, table) == b and len(table.codes) == 7
+
+
+def test_code_table_crossings_decode_to_the_cap():
+    # word 10010 then 1 takes F01 to a score of 3: at cap 3 that is AT_CAP,
+    # which decodes to (3, 0); at cap 4 it is an ordinary code
+    for cap in (3, 4):
+        table = CodeTable(FAMILY, 3, cap)
+        w = word("100101")
+        sheet = table.encode(entries_init(FAMILY, w[0]))
+        for v in w[1:]:
+            sheet = scoring.entries_step(sheet, v, table)
+        assert (AT_CAP in sheet) == (cap == 3)
+        assert decode(table, sheet) == fold(FAMILY, w, {})
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_code_step_matches_the_reference(data):
+    # from any entries below the cap, a sheet stepped through one code table
+    # decodes to the reference fold, holds AT_CAP exactly where the fold
+    # reaches the cap, and leaves every row an int for every code
+    n = data.draw(st.integers(1, 6), label="n")
+    family = family_of(data.draw(st.lists(st.integers(1, 2**n - 1), max_size=8)))
+    cap = data.draw(st.integers(2, 5), label="cap")
+    table = CodeTable(family, n, cap)
+    entries = data.draw(st.tuples(*(_below(cap, n, f) for f in family)), label="entries")
+    sheet = table.encode(entries)
+    assert decode(table, sheet) == entries and AT_CAP not in sheet
+    pairs = {}
+    for v in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=30), label="word"):
+        entries = entries_step(family, entries, v, pairs)
+        sheet = scoring.entries_step(sheet, v, table)
+        assert decode(table, sheet) == entries
+        assert (AT_CAP in sheet) == entries_terminal(entries, cap)
+        assert all(len(row) == len(table.codes) for row in table.rows)
+        assert all(type(c) is int for row in table.rows for c in row)
+        if AT_CAP in sheet:
+            break
+
+
+def test_code_table_is_capped(monkeypatch):
+    # a table needing a code past the last one a str holds raises
+    # SizeLimitError; patched down to code 5, the fifth pair does not fit
+    monkeypatch.setattr(scoring, "_CODE_LIMIT", 5)
+    table = CodeTable(FAMILY, 3, 3)
+    a = scoring.entries_step(table.encode(entries_init(FAMILY, 0)), 1, table)
+    assert a == "\x04\x05" and len(table.codes) == 6
+    with pytest.raises(SizeLimitError, match="cap of 4 codes"):
+        scoring.entries_step(a, 0, table)

@@ -1,8 +1,8 @@
 """Static checks on the package source: no import a module never uses, no
 private module-level name or private method that nothing in ``src/``
 references, so the leftovers of a removal show up here, no public
-definition that only the tests run, and one reader of the strategy
-tables."""
+definition that only the tests run, one reader of the strategy tables
+and one reader of the score sheet code tables."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -119,6 +119,19 @@ def test_only_the_strategy_module_reads_the_strategy_tables():
         if isinstance(node, ast.Attribute) and node.attr in ("init", "next_move")
     }
     assert readers == {"strategy.py"}
+
+
+def test_only_the_scoring_module_reads_the_code_tables():
+    # a CodeTable's rows and code list have one reader module, so a change
+    # of the code layout changes scoring.py alone; the others step sheets
+    # with entries_step and test crossings with AT_CAP
+    readers = {
+        module
+        for module, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("rows", "codes")
+    }
+    assert readers == {"scoring.py"}
 
 
 def _bench_names() -> set:

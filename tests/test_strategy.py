@@ -23,13 +23,7 @@ from scoregames.oracle import GeneratorConfig, random_game
 from scoregames.reduction import Search, build_safety_game
 from scoregames.safety_framework import monitor_for, solve_via_safety
 from scoregames.safety_solver import solve_safety
-from scoregames.scoring import (
-    entries_init,
-    entries_step,
-    entries_terminal,
-    family_of,
-    sheet_le,
-)
+from scoregames.scoring import family_of, sheet_le
 from scoregames.strategy import (
     BOTTOM,
     FiniteStateStrategy,
@@ -41,7 +35,14 @@ from scoregames.strategy import (
     verify_bounded_scores,
 )
 
-from reference import class_of, is_path, maxscore
+from reference import (
+    class_of,
+    entries_init,
+    entries_step,
+    entries_terminal,
+    is_path,
+    maxscore,
+)
 from conftest import alternating_strategy, m, random_muller_game, word
 from test_acceptance import corpus_config
 
@@ -538,7 +539,8 @@ def outcome(verify, *args):
 def test_verifier_matches_the_label_reference(seed):
     # the antichain strategies of both players and the permissive one, at
     # bound 2 (passing from the winning region) and bound 1 (failing, so
-    # the witnesses are compared too), and at bound 2 from every vertex
+    # the witnesses are compared too), at bound 3, where a score of 3 is an
+    # ordinary code below the cap of 4, and at bound 2 from every vertex
     arena, muller = random_game(corpus_config(seed))
     red1 = build_safety_game(arena, muller, tracked_player=1)
     sol1 = solve_safety(red1.game)
@@ -552,7 +554,7 @@ def test_verifier_matches_the_label_reference(seed):
     ]
     verdicts = []
     for strat, region in cases:
-        for start, bound in ((region, 2), (region, 1), (arena.full_mask, 2)):
+        for start, bound in ((region, 2), (region, 1), (region, 3), (arena.full_mask, 2)):
             if not start:
                 continue
             args = (arena, muller, strat, start, bound)
@@ -560,6 +562,38 @@ def test_verifier_matches_the_label_reference(seed):
             assert got == outcome(reference_verify, *args)
             verdicts.append(got[0])
     assert True in verdicts and False in verdicts
+
+
+def test_verifier_matches_the_reference_from_the_opponents_region():
+    # corpus seeds 0-59: each player's antichain strategy started in the
+    # other player's region fails at bounds 1 to 3 (at bound 3 a score of 3
+    # is an ordinary code), with the reference's verdict and witness: 255
+    # cases, 126 of them Player 0's
+    cases = []
+    for seed in range(60):
+        arena, muller = random_game(corpus_config(seed))
+        red1 = build_safety_game(arena, muller, tracked_player=1)
+        sol1 = solve_safety(red1.game)
+        red0 = build_safety_game(arena, muller, tracked_player=0)
+        sol0 = solve_safety(red0.game)
+        w0, w1 = sol1.w0 & arena.full_mask, sol0.w0 & arena.full_mask
+        f1 = f1_loops(arena, muller)
+        sides = (
+            (build_antichain_strategy(red1, sol1), w1, f1),
+            (build_antichain_strategy(red0, sol0), w0, set(enumerate_loops(arena)) - set(f1)),
+        )
+        for strat, start, opponents in sides:
+            for bound in (1, 2, 3) if start else ():
+                args = (arena, muller, strat, start, bound)
+                got = outcome(verify_bounded_scores, *args)
+                assert got == outcome(reference_verify, *args), (seed, bound)
+                ok, witness = got
+                # the witness's last step takes an opponent's loop past the bound
+                assert not ok and is_path(arena, witness)
+                assert maxscore(opponents, witness) == bound + 1
+                cases.append((strat.owner_player, len(witness)))
+    assert len(cases) == 255 and sum(player == 0 for player, _ in cases) == 126
+    assert {length for _, length in cases} <= set(range(2, 9))
 
 
 def test_verifier_matches_the_reference_on_partial_files(example4):
