@@ -22,7 +22,6 @@ from .arena import (
     validate,
 )
 from .scoring import (
-    ScoreSheet,
     family_of,
     score_step,
     sheet_le,

@@ -103,7 +103,8 @@ class Successors(_Sequence):
 class Arena:
     """A finite directed game graph with a vertex partition between two players.
 
-    ``owner[v]`` is 0 or 1.  ``succ`` is the successor table, a
+    ``owner[v]`` is 0 or 1; ``owner`` is a tuple, or ``bytes`` in a
+    reduction's quotient.  ``succ`` is the successor table, a
     ``Successors``: ``succ[v]`` is the sorted tuple of the successor
     indices of ``v``, and ``succ.flat`` and ``succ.start`` hold every row
     in two int arrays.
@@ -114,7 +115,7 @@ class Arena:
     """
 
     names: Sequence
-    owner: tuple
+    owner: Sequence
     succ: Successors
 
     @staticmethod

@@ -89,8 +89,7 @@ class SafetyGame:
 
 class _ClassView(Sequence):
     """A read-only sequence of ``n`` items, item ``i`` built on access as
-    ``item(i)``: per-class data of a reduction and the vertex names of
-    quotient and product arenas."""
+    ``item(i)``: the vertex names of quotient and product arenas."""
 
     def __init__(self, n: int, item: Callable):
         self._n = n
@@ -122,15 +121,16 @@ def _path(parents: Sequence, c: int, vertex: Callable) -> Word:
 @dataclass
 class SafetyReduction:
     """The quotient safety game together with the embedding of the original
-    vertices and the per-class score sheets.
+    vertices and the per-class keys.
 
     ``base_arena`` is the original arena with roles swapped when the tracked
     player is 0, so quotient Player 0 is always the player avoiding the sink.
     Class numbering is breadth-first discovery order and therefore
     reproducible.
 
-    Stored per class: ``keys[c]``, the class's score sheet packed into one
-    int by ``_kernel``, a ``scoring.PackedKernel`` (-1 for the sink), and
+    Stored per class: ``keys[c]``, the class's score sheet and last vertex
+    packed into one int by ``kernel``, a ``scoring.PackedKernel`` (-1 for
+    the sink), which also compares and ranks keys, and
     ``parents[c]``, the class whose expansion found ``c`` (-1 for the
     embedded vertices).  The quotient arena is the only successor table: a
     successor ``t`` of ``c`` other than the sink is the edge labelled
@@ -142,8 +142,7 @@ class SafetyReduction:
     Derived on access: the quotient's vertex names (``[`` + the base vertex
     names along the first play prefix that reached the class, read off the
     parent chain, + ``]``, joined as ``Arena.word_str`` joins them; the
-    sink's is ``unsafe``) and ``sheets`` (the decoded keys; the sink's
-    sheet is None).
+    sink's is ``unsafe``).
     """
 
     game: SafetyGame
@@ -156,22 +155,15 @@ class SafetyReduction:
     family: tuple
     sink: Optional[int]
     unsafe_class_count: int
-    _kernel: PackedKernel = field(repr=False)
+    kernel: PackedKernel = field(repr=False)
 
     @property
     def n_classes(self) -> int:
         return self.game.arena.n
 
-    @property
-    def sheets(self) -> Sequence:
-        return _ClassView(self.n_classes, self._sheet)
-
     def last(self, c: int) -> int:
         """The last vertex of class ``c`` (not the sink)."""
-        return self._kernel.last(self.keys[c])
-
-    def _sheet(self, c: int):
-        return None if c == self.sink else self._kernel.sheet(self.keys[c])
+        return self.kernel.last(self.keys[c])
 
 
 def build_safety_game(
@@ -235,8 +227,8 @@ def build_safety_game(
             return "unsafe"
         return "[" + base.word_str(_path(parents, c, lambda i: last(keys[i]))) + "]"
 
-    # the sink is absorbing, so its owner never matters
-    owner = tuple(1 if key < 0 else base.owner[last(key)] for key in keys)
+    # one byte a class; the sink is absorbing, so its owner never matters
+    owner = bytes(1 if key < 0 else base.owner[last(key)] for key in keys)
     quotient = Arena(_ClassView(len(keys), name), owner, succ)
     safe = (1 << len(keys)) - 1
     if sink is not None:
@@ -252,5 +244,5 @@ def build_safety_game(
         family=family,
         sink=sink,
         unsafe_class_count=len(unsafe),
-        _kernel=kernel,
+        kernel=kernel,
     )

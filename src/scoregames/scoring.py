@@ -2,21 +2,22 @@
 
 For a vertex set F, ``score`` counts how often F has been traversed
 completely since the last visit outside F, and ``acc`` collects the vertices
-of F seen since the last score increase or reset.  Score sheets bundle the
-states of a whole family of tracked sets together with the last vertex and
-are the canonical representatives of score-equivalence classes.
+of F seen since the last score increase or reset.  A score sheet bundles
+the states of a whole family of tracked sets; with the last vertex it is
+the canonical representative of a score-equivalence class.
 
-The quotient construction packs a family's states into one int, laid out
-and stepped by ``PackedKernel``: one kernel call steps a whole successor
-row, read from its lanes.  The strategy verifier and the Muller monitor
-keep a family's states as a string of codes from a ``CodeTable`` and step
-it with ``entries_step``, one ``str.translate``.  The two kernels share
-only ``score_step``.
+The quotient construction packs a sheet and its last vertex into one int,
+a class key, laid out and stepped by ``PackedKernel``: one kernel call steps
+a whole successor row, read from its lanes, and ``sheet_le`` and
+``PackedKernel.rank`` compare and order keys without unpacking them.  The
+strategy verifier and the Muller monitor keep a family's states as a string
+of codes from a ``CodeTable`` and step it with ``entries_step``, one
+``str.translate``.  The two kernels share only ``score_step``.
 """
 from __future__ import annotations
 
 import sys
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .arena import SizeLimitError
 
@@ -140,6 +141,7 @@ class PackedKernel:
     and the lane of successor ``v`` puts ``v`` above the fields it writes.
     ``last(key)`` reads the vertex back; a caller's hot loop may inline it
     as ``key >> top``, so a change of this layout changes that caller too.
+    ``rank(key)`` and the module's ``sheet_le`` read keys in place.
     """
 
     def __init__(self, family: Sequence[int], n: int):
@@ -147,11 +149,13 @@ class PackedKernel:
         self.n = n
         width = n + 2
         ones = (1 << n) - 1
-        accm = slo = 0
+        accm = slo = guard = 0
         for i in range(len(self.family)):
             accm |= ones << i * width
             slo |= 1 << i * width + n
-        self._accm, self._slo = accm, slo
+            guard |= 1 << i * width + n + 2  # the bit above the field's score
+        # _score has both score bits of each field
+        self._accm, self._slo, self._score, self._guard = accm, slo, 3 * slo, guard
         self.top = len(self.family) * width
         # per vertex v: keep (the fields of sets containing v), rem (f minus
         # v, and all ones for the other fields, which never match) and bv
@@ -209,37 +213,30 @@ class PackedKernel:
         """The last vertex of the play whose class key is ``key``."""
         return key >> self.top
 
-    def sheet(self, key: int) -> ScoreSheet:
-        """The score sheet a class key packs: its last vertex and the
-        (score, acc) pair of each tracked set, as folds of ``score_step``
-        give them."""
-        n, width, ones = self.n, self.n + 2, (1 << self.n) - 1
-        fields = [key >> i * width for i in range(len(self.family))]
-        return ScoreSheet(self.last(key), tuple((f >> n & 3, f & ones) for f in fields))
+    def rank(self, key: int) -> tuple:
+        """The sum of the scores and the sum of the accumulator sizes of the
+        tracked sets in ``key``.  A key below another in the score preorder
+        ranks lower, or has equal fields and ranks the same."""
+        slo = self._slo
+        scores = (key & slo).bit_count() + 2 * (key & slo << 1).bit_count()
+        return scores, (key & self._accm).bit_count()
 
 
-class ScoreSheet(NamedTuple):
-    """Scores and accumulators of one play prefix for a fixed tracked family.
+def sheet_le(kernel: PackedKernel, a: int, b: int) -> bool:
+    """The score preorder on class keys of ``kernel``: same last vertex, and
+    for every tracked set either a strictly smaller score or an equal score
+    with a contained accumulator.
 
-    ``entries`` is aligned with the family tuple the sheet was built from.
-    Two prefixes with equal sheets are score-equivalent, so a sheet is its
-    own class key.
+    Every set is compared at once: ``out`` holds the low score bit of each
+    field whose accumulator in ``a`` is not inside the one in ``b`` (the
+    carry of ``(a & ~b & accm) + accm`` into it), and each field must have
+    score(b) >= score(a) + out.  Keys hold scores below 3, so score(a) + out
+    fits in the two score bits, and subtracting it from score(b) with the
+    guard bit above the field set borrows at most that guard bit, which
+    stays set exactly where the inequality holds.
     """
-
-    last: int
-    entries: tuple
-
-
-def sheet_le(family: Sequence[int], a: ScoreSheet, b: ScoreSheet) -> bool:
-    """The score preorder: same last vertex, and for every tracked set either
-    a strictly smaller score or an equal score with a contained accumulator."""
-    if a.last != b.last:
+    if a >> kernel.top != b >> kernel.top:
         return False
-    assert len(a.entries) == len(family) == len(b.entries)
-    for (sa, aa), (sb, ab) in zip(a.entries, b.entries):
-        if sa < sb:
-            continue
-        if sa == sb and aa & ~ab == 0:
-            continue
-        return False
-    return True
+    accm, score, guard = kernel._accm, kernel._score, kernel._guard
+    out = kernel._slo & ((a & ~b & accm) + accm)
+    return ((b & score | guard) - ((a & score) + out)) & guard == guard

@@ -202,27 +202,20 @@ def build_antichain_strategy(red: SafetyReduction, sol: SafetySolution) -> Finit
     absorbs every situation that cannot occur in consistent play.
     """
     reachable = _reachable_under(red, sol)
-    sheets = {c: red.sheets[c] for c in reachable}
+    keys, kernel = red.keys, red.kernel
 
-    # maximal elements, per last vertex: sweeping in descending score order
+    # maximal elements, per last vertex: sweeping in descending rank order
     # guarantees that anything above the current element was seen before it
     by_last: dict = {}
     for c in reachable:
-        by_last.setdefault(sheets[c].last, []).append(c)
-
-    def dominance_key(c):
-        entries = sheets[c].entries
-        return (
-            sum(st[0] for st in entries),
-            sum(st[1].bit_count() for st in entries),
-        )
+        by_last.setdefault(red.last(c), []).append(c)
 
     maximal_by_last: dict = {}
     for last, group in by_last.items():
         maxima: list = []
-        for c in sorted(group, key=dominance_key, reverse=True):
-            sheet = sheets[c]
-            if not any(sheet_le(red.family, sheet, sheets[m]) for m in maxima):
+        for c in sorted(group, key=lambda c: kernel.rank(keys[c]), reverse=True):
+            key = keys[c]
+            if not any(sheet_le(kernel, key, keys[m]) for m in maxima):
                 maxima.append(c)
         maximal_by_last[last] = sorted(maxima)
     maximal = sorted(c for group in maximal_by_last.values() for c in group)
@@ -236,10 +229,10 @@ def build_antichain_strategy(red: SafetyReduction, sol: SafetySolution) -> Finit
         (BOTTOM if none)."""
         hit = above_cache.get(cls)
         if hit is None:
-            sheet = red.sheets[cls]
+            key = keys[cls]
             hit = bottom
-            for r in maximal_by_last.get(sheet.last, ()):
-                if sheet_le(red.family, sheet, sheets[r]):
+            for r in maximal_by_last.get(red.last(cls), ()):
+                if sheet_le(kernel, key, keys[r]):
                     hit = number[r]
                     break
             above_cache[cls] = hit

@@ -1,9 +1,10 @@
 """The paper's definitions, written out plainly as the tests' reference.
 
 The score of a word, the latest appearance record and its class-count
-bound, a family's score entries as tuples of (score, acc) pairs and the
-decoding of a code-string sheet back to them, the class of a play prefix,
-lassos and their winner, and a monitor's run over a word.  No path of the
+bound, a family's score entries as tuples of (score, acc) pairs, the
+decoding of a code-string sheet and of a packed class key back to them,
+the score preorder on decoded sheets, the class of a play prefix, lassos
+and their winner, and a monitor's run over a word.  No path of the
 ``scoregames`` package (command line, library pipeline or benchmark) runs
 this module; the tests check the package's kernels, quotients and solvers
 against it.
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, factorial
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from scoregames.arena import (
     Arena,
@@ -193,6 +194,62 @@ def decode(table: CodeTable, sheet: str) -> tuple:
             raise ValueError(f"code {ord(ch)} of set {j} at position {i}")
         out.append((score, acc))
     return tuple(out)
+
+
+# -- score sheets and the score preorder ---------------------------------
+
+
+class ScoreSheet(NamedTuple):
+    """Scores and accumulators of one play prefix for a fixed tracked family.
+
+    ``entries`` is aligned with the family tuple the sheet was built from.
+    Two prefixes with equal sheets are score-equivalent, so a sheet is its
+    own class key.
+    """
+
+    last: int
+    entries: tuple
+
+
+def unpack(family: Sequence[int], n: int, key: int) -> ScoreSheet:
+    """The sheet a packed class key over the vertices ``0..n-1`` stands for.
+    Tracked set i owns the field of n + 2 bits at offset i * (n + 2), its
+    accumulator in the low n bits and its score in the next two, and the
+    last vertex sits above the fields."""
+    width = n + 2
+    fields = [key >> i * width for i in range(len(family))]
+    entries = tuple((f >> n & 3, f & (1 << n) - 1) for f in fields)
+    return ScoreSheet(key >> len(family) * width, entries)
+
+
+def class_sheet(red: SafetyReduction, c: int) -> Optional[ScoreSheet]:
+    """The sheet of class ``c``'s key; None for the sink."""
+    if c == red.sink:
+        return None
+    return unpack(red.family, red.base_arena.n, red.keys[c])
+
+
+def sheet_le(family: Sequence[int], a: ScoreSheet, b: ScoreSheet) -> bool:
+    """The score preorder: same last vertex, and for every tracked set either
+    a strictly smaller score or an equal score with a contained accumulator."""
+    if a.last != b.last:
+        return False
+    assert len(a.entries) == len(family) == len(b.entries)
+    for (sa, aa), (sb, ab) in zip(a.entries, b.entries):
+        if sa < sb:
+            continue
+        if sa == sb and aa & ~ab == 0:
+            continue
+        return False
+    return True
+
+
+def rank(sheet: ScoreSheet) -> tuple:
+    """The sum of the scores and the sum of the accumulator sizes."""
+    return (
+        sum(score for score, _ in sheet.entries),
+        sum(acc.bit_count() for _, acc in sheet.entries),
+    )
 
 
 # -- classes of play prefixes in a reduction -----------------------------

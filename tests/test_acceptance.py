@@ -18,7 +18,6 @@ from scoregames.oracle import GeneratorConfig, encode_as_muller, random_game, zi
 from scoregames.reduction import build_safety_game
 from scoregames.safety_framework import monitor_for, muller_monitor, solve_via_safety
 from scoregames.safety_solver import solve_safety
-from scoregames.scoring import sheet_le
 from scoregames.strategy import (
     BOTTOM,
     build_antichain_strategy,
@@ -29,7 +28,7 @@ from scoregames.strategy import (
     verify_bounded_scores,
 )
 
-from reference import class_of, lar_sum_bound, maxscore, score_word
+from reference import class_of, class_sheet, lar_sum_bound, maxscore, score_word, sheet_le
 from conftest import (
     EXAMPLE4_GAME_TEXT,
     alternating_strategy,
@@ -102,7 +101,7 @@ def corpus():
             states = [s for s in strat.states if s is not BOTTOM]
             for a in states:
                 for b in states:
-                    if a != b and sheet_le(red.family, red.sheets[a], red.sheets[b]):
+                    if a != b and sheet_le(red.family, class_sheet(red, a), class_sheet(red, b)):
                         results["antichain_violations"].append(seed)
             if start:
                 ok, _ = verify_bounded_scores(arena, muller, strat, start, 2)

@@ -10,10 +10,11 @@ from scoregames.arena import Arena, MullerCondition, SizeLimitError, bit, mask_o
 from scoregames.oracle import GeneratorConfig, random_game
 from scoregames.reduction import Search, build_safety_game
 from scoregames.safety_solver import solve_safety
-from scoregames.scoring import ScoreSheet
 
 from reference import (
+    ScoreSheet,
     class_of,
+    class_sheet,
     entries_init,
     entries_step,
     entries_terminal,
@@ -71,15 +72,16 @@ def test_search_numbers_keys_breadth_first():
 
 def unsafe_steps(red):
     """An independent recount of the keys that reached the threshold: each
-    class's decoded entries stepped by entries_step along every successor
+    class's decoded key stepped by entries_step along every successor
     of its last vertex, the distinct (vertex, entries) pairs that reach
     the threshold, each with the first class that steps into it.  One
     pair table serves the whole recount."""
     steps = {}
     pairs = {}
-    for c, sheet in enumerate(red.sheets):
+    for c in range(red.n_classes):
         if c == red.sink:
             continue
+        sheet = class_sheet(red, c)
         for u in red.base_arena.succ[sheet.last]:
             after = entries_step(red.family, sheet.entries, u, pairs)
             if entries_terminal(after, red.threshold):
@@ -118,10 +120,10 @@ def test_example4_embedding(ex4_reduction):
         c = red.embed[v]
         assert red.game.safe & bit(c)
         assert class_of(red, (v,)) == c
-        assert not entries_terminal(red.sheets[c].entries, 2)
+        assert not entries_terminal(class_sheet(red, c).entries, 2)
     for c in range(red.n_classes):
         if c != red.sink:
-            assert not entries_terminal(red.sheets[c].entries, red.threshold)
+            assert not entries_terminal(class_sheet(red, c).entries, red.threshold)
     check_unsafe_steps(red)
 
 
@@ -151,7 +153,7 @@ def test_quotient_ownership_and_edges(ex4_reduction, example4):
         if c == red.sink:
             assert quotient.succ[c] == (c,)
             continue
-        sheet = red.sheets[c]
+        sheet = class_sheet(red, c)
         assert quotient.owner[c] == arena.owner[sheet.last]
         # one quotient edge per arena edge out of the last vertex
         targets = {step_class(red, c, v) for v in arena.succ[sheet.last]}
@@ -159,14 +161,14 @@ def test_quotient_ownership_and_edges(ex4_reduction, example4):
         for v in arena.succ[sheet.last]:
             t = step_class(red, c, v)
             if t != red.sink:
-                assert red.sheets[t].last == v
+                assert class_sheet(red, t).last == v
     with pytest.raises(ValueError):
         step_class(red, red.embed[0], 2)  # (0, 2) is not an arena edge
 
 
 def test_sink_is_terminal_and_looped(ex4_reduction):
     red = ex4_reduction
-    assert red.sheets[red.sink] is None
+    assert red.keys[red.sink] == -1 and class_sheet(red, red.sink) is None
     assert rep_word(red, red.sink) is None
     assert red.game.arena.succ[red.sink] == (red.sink,)
     check_unsafe_steps(red)
@@ -178,7 +180,7 @@ def test_build_is_deterministic(example4):
     b = build_safety_game(arena, muller)
     assert a.embed == b.embed
     assert rep_words(a) == rep_words(b)
-    assert list(a.sheets) == list(b.sheets)
+    assert a.keys == b.keys
     assert a.game.arena == b.game.arena
     assert a.game.safe == b.game.safe
 
@@ -256,7 +258,7 @@ def test_random_reductions_respect_bounds_and_edges(seed):
     for c in range(red.n_classes):
         if c == red.sink:
             continue
-        sheet = red.sheets[c]
+        sheet = class_sheet(red, c)
         assert not entries_terminal(sheet.entries, red.threshold)
         for v in arena.succ[sheet.last]:
             step_class(red, c, v)
@@ -315,8 +317,8 @@ def test_transitions_agree_with_class_lookup(seed):
             assert entries_terminal(entries, red.threshold)
             break
         assert class_of(red, rep_word(red, c)) == c
-        assert red.sheets[c] == (v, entries)
-        assert red.sheets[c] == fold(rep_word(red, c), pairs)
+        assert class_sheet(red, c) == (v, entries)
+        assert class_sheet(red, c) == fold(rep_word(red, c), pairs)
 
 
 @settings(max_examples=20, deadline=None)

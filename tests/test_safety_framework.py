@@ -34,7 +34,7 @@ from scoregames.safety_framework import (
 from scoregames.safety_solver import solve_safety
 from scoregames.scoring import AT_CAP, ZERO, CodeTable
 
-from reference import decode, lasso_accepted_forever, run, winner
+from reference import class_sheet, decode, lasso_accepted_forever, run, winner
 from conftest import m, random_lasso, strategy_keeps_reject_unreachable, word
 from test_acceptance import corpus_config
 
@@ -179,8 +179,8 @@ def test_product_isomorphic_to_reduction(example4, code_tables):
     prod = product_game(arena, muller_monitor(arena, muller))
     (table,) = code_tables
     # safe product states correspond one-to-one to safe quotient classes,
-    # looked up through the classes' decoded sheets
-    classes = {sheet: c for c, sheet in enumerate(red.sheets) if sheet is not None}
+    # looked up through the classes' decoded keys
+    classes = {class_sheet(red, c): c for c in range(red.n_classes) if c != red.sink}
     mapping = {}
     for i, (v, q) in enumerate(prod.states):
         if q is REJECT:

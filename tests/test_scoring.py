@@ -6,25 +6,29 @@ from hypothesis import strategies as st
 
 from scoregames import scoring
 from scoregames.arena import SizeLimitError, is_loop
+from scoregames.reduction import build_safety_game
 from scoregames.scoring import (
     AT_CAP,
     CodeTable,
     PackedKernel,
-    ScoreSheet,
     ZERO,
     family_of,
     score_step,
-    sheet_le,
 )
 
 from reference import (
+    ScoreSheet,
+    class_sheet,
     decode,
     entries_init,
     entries_step,
     entries_terminal,
     lar_of,
     maxscore,
+    rank,
     score_word,
+    sheet_le,
+    unpack,
 )
 from conftest import m, random_muller_game, word
 
@@ -71,6 +75,23 @@ def fold(family, w, pairs):
 
 def sheet_of(w):
     return ScoreSheet(w[-1], fold(FAMILY, w, {}))
+
+
+KERNEL = PackedKernel(FAMILY, 3)
+
+
+def le(a, b):
+    """The score preorder on the sheets of the words ``a`` and ``b``, by the
+    reference, checked against the packed preorder on their class keys."""
+    keys = []
+    for w in (a, b):
+        x = 0  # the empty play's vector
+        for v in w:
+            (x,), _ = KERNEL.step_lanes(x, KERNEL.lanes((v,)))
+        keys.append(x)
+    expected = sheet_le(FAMILY, sheet_of(a), sheet_of(b))
+    assert scoring.sheet_le(KERNEL, *keys) == expected
+    return expected
 
 
 def entry(entries, f):
@@ -124,18 +145,18 @@ def test_score_equivalent_prefixes_share_a_sheet():
 
 
 def test_sheet_le_examples():
-    a = sheet_of(word("1"))
-    assert sheet_le(FAMILY, a, a)
-    b = sheet_of(word("1001"))
-    assert sheet_le(FAMILY, a, b)
-    assert not sheet_le(FAMILY, b, a)
-    c = sheet_of(word("10"))
-    d = sheet_of(word("1210"))
-    assert sheet_le(FAMILY, c, d) and sheet_le(FAMILY, d, c)
+    a = word("1")
+    assert le(a, a)
+    b = word("1001")
+    assert le(a, b)
+    assert not le(b, a)
+    c = word("10")
+    d = word("1210")
+    assert le(c, d) and le(d, c)
 
 
 def test_sheet_le_needs_same_last():
-    assert not sheet_le(FAMILY, sheet_of(word("10")), sheet_of(word("1")))
+    assert not le(word("10"), word("1"))
 
 
 # -- properties -----------------------------------------------------------
@@ -178,14 +199,14 @@ def test_sheet_matches_recomputation(w):
     entries = entries_init(family, w[0])
     x = kernel.step_lanes(0, lanes)[0][w[0]]
     assert x == _pack(3, entries) | w[0] << kernel.top
-    assert kernel.sheet(x) == (w[0], entries)
+    assert unpack(family, 3, x) == (w[0], entries)
     for i, v in enumerate(w[1:], start=2):
         if entries_terminal(entries):
             return
         entries = entries_step(family, entries, v, pairs)
         (x,), crossed = kernel.step_lanes(x, lanes[v : v + 1], 3)
         assert x == _pack(3, entries) | v << kernel.top
-        assert kernel.sheet(x) == (v, entries)
+        assert unpack(family, 3, x) == (v, entries)
         assert (crossed == [0]) == entries_terminal(entries)
         for f, st_ in zip(family, entries):
             expected = score_word(f, w[:i])
@@ -219,7 +240,7 @@ def test_packed_step_matches_entries_step(data):
     assert top == len(family) * (n + 2)  # keys keep their last vertex above the fields
     entries = data.draw(st.tuples(*(_below(cap, n, f) for f in family)), label="entries")
     x = _pack(n, entries)
-    assert kernel.sheet(x) == (0, entries)
+    assert unpack(family, n, x) == (0, entries)
     pairs = {}  # one table through every step of the example
     for v in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=20), label="word"):
         row = data.draw(st.lists(st.integers(0, n - 1), max_size=n), label="row")
@@ -227,13 +248,13 @@ def test_packed_step_matches_entries_step(data):
         after = [entries_step(family, entries, u, pairs) for u in row]
         ys, crossed = kernel.step_lanes(x | high << top, kernel.lanes(row), cap)
         assert ys == [_pack(n, e) | u << top for e, u in zip(after, row)]
-        assert [kernel.sheet(y) for y in ys] == list(zip(row, after))
-        assert kernel.sheet(x | high << top).entries == entries
+        assert [unpack(family, n, y) for y in ys] == list(zip(row, after))
+        assert unpack(family, n, x | high << top).entries == entries
         assert crossed == [i for i, e in enumerate(after) if entries_terminal(e, cap)]
         entries = entries_step(family, entries, v, pairs)
         (x,), crossed = kernel.step_lanes(x, kernel.lanes((v,)), cap)
         assert x == _pack(n, entries) | v << top
-        assert kernel.sheet(x) == (v, entries)
+        assert unpack(family, n, x) == (v, entries)
         assert (crossed == [0]) == entries_terminal(entries, cap)
         if entries_terminal(entries, cap):
             break
@@ -281,10 +302,32 @@ below_cap = words3.filter(lambda w: w[-1] == 0 and maxscore(FAMILY, w) < 3)
 @settings(max_examples=100, deadline=None)
 @given(a=below_cap, b=below_cap, c=below_cap)
 def test_sheet_le_is_a_preorder(a, b, c):
-    sa, sb, sc = sheet_of(a), sheet_of(b), sheet_of(c)
-    assert sheet_le(FAMILY, sa, sa)
-    if sheet_le(FAMILY, sa, sb) and sheet_le(FAMILY, sb, sc):
-        assert sheet_le(FAMILY, sa, sc)
+    assert le(a, a)
+    if le(a, b) and le(b, c):
+        assert le(a, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 5_000),
+    tracked=st.sampled_from((0, 1)),
+    threshold=st.sampled_from((2, 3)),
+)
+def test_packed_preorder_matches_the_reference(seed, tracked, threshold):
+    # every pair of up to 80 class keys of a real reduction, equal keys and
+    # keys with different last vertices included: the packed preorder and
+    # rank agree with the reference on the decoded sheets
+    arena, muller = random_muller_game(seed)
+    red = build_safety_game(arena, muller, tracked_player=tracked, threshold=threshold)
+    classes = [c for c in range(red.n_classes) if c != red.sink]
+    classes = random.Random(seed).sample(classes, min(len(classes), 80))
+    kernel, keys = red.kernel, red.keys
+    sheets = {c: class_sheet(red, c) for c in classes}
+    for a in classes:
+        assert kernel.rank(keys[a]) == rank(sheets[a])
+        for b in classes:
+            expected = sheet_le(red.family, sheets[a], sheets[b])
+            assert scoring.sheet_le(kernel, keys[a], keys[b]) == expected
 
 
 @settings(max_examples=100, deadline=None)

@@ -2,7 +2,7 @@
 private module-level name or private method that nothing in ``src/``
 references, so the leftovers of a removal show up here, no public
 definition that only the tests run, one reader of the strategy tables
-and one reader of the score sheet code tables."""
+and one reader of the score sheet code tables and class-key fields."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -122,14 +122,16 @@ def test_only_the_strategy_module_reads_the_strategy_tables():
 
 
 def test_only_the_scoring_module_reads_the_code_tables():
-    # a CodeTable's rows and code list have one reader module, so a change
-    # of the code layout changes scoring.py alone; the others step sheets
-    # with entries_step and test crossings with AT_CAP
+    # a CodeTable's rows and code list, and a PackedKernel's field masks,
+    # have one reader module, so a change of either layout changes
+    # scoring.py alone; the others step sheets with entries_step, test
+    # crossings with AT_CAP and compare class keys with sheet_le and rank
+    fields = ("rows", "codes", "_accm", "_slo", "_score", "_guard", "_masks")
     readers = {
         module
         for module, tree in TREES.items()
         for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr in ("rows", "codes")
+        if isinstance(node, ast.Attribute) and node.attr in fields
     }
     assert readers == {"scoring.py"}
 

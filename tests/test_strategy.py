@@ -23,7 +23,7 @@ from scoregames.oracle import GeneratorConfig, random_game
 from scoregames.reduction import Search, build_safety_game
 from scoregames.safety_framework import monitor_for, solve_via_safety
 from scoregames.safety_solver import solve_safety
-from scoregames.scoring import family_of, sheet_le
+from scoregames.scoring import family_of
 from scoregames.strategy import (
     BOTTOM,
     FiniteStateStrategy,
@@ -37,11 +37,13 @@ from scoregames.strategy import (
 
 from reference import (
     class_of,
+    class_sheet,
     entries_init,
     entries_step,
     entries_terminal,
     is_path,
     maxscore,
+    sheet_le,
 )
 from conftest import alternating_strategy, m, random_muller_game, word
 from test_acceptance import corpus_config
@@ -98,7 +100,7 @@ def test_antichain_memory_is_an_antichain(ex4_pipeline):
     for a in chain:
         for b in chain:
             if a != b:
-                assert not sheet_le(red.family, red.sheets[a], red.sheets[b])
+                assert not sheet_le(red.family, class_sheet(red, a), class_sheet(red, b))
 
 
 def test_antichain_strategy_bounds_scores(ex4_pipeline):
@@ -431,7 +433,8 @@ def test_memory_over_approximates_play_class(ex4_pipeline):
             path = path + (nxt,)
             mem = strat.step(mem, nxt)
             assert mem is not BOTTOM
-            assert sheet_le(red.family, red.sheets[class_of(red, path)], red.sheets[mem])
+            true_class = class_sheet(red, class_of(red, path))
+            assert sheet_le(red.family, true_class, class_sheet(red, mem))
 
 
 def test_player1_strategy_verifies_when_player1_wins(example4):
