@@ -23,7 +23,6 @@ from .arena import (
 )
 from .scoring import (
     family_of,
-    score_step,
     sheet_le,
 )
 from .reduction import SafetyGame, SafetyReduction, build_safety_game

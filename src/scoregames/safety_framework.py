@@ -26,7 +26,7 @@ from .arena import (
 )
 from .reduction import DEFAULT_MAX_STATES, SafetyGame, Search, _ClassView
 from .safety_solver import solve_safety
-from .scoring import AT_CAP, ZERO, CodeTable, entries_step, family_of
+from .scoring import PackedKernel, entries_step, family_of
 from .strategy import FiniteStateStrategy
 
 
@@ -224,16 +224,18 @@ def rr_monitor(arena: Arena, pairs: Sequence) -> MonitorDFA:
 def muller_monitor(arena: Arena, muller: MullerCondition) -> MonitorDFA:
     """Score sheets for Player 1's loop family; any score reaching 3
     rejects.  The product of the arena with this monitor is the score-class
-    quotient.  The monitor owns one ``CodeTable``, capped at 3, whose
-    strings are its states other than REJECT."""
-    family = family_of(f1_loops(arena, muller))
-    table = CodeTable(family, arena.n, 3)
+    quotient.  Its states other than REJECT are the score vectors of a
+    ``PackedKernel`` capped at 3, keys without their last vertex, so
+    position (v, q) of the product is the quotient class whose key is
+    q | v << top; the start is the empty play's vector, 0."""
+    kernel = PackedKernel(family_of(f1_loops(arena, muller)), arena.n, 3)
+    fields = (1 << kernel.top) - 1
 
-    def step(sheet, v):
-        nxt = entries_step(sheet, v, table)
-        return REJECT if AT_CAP in nxt else nxt
+    def step(q, v):
+        key = entries_step(q, v, kernel)
+        return REJECT if key < 0 else key & fields
 
-    return MonitorDFA(arena.n, table.encode([ZERO] * len(family)), step)
+    return MonitorDFA(arena.n, 0, step)
 
 
 def monitor_for(arena: Arena, condition: Condition) -> MonitorDFA:

@@ -16,7 +16,7 @@ from functools import cached_property
 from .arena import Arena, MullerCondition, bit, f1_loops, iter_bits
 from .reduction import DEFAULT_MAX_STATES, SafetyReduction, Search, _path, build_safety_game
 from .safety_solver import SafetySolution, solve_safety
-from .scoring import AT_CAP, ZERO, CodeTable, entries_step, family_of, score_step, sheet_le
+from .scoring import PackedKernel, entries_step, family_of, sheet_le
 
 
 class _Bottom:
@@ -337,18 +337,22 @@ def verify_bounded_scores(
     player's scores exceed ``bound``, starting anywhere in the vertex mask
     ``start``.
 
-    Explores the product of the restricted arena with score sheets capped at
-    bound + 1, states (vertex, memory state number, sheet),
-    breadth-first on a ``Search`` and returns (True, None) or (False,
-    witness prefix): the first play prefix, in breadth-first order, whose
-    last step takes a score past ``bound``.  The strategy must be one on
-    the arena's vertices.  The product is capped at the search's default
-    state count, beyond which SizeLimitError is raised.  A True verdict
-    certifies that the strategy is winning from ``start``: bounded opponent
-    scores force the infinity set into the owner's family.  Strategies for
-    Player 1 are checked on the role-swapped game.  The call owns one
-    ``CodeTable``, whose strings are the product's sheets, and drops it on
-    return; a table over its code limit raises SizeLimitError too.
+    Explores the product of the restricted arena with the opposing
+    player's score sheets, breadth-first on a ``Search``, on keys (vertex,
+    memory state number, the ``PackedKernel`` key of the play) and returns
+    (True, None) or (False, witness prefix): the first play prefix, in
+    breadth-first order, whose last step takes a score past ``bound``.  The
+    strategy must be one on the arena's vertices.  The product is capped at
+    the search's state count, beyond which SizeLimitError is raised.  A
+    True verdict certifies that the strategy is winning from ``start``:
+    bounded opponent scores force the infinity set into the owner's family.
+    Strategies for Player 1 are checked on the role-swapped game.
+
+    The kernel's cap is bound + 1, or the search's cap plus 2 if that is
+    smaller: a numbered key with a score of s has s numbered keys on its
+    parent chain, so no step reaches a score past the search's cap plus 1
+    before SizeLimitError, and the smaller cap changes no verdict while
+    keeping a huge bound from widening every key.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
@@ -362,20 +366,20 @@ def verify_bounded_scores(
     strat.check_arena(arena)
     moves_of, step_of = strat.moves_of, strat.step_of
     rows = tuple(arena.succ)  # each vertex's row, read once, not once a state
-    table = CodeTable(family, arena.n, bound + 1)
-
-    search = Search(
-        (v, strat.init_of(v), table.encode(score_step(f, ZERO, v) for f in family))
-        for v in iter_bits(start)
-    )
-    for i, (v, m, sheet) in search:
+    search = Search(())
+    kernel = PackedKernel(family, arena.n, min(bound + 1, search.max_states + 2))
+    starts = list(iter_bits(start))
+    seeds, _ = kernel.step_lanes(0, kernel.lanes(starts))  # one step from the empty play
+    for v, key in zip(starts, seeds):
+        search.add((v, strat.init_of(v), key), -1)
+    for i, (v, m, key) in search:
         succ = rows[v]
         for u in moves_of(v, m) if arena.owner[v] == 0 else succ:
             if u not in succ:
                 raise ValueError(f"strategy proposes a non-edge {v} -> {u}")
-            nxt = entries_step(sheet, u, table)
+            nxt = entries_step(key, u, kernel)
             j = step_of(m, u)
-            if AT_CAP in nxt:
+            if nxt < 0:
                 return False, _path(search.parents, i, lambda p: search.keys[p][0]) + (u,)
             search.add((u, j, nxt), i)
     return True, None

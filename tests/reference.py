@@ -1,13 +1,14 @@
 """The paper's definitions, written out plainly as the tests' reference.
 
-The score of a word, the latest appearance record and its class-count
-bound, a family's score entries as tuples of (score, acc) pairs, the
-decoding of a code-string sheet and of a packed class key back to them,
-the score preorder on decoded sheets, the class of a play prefix, lassos
-and their winner, and a monitor's run over a word.  No path of the
+The scalar scoring step and the score of a word, the latest appearance
+record and its class-count bound, a family's score entries as tuples of
+(score, acc) pairs, the decoding of a packed key back to them, the score
+preorder on decoded sheets, the class of a play prefix, lassos and their
+winner, a monitor's run over a word, and the check of a Muller strategy by
+the cycles of its product, which uses no scores.  No path of the
 ``scoregames`` package (command line, library pipeline or benchmark) runs
-this module; the tests check the package's kernels, quotients and solvers
-against it.
+this module; the tests check the package's kernel, quotients, solvers and
+certificates against it.
 """
 from __future__ import annotations
 
@@ -24,12 +25,13 @@ from scoregames.arena import (
     ParityCondition,
     RequestResponseCondition,
     Word,
+    f1_loops,
     iter_bits,
     mask_of,
 )
 from scoregames.reduction import SafetyReduction
 from scoregames.safety_framework import MonitorDFA
-from scoregames.scoring import AT_CAP, ZERO, CodeTable, score_step
+from scoregames.strategy import FiniteStateStrategy, consistent_product
 
 # -- lassos and their winner ---------------------------------------------
 
@@ -115,6 +117,31 @@ def winner(arena: Arena, condition: Condition, lasso: Lasso) -> int:
 
 # -- scores of words -----------------------------------------------------
 
+# A state of one tracked set is the plain pair (score, acc); ``acc`` is a
+# bitmask, always a proper subset of the set.  ZERO is the one reset pair.
+ZERO = (0, 0)
+
+
+def score_step(f: int, state: tuple, v: int) -> tuple:
+    """One letter of the scoring update for the set ``f`` (a bitmask):
+
+    - v outside f resets to (0, {});
+    - v completing the accumulator (acc = f minus v) increments the score
+      and empties the accumulator;
+    - otherwise v joins the accumulator.
+
+    Folding from ``ZERO`` reproduces the single-letter base case, so word
+    scores are plain folds of this step.
+    """
+    b = 1 << v
+    if not f & b:
+        return ZERO
+    score, acc = state
+    if acc == f & ~b:
+        return (score + 1, 0)
+    return (score, acc | b)
+
+
 
 def score_word(f: int, word: Sequence[int]) -> tuple:
     """The (score, acc) pair of the set ``f`` after ``word``: a fold of
@@ -179,23 +206,6 @@ def entries_terminal(entries: Sequence[tuple], cap: int = 3) -> bool:
     return any(score >= cap for score, _ in entries)
 
 
-def decode(table: CodeTable, sheet: str) -> tuple:
-    """The (score, acc) pairs a code-string sheet of ``table`` stands for.
-    AT_CAP decodes to (cap, 0): a score reaches the cap by an increment,
-    which empties the accumulator.  A code listed for another set than its
-    position raises ValueError."""
-    out = []
-    for i, ch in enumerate(sheet):
-        if ch == AT_CAP:
-            out.append((table.cap, 0))
-            continue
-        j, score, acc = table.codes[ord(ch)]
-        if j != i:
-            raise ValueError(f"code {ord(ch)} of set {j} at position {i}")
-        out.append((score, acc))
-    return tuple(out)
-
-
 # -- score sheets and the score preorder ---------------------------------
 
 
@@ -211,14 +221,15 @@ class ScoreSheet(NamedTuple):
     entries: tuple
 
 
-def unpack(family: Sequence[int], n: int, key: int) -> ScoreSheet:
-    """The sheet a packed class key over the vertices ``0..n-1`` stands for.
-    Tracked set i owns the field of n + 2 bits at offset i * (n + 2), its
-    accumulator in the low n bits and its score in the next two, and the
-    last vertex sits above the fields."""
-    width = n + 2
+def unpack(family: Sequence[int], n: int, key: int, bits: int = 2) -> ScoreSheet:
+    """The sheet a packed key over the vertices ``0..n-1`` with scores of
+    ``bits`` bits stands for.  Tracked set i owns the field of n + bits
+    bits at offset i * (n + bits), its accumulator in the low n bits and
+    its score in the next ``bits``, and the last vertex sits above the
+    fields.  Quotient keys, at thresholds 2 and 3, have 2-bit scores."""
+    width = n + bits
     fields = [key >> i * width for i in range(len(family))]
-    entries = tuple((f >> n & 3, f & (1 << n) - 1) for f in fields)
+    entries = tuple((f >> n & (1 << bits) - 1, f & (1 << n) - 1) for f in fields)
     return ScoreSheet(key >> len(family) * width, entries)
 
 
@@ -326,5 +337,82 @@ def lasso_accepted_forever(dfa: MonitorDFA, lasso: Lasso) -> bool:
         for v in lasso.cycle:
             q = dfa.step(q, v)
             if not dfa.is_accepting(q):
+                return False
+    return True
+
+
+# -- winning strategies by the cycles of their product ---------------------
+
+
+def components(nodes: Iterable, succ: dict) -> list:
+    """The strongly connected components of the graph on ``nodes`` whose
+    edges are ``succ[node]``, each a list of nodes: Tarjan's algorithm, with
+    an explicit stack of (node, successor iterator) frames."""
+    index: dict = {}
+    low: dict = {}
+    stack: list = []
+    on_stack: set = set()
+    frames: list = []
+    out = []
+
+    def visit(x):
+        index[x] = low[x] = len(index)
+        stack.append(x)
+        on_stack.add(x)
+        frames.append((x, iter(succ[x])))
+
+    for root in nodes:
+        if root in index:
+            continue
+        visit(root)
+        while frames:
+            x, it = frames[-1]
+            for y in it:
+                if y not in index:
+                    visit(y)
+                    break
+                if y in on_stack:
+                    low[x] = min(low[x], index[y])
+            else:
+                frames.pop()
+                if frames:
+                    parent = frames[-1][0]
+                    low[parent] = min(low[parent], low[x])
+                if low[x] == index[x]:
+                    comp = []
+                    while True:
+                        y = stack.pop()
+                        on_stack.discard(y)
+                        comp.append(y)
+                        if y == x:
+                            break
+                    out.append(comp)
+    return out
+
+
+def wins_from(
+    arena: Arena, muller: MullerCondition, strat: FiniteStateStrategy, start: int
+) -> bool:
+    """Whether every play consistent with ``strat`` from the vertex mask
+    ``start`` is won by the strategy's owner, by the Emerson-Lei emptiness
+    check, which uses no scores and no monitor.
+
+    A play's infinity set is F exactly when its infinitely visited product
+    nodes lie in one strongly connected component of the product restricted
+    to the nodes whose vertex is in F, and cover F.  So for each set F the
+    owner loses on (``f1_loops`` for a Player-0 strategy, ``f0`` for a
+    Player-1 strategy), no non-trivial component of that restriction may
+    project onto exactly F."""
+    prod = consistent_product(arena, strat, start)
+    succ: dict = {node: [] for node in prod.nodes}
+    for a, b in prod.edges:
+        succ[a].append(b)
+    losing = f1_loops(arena, muller) if strat.owner_player == 0 else muller.f0
+    for f in losing:
+        inside = [x for x in prod.nodes if f >> x[0] & 1]
+        kept = {x: [y for y in succ[x] if f >> y[0] & 1] for x in inside}
+        for comp in components(inside, kept):
+            cycle = len(comp) > 1 or comp[0] in kept[comp[0]]
+            if cycle and mask_of(x[0] for x in comp) == f:
                 return False
     return True

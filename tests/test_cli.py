@@ -15,7 +15,7 @@ from scoregames.cli import (
     serialize_game,
     serialize_strategy,
 )
-from scoregames import cli, scoring, strategy
+from scoregames import cli, strategy
 from scoregames.arena import Arena, MullerCondition, SizeLimitError
 from scoregames.oracle import GeneratorConfig, random_game
 from scoregames.reduction import Search, build_safety_game
@@ -26,6 +26,7 @@ from scoregames.strategy import (
     build_antichain_strategy,
     build_permissive_strategy,
     consistent_product,
+    solve_muller,
     verify_bounded_scores,
 )
 
@@ -406,24 +407,37 @@ def test_verify_is_capped(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-
-
-def test_verify_code_table_is_capped(tmp_path, capsys, monkeypatch):
-    # the stubborn strategy's scores climb towards the bound, a new code for
-    # each level; with the last code patched down to 40, its table fills
-    # before a score passes 1000
-    monkeypatch.setattr(scoring, "_CODE_LIMIT", 40)
-    arena, muller = parse_game(EXAMPLE4_GAME_TEXT)
-    message = "score sheet code table exceeds its cap of 39 codes"
-    with pytest.raises(SizeLimitError, match=message):
-        verify_bounded_scores(arena, muller, parse_strategy(STUBBORN_TEXT, arena), m(1), 1000)
-    strat = tmp_path / "stubborn.txt"
-    strat.write_text(STUBBORN_TEXT)
-    argv = ("verify", game_file(tmp_path), str(strat), "--bound", "1000")
-    assert run(capsys, *argv) == (3, "", f"error: {message}\n")
+    # at the default cap the opponent's score passes 1000 first
     monkeypatch.undo()
     code, out, _ = run(capsys, *argv)
     assert code == 1 and out.startswith("violation: ")
+
+
+SELF_LOOP_TEXT = "vertex a 1\nedge a a\ncondition muller\n"
+SELF_LOOP_STRATEGY_TEXT = "player 0\nstate s\ninit a s\nupdate s a s\n"
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 7])
+def test_verify_bound_meets_the_search_cap(tmp_path, capsys, monkeypatch, cap):
+    # Player 1 owns a one-vertex self-loop, whose score rises by one a step,
+    # so the certificate product numbers one key a score level: with the
+    # search capped at M keys, a bound up to M is violated and a larger one
+    # outgrows the cap, however large, whatever cap the kernel is built at
+    monkeypatch.setattr(strategy, "Search", functools.partial(Search, max_states=cap))
+    arena, muller = parse_game(SELF_LOOP_TEXT)
+    strat = parse_strategy(SELF_LOOP_STRATEGY_TEXT, arena)
+    for bound in range(1, cap + 1):
+        assert verify_bounded_scores(arena, muller, strat, 1, bound) == (False, (0,) * (bound + 1))
+    for bound in (cap + 1, cap + 2, 10**1000):
+        with pytest.raises(SizeLimitError, match=f"cap of {cap} states"):
+            verify_bounded_scores(arena, muller, strat, 1, bound)
+    path = tmp_path / "loop.txt"
+    path.write_text(SELF_LOOP_STRATEGY_TEXT)
+    argv = ("verify", game_file(tmp_path, SELF_LOOP_TEXT), str(path), "--start", "a")
+    code, out, err = run(capsys, *argv, "--bound", "9" * 4000)
+    assert (code, out) == (3, "") and err.startswith("error: ")
+    violation = f"violation: {arena.word_str((0,) * (cap + 1))}\n"
+    assert run(capsys, *argv, "--bound", str(cap)) == (1, violation, "")
 
 
 def test_cli_closed_stdout_exits_141_without_a_traceback(tmp_path, capsys):
@@ -762,18 +776,37 @@ def mutated(draw, text):
     return "\n".join(lines) + "\n"
 
 
+@st.composite
+def game_and_strategy(draw):
+    """The texts of a game file and of a strategy file: one of the fixed
+    games with the running example's alternating strategy, or a generator
+    game of 2 to 5 vertices with, for a muller game, one player's antichain
+    strategy for it, and the alternating strategy otherwise."""
+    if draw(st.booleans()):
+        texts = (EXAMPLE4_GAME_TEXT, EXAMPLE4_GAME_TEXT, PARITY_TEXT, BUCHI_TEXT, RR_TEXT)
+        return draw(st.sampled_from(texts)), ALTERNATING_TEXT
+    kind = draw(st.sampled_from(("muller", "muller", "buchi", "cobuchi", "parity", "rr")))
+    seed = draw(st.integers(0, 10_000))
+    cfg = GeneratorConfig(n=2 + seed % 4, density=0.5, seed=seed, kind=kind)
+    arena, condition = random_game(cfg)
+    if kind != "muller":
+        return serialize_game(arena, condition), ALTERNATING_TEXT
+    sol = solve_muller(arena, condition)
+    strat = draw(st.sampled_from((sol.strategy_p0, sol.strategy_p1)))
+    return serialize_game(arena, condition), serialize_strategy(strat, arena)
+
+
 @settings(
     max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(data=st.data())
 def test_cli_fuzzed_files_exit_with_a_code(tmp_path, data):
-    # whatever the files hold, main returns a documented exit code (0-3)
-    # instead of raising
-    # the strategy file is one for the running example
-    texts = (EXAMPLE4_GAME_TEXT, EXAMPLE4_GAME_TEXT, PARITY_TEXT, BUCHI_TEXT, RR_TEXT)
-    game = game_file(tmp_path, data.draw(mutated(data.draw(st.sampled_from(texts)))))
+    # whatever the game and strategy files hold, main returns a documented
+    # exit code (0-3) instead of raising
+    game_text, strat_text = data.draw(game_and_strategy())
+    game = game_file(tmp_path, data.draw(mutated(game_text)))
     strat = tmp_path / "strategy.txt"
-    strat.write_text(data.draw(mutated(ALTERNATING_TEXT)))
+    strat.write_text(data.draw(mutated(strat_text)))
     argv = data.draw(
         st.sampled_from(
             (
@@ -785,12 +818,11 @@ def test_cli_fuzzed_files_exit_with_a_code(tmp_path, data):
                 ["monitor", game, "--max-states", "2000"],
                 ["verify", game, str(strat)],
                 ["verify", game, str(strat), "--start", "0,1", "--bound", "1"],
+                ["verify", game, str(strat), "--start", "1", "--bound", "3"],
             )
         )
     )
     assert main(argv) in (0, 1, 2, 3)
-
-
 
 
 @st.composite

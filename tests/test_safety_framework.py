@@ -32,9 +32,8 @@ from scoregames.safety_framework import (
     solve_via_safety,
 )
 from scoregames.safety_solver import solve_safety
-from scoregames.scoring import AT_CAP, ZERO, CodeTable
 
-from reference import class_sheet, decode, lasso_accepted_forever, run, winner
+from reference import lasso_accepted_forever, run, winner
 from conftest import m, random_lasso, strategy_keeps_reject_unreachable, word
 from test_acceptance import corpus_config
 
@@ -120,33 +119,24 @@ def test_muller_monitor_language(example4):
     assert reachable_states(trivial) == ((trivial.start,), [(0, 0, 0)])
 
 
-@pytest.fixture
-def code_tables(monkeypatch):
-    """The code tables the safety framework's monitors make, in order."""
-    tables = []
-
-    def kept(*args):
-        tables.append(CodeTable(*args))
-        return tables[-1]
-
-    monkeypatch.setattr(safety_framework, "CodeTable", kept)
-    return tables
-
-
 @pytest.mark.parametrize("seed", [5, 10, 14])
-def test_muller_monitor_states_share_their_pairs(seed, code_tables):
-    # the monitor's states are strings of its one code table, which gives
-    # each distinct (set, score, acc) of its reachable states one code; the
-    # non-ZERO pairs they decode to repeat across states
+def test_muller_monitor_positions_are_class_keys(seed):
+    # the monitor's states are the quotient's score vectors: its product
+    # position (v, q) other than REJECT is the class whose key is
+    # q | v << top, every class but the sink is one, and its start is the
+    # empty play's vector
     arena, muller = random_game(corpus_config(seed))
-    states, _ = reachable_states(muller_monitor(arena, muller))
-    (table,) = code_tables
-    sheets = [q for q in states if q is not REJECT]
-    assert all(type(q) is str and AT_CAP not in q for q in sheets)
-    pairs = [p for q in sheets for p in decode(table, q) if p != ZERO]
-    assert len(pairs) > len(set(pairs)) > 1
-    cells = {(i, p) for q in sheets for i, p in enumerate(decode(table, q))}
-    assert len({ch for q in sheets for ch in q}) == len(cells)
+    red = build_safety_game(arena, muller)
+    dfa = muller_monitor(arena, muller)
+    assert dfa.start == 0
+    states, _ = reachable_states(dfa)
+    fields = (1 << red.kernel.top) - 1
+    assert all(q is REJECT or type(q) is int and q & fields == q for q in states)
+    prod = product_game(arena, dfa)
+    keys = [q | v << red.kernel.top for v, q in prod.states if q is not REJECT]
+    assert len(set(keys)) == len(keys)
+    assert sorted(keys) == sorted(key for key in red.keys if key >= 0)
+    assert {q for _, q in prod.states} <= set(states)
 
 
 def test_product_with_trivial_monitor(example4):
@@ -173,19 +163,18 @@ def test_product_with_instant_reject(example4):
     assert w0 == 0
 
 
-def test_product_isomorphic_to_reduction(example4, code_tables):
+def test_product_isomorphic_to_reduction(example4):
     arena, muller = example4
     red = build_safety_game(arena, muller)
     prod = product_game(arena, muller_monitor(arena, muller))
-    (table,) = code_tables
-    # safe product states correspond one-to-one to safe quotient classes,
-    # looked up through the classes' decoded keys
-    classes = {class_sheet(red, c): c for c in range(red.n_classes) if c != red.sink}
+    # safe product positions correspond one-to-one to safe quotient classes:
+    # position (v, q) is the class whose key is q | v << top
+    classes = {key: c for c, key in enumerate(red.keys) if c != red.sink}
     mapping = {}
     for i, (v, q) in enumerate(prod.states):
         if q is REJECT:
             continue
-        cls = classes[v, decode(table, q)]
+        cls = classes[q | v << red.kernel.top]
         assert cls not in mapping.values()
         mapping[i] = cls
     assert len(mapping) == 19

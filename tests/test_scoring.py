@@ -1,31 +1,24 @@
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scoregames import scoring
-from scoregames.arena import SizeLimitError, is_loop
+from scoregames.arena import is_loop
 from scoregames.reduction import build_safety_game
-from scoregames.scoring import (
-    AT_CAP,
-    CodeTable,
-    PackedKernel,
-    ZERO,
-    family_of,
-    score_step,
-)
+from scoregames.scoring import PackedKernel, family_of
 
 from reference import (
+    ZERO,
     ScoreSheet,
     class_sheet,
-    decode,
     entries_init,
     entries_step,
     entries_terminal,
     lar_of,
     maxscore,
     rank,
+    score_step,
     score_word,
     sheet_le,
     unpack,
@@ -77,7 +70,7 @@ def sheet_of(w):
     return ScoreSheet(w[-1], fold(FAMILY, w, {}))
 
 
-KERNEL = PackedKernel(FAMILY, 3)
+KERNEL = PackedKernel(FAMILY, 3, 3)
 
 
 def le(a, b):
@@ -182,10 +175,10 @@ def test_congruence_of_scores(w, w2, u, f):
         assert sa < sb or (sa == sb and aa & ~ab == 0)
 
 
-def _pack(n, entries):
-    # tracked set i owns the field of n + 2 bits at offset i * (n + 2):
-    # accumulator in the low n bits, score in the next two
-    return sum((score << n | acc) << i * (n + 2) for i, (score, acc) in enumerate(entries))
+def _pack(n, entries, bits=2):
+    # tracked set i owns the field of n + bits bits at offset i * (n + bits):
+    # accumulator in the low n bits, score in the next ``bits``
+    return sum((score << n | acc) << i * (n + bits) for i, (score, acc) in enumerate(entries))
 
 
 @settings(max_examples=120, deadline=None)
@@ -193,7 +186,7 @@ def _pack(n, entries):
 def test_sheet_matches_recomputation(w):
     # the packed kernel of the quotient steps in lockstep with entries_step
     family = family_of([1, 2, 3, 4, 5, 6, 7])
-    kernel = PackedKernel(family, 3)
+    kernel = PackedKernel(family, 3, 3)
     lanes = kernel.lanes(range(3))  # lanes[v] steps by v
     pairs = {}  # one table through every step of the example
     entries = entries_init(family, w[0])
@@ -204,7 +197,7 @@ def test_sheet_matches_recomputation(w):
         if entries_terminal(entries):
             return
         entries = entries_step(family, entries, v, pairs)
-        (x,), crossed = kernel.step_lanes(x, lanes[v : v + 1], 3)
+        (x,), crossed = kernel.step_lanes(x, lanes[v : v + 1])
         assert x == _pack(3, entries) | v << kernel.top
         assert unpack(family, 3, x) == (v, entries)
         assert (crossed == [0]) == entries_terminal(entries)
@@ -228,34 +221,41 @@ def _below(cap, n, f):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_packed_step_matches_entries_step(data):
-    # from any vector below the threshold, whatever its bits above the
-    # fields, the packed step of a row of lanes and its threshold test
-    # agree with entries_step and entries_terminal, and each key reached
-    # holds its successor above the fields
+    # at caps 2 to 17 (score fields of 2 to 5 bits), from any vector below
+    # the cap, whatever its bits above the fields, the packed step of a row
+    # of lanes and its cap test agree with the tuple fold and
+    # entries_terminal, each key reached holds its successor above the
+    # fields, and scoring.entries_step gives the one-lane row's key, or -1
+    # where it reaches the cap
     n = data.draw(st.integers(1, 8), label="n")
     family = family_of(data.draw(st.lists(st.integers(1, 2**n - 1), min_size=1, max_size=10)))
-    cap = data.draw(st.sampled_from((2, 3)), label="cap")
-    kernel = PackedKernel(family, n)
+    cap = data.draw(st.integers(2, 17), label="cap")
+    bits = max(2, cap.bit_length())
+    kernel = PackedKernel(family, n, cap)
     top = kernel.top
-    assert top == len(family) * (n + 2)  # keys keep their last vertex above the fields
+    assert top == len(family) * (n + bits)  # keys keep their last vertex above the fields
     entries = data.draw(st.tuples(*(_below(cap, n, f) for f in family)), label="entries")
-    x = _pack(n, entries)
-    assert unpack(family, n, x) == (0, entries)
+    x = _pack(n, entries, bits)
+    assert unpack(family, n, x, bits) == (0, entries)
     pairs = {}  # one table through every step of the example
     for v in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=20), label="word"):
         row = data.draw(st.lists(st.integers(0, n - 1), max_size=n), label="row")
         high = data.draw(st.integers(0, 15), label="high")
         after = [entries_step(family, entries, u, pairs) for u in row]
-        ys, crossed = kernel.step_lanes(x | high << top, kernel.lanes(row), cap)
-        assert ys == [_pack(n, e) | u << top for e, u in zip(after, row)]
-        assert [unpack(family, n, y) for y in ys] == list(zip(row, after))
-        assert unpack(family, n, x | high << top).entries == entries
+        ys, crossed = kernel.step_lanes(x | high << top, kernel.lanes(row))
+        assert ys == [_pack(n, e, bits) | u << top for e, u in zip(after, row)]
+        assert [unpack(family, n, y, bits) for y in ys] == list(zip(row, after))
+        assert unpack(family, n, x | high << top, bits).entries == entries
         assert crossed == [i for i, e in enumerate(after) if entries_terminal(e, cap)]
+        one = [scoring.entries_step(x | high << top, u, kernel) for u in row]
+        assert one == [-1 if i in crossed else y for i, y in enumerate(ys)]
+        before = x
         entries = entries_step(family, entries, v, pairs)
-        (x,), crossed = kernel.step_lanes(x, kernel.lanes((v,)), cap)
-        assert x == _pack(n, entries) | v << top
-        assert unpack(family, n, x) == (v, entries)
+        (x,), crossed = kernel.step_lanes(x, kernel.lanes((v,)))
+        assert x == _pack(n, entries, bits) | v << top
+        assert unpack(family, n, x, bits) == (v, entries)
         assert (crossed == [0]) == entries_terminal(entries, cap)
+        assert scoring.entries_step(before, v, kernel) == (-1 if crossed else x)
         if entries_terminal(entries, cap):
             break
 
@@ -342,73 +342,3 @@ def test_entries_terminal():
     assert entries_terminal(((3, 0), (0, 0)))
     assert not entries_terminal(((2, 1), (2, 0)))
     assert entries_terminal(((2, 0),), cap=2)
-
-
-# -- code-string sheets ----------------------------------------------------
-
-
-def test_code_table_fills_rows_on_demand():
-    # codes are numbered from 2 as the table meets them; a step fills only
-    # its own row's entries for the codes of its sheet, and every new code
-    # gets an unknown entry in every row
-    table = CodeTable(FAMILY, 3, 3)
-    a = table.encode(entries_init(FAMILY, 0))
-    assert a == "\x02\x03" and table.rows == [[0, 1, 0, 0]] * 3
-    b = scoring.entries_step(a, 1, table)
-    assert b == "\x04\x05"
-    assert table.codes[2:] == [(0, 0, m(0)), (1, 0, 0), (0, 1, 0), (1, 0, m(1))]
-    assert table.rows[1] == [0, 1, 4, 5, 0, 0]
-    assert table.rows[0] == table.rows[2] == [0, 1, 0, 0, 0, 0]
-    # the reset of the second set meets the ZERO code it already has
-    assert scoring.entries_step(b, 0, table) == "\x06\x03"
-    assert decode(table, "\x06\x03") == ((1, m(0)), ZERO)
-    assert scoring.entries_step(a, 1, table) == b and len(table.codes) == 7
-
-
-def test_code_table_crossings_decode_to_the_cap():
-    # word 10010 then 1 takes F01 to a score of 3: at cap 3 that is AT_CAP,
-    # which decodes to (3, 0); at cap 4 it is an ordinary code
-    for cap in (3, 4):
-        table = CodeTable(FAMILY, 3, cap)
-        w = word("100101")
-        sheet = table.encode(entries_init(FAMILY, w[0]))
-        for v in w[1:]:
-            sheet = scoring.entries_step(sheet, v, table)
-        assert (AT_CAP in sheet) == (cap == 3)
-        assert decode(table, sheet) == fold(FAMILY, w, {})
-
-
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_code_step_matches_the_reference(data):
-    # from any entries below the cap, a sheet stepped through one code table
-    # decodes to the reference fold, holds AT_CAP exactly where the fold
-    # reaches the cap, and leaves every row an int for every code
-    n = data.draw(st.integers(1, 6), label="n")
-    family = family_of(data.draw(st.lists(st.integers(1, 2**n - 1), max_size=8)))
-    cap = data.draw(st.integers(2, 5), label="cap")
-    table = CodeTable(family, n, cap)
-    entries = data.draw(st.tuples(*(_below(cap, n, f) for f in family)), label="entries")
-    sheet = table.encode(entries)
-    assert decode(table, sheet) == entries and AT_CAP not in sheet
-    pairs = {}
-    for v in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=30), label="word"):
-        entries = entries_step(family, entries, v, pairs)
-        sheet = scoring.entries_step(sheet, v, table)
-        assert decode(table, sheet) == entries
-        assert (AT_CAP in sheet) == entries_terminal(entries, cap)
-        assert all(len(row) == len(table.codes) for row in table.rows)
-        assert all(type(c) is int for row in table.rows for c in row)
-        if AT_CAP in sheet:
-            break
-
-
-def test_code_table_is_capped(monkeypatch):
-    # a table needing a code past the last one a str holds raises
-    # SizeLimitError; patched down to code 5, the fifth pair does not fit
-    monkeypatch.setattr(scoring, "_CODE_LIMIT", 5)
-    table = CodeTable(FAMILY, 3, 3)
-    a = scoring.entries_step(table.encode(entries_init(FAMILY, 0)), 1, table)
-    assert a == "\x04\x05" and len(table.codes) == 6
-    with pytest.raises(SizeLimitError, match="cap of 4 codes"):
-        scoring.entries_step(a, 0, table)

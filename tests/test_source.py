@@ -2,7 +2,7 @@
 private module-level name or private method that nothing in ``src/``
 references, so the leftovers of a removal show up here, no public
 definition that only the tests run, one reader of the strategy tables
-and one reader of the score sheet code tables and class-key fields."""
+and one reader of the score kernel's fields, so the step has one body."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -121,19 +121,32 @@ def test_only_the_strategy_module_reads_the_strategy_tables():
     assert readers == {"strategy.py"}
 
 
-def test_only_the_scoring_module_reads_the_code_tables():
-    # a CodeTable's rows and code list, and a PackedKernel's field masks,
-    # have one reader module, so a change of either layout changes
-    # scoring.py alone; the others step sheets with entries_step, test
-    # crossings with AT_CAP and compare class keys with sheet_le and rank
-    fields = ("rows", "codes", "_accm", "_slo", "_score", "_guard", "_masks")
+KERNEL_FIELDS = ("_accm", "_slo", "_score", "_guard", "_over", "_bits", "_lanes", "_alone")
+
+
+def test_only_the_kernel_reads_its_fields():
+    # a PackedKernel's masks and lane tables have one reader module, so a
+    # change of the key layout changes scoring.py alone; the other modules
+    # step keys with step_lanes and entries_step and compare them with
+    # sheet_le and rank.  Inside scoring.py only the kernel's methods and
+    # sheet_le read the masks, and entries_step reads only its vertex's
+    # one-lane row, so the step's arithmetic has one body, step_lanes
     readers = {
         module
         for module, tree in TREES.items()
         for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr in fields
+        if isinstance(node, ast.Attribute) and node.attr in KERNEL_FIELDS
     }
     assert readers == {"scoring.py"}
+    reads = {
+        getattr(node, "name", None): _reads(node).keys() & set(KERNEL_FIELDS)
+        for node in TREES["scoring.py"].body
+    }
+    masks = set(KERNEL_FIELDS) - {"_lanes", "_alone"}
+    reading = lambda test: {name for name, fields in reads.items() if test(fields)}
+    assert reading(lambda fields: fields & masks) == {"PackedKernel", "sheet_le"}
+    assert reading(lambda fields: fields - masks) == {"PackedKernel", "entries_step"}
+    assert reads["entries_step"] == {"_alone"}
 
 
 def _bench_names() -> set:

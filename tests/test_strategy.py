@@ -2,7 +2,7 @@ import functools
 import gc
 import random
 import tracemalloc
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +44,7 @@ from reference import (
     is_path,
     maxscore,
     sheet_le,
+    wins_from,
 )
 from conftest import alternating_strategy, m, random_muller_game, word
 from test_acceptance import corpus_config
@@ -542,8 +543,8 @@ def outcome(verify, *args):
 def test_verifier_matches_the_label_reference(seed):
     # the antichain strategies of both players and the permissive one, at
     # bound 2 (passing from the winning region) and bound 1 (failing, so
-    # the witnesses are compared too), at bound 3, where a score of 3 is an
-    # ordinary code below the cap of 4, and at bound 2 from every vertex
+    # the witnesses are compared too), at bounds 3, 4, 7 and 8, whose caps
+    # take score fields of 3 and 4 bits, and at bound 2 from every vertex
     arena, muller = random_game(corpus_config(seed))
     red1 = build_safety_game(arena, muller, tracked_player=1)
     sol1 = solve_safety(red1.game)
@@ -557,7 +558,10 @@ def test_verifier_matches_the_label_reference(seed):
     ]
     verdicts = []
     for strat, region in cases:
-        for start, bound in ((region, 2), (region, 1), (region, 3), (arena.full_mask, 2)):
+        for start, bound in (
+            *((region, bound) for bound in (2, 1, 3, 4, 7, 8)),
+            (arena.full_mask, 2),
+        ):
             if not start:
                 continue
             args = (arena, muller, strat, start, bound)
@@ -569,9 +573,9 @@ def test_verifier_matches_the_label_reference(seed):
 
 def test_verifier_matches_the_reference_from_the_opponents_region():
     # corpus seeds 0-59: each player's antichain strategy started in the
-    # other player's region fails at bounds 1 to 3 (at bound 3 a score of 3
-    # is an ordinary code), with the reference's verdict and witness: 255
-    # cases, 126 of them Player 0's
+    # other player's region fails at bounds 1 to 4, 7 and 8 (score fields of
+    # 2 to 4 bits), with the reference's verdict and witness: 85 starts, 42
+    # of them Player 0's, at six bounds each
     cases = []
     for seed in range(60):
         arena, muller = random_game(corpus_config(seed))
@@ -586,7 +590,7 @@ def test_verifier_matches_the_reference_from_the_opponents_region():
             (build_antichain_strategy(red0, sol0), w0, set(enumerate_loops(arena)) - set(f1)),
         )
         for strat, start, opponents in sides:
-            for bound in (1, 2, 3) if start else ():
+            for bound in (1, 2, 3, 4, 7, 8) if start else ():
                 args = (arena, muller, strat, start, bound)
                 got = outcome(verify_bounded_scores, *args)
                 assert got == outcome(reference_verify, *args), (seed, bound)
@@ -594,9 +598,52 @@ def test_verifier_matches_the_reference_from_the_opponents_region():
                 # the witness's last step takes an opponent's loop past the bound
                 assert not ok and is_path(arena, witness)
                 assert maxscore(opponents, witness) == bound + 1
-                cases.append((strat.owner_player, len(witness)))
-    assert len(cases) == 255 and sum(player == 0 for player, _ in cases) == 126
-    assert {length for _, length in cases} <= set(range(2, 9))
+                cases.append((strat.owner_player, bound, len(witness)))
+    assert len(cases) == 6 * 85 and sum(player == 0 for player, _, _ in cases) == 6 * 42
+    assert {length for _, bound, length in cases if bound <= 3} <= set(range(2, 9))
+    assert {length for _, bound, length in cases if bound == 8} <= set(range(9, 19))
+
+
+def test_cycle_check_agrees_with_the_verifier():
+    # corpus seeds 0-30: the kernel-free cycle check accepts both players'
+    # antichain strategies and the permissive one from their regions and
+    # rejects each start in the opponent's region, as the verifier does at
+    # bound 2; and it rejects, as the verifier does, Player 0's antichain
+    # strategy with one move its play reaches redirected out of the region
+    verdicts = Counter()
+    mutants = 0
+    for seed in range(31):
+        arena, muller = random_game(corpus_config(seed))
+        red1 = build_safety_game(arena, muller, tracked_player=1)
+        sol1 = solve_safety(red1.game)
+        red0 = build_safety_game(arena, muller, tracked_player=0)
+        sol0 = solve_safety(red0.game)
+        w0, w1 = sol1.w0 & arena.full_mask, sol0.w0 & arena.full_mask
+        anti0 = build_antichain_strategy(red1, sol1)
+        cases = (
+            (anti0, w0, w1),
+            (build_antichain_strategy(red0, sol0), w1, w0),
+            (build_permissive_strategy(red1, sol1), w0, w1),
+        )
+        for strat, region, other in cases:
+            for start in [region] * bool(region) + [bit(v) for v in iter_bits(other)]:
+                ok = wins_from(arena, muller, strat, start)
+                assert ok == verify_bounded_scores(arena, muller, strat, start, 2)[0], seed
+                verdicts[ok, start == region] += 1
+        if not w0:
+            continue
+        for v, label in consistent_product(arena, anti0, w0).nodes:
+            lost = tuple(u for u in arena.succ[v] if not w0 & bit(u))
+            if arena.owner[v] == 0 and lost:
+                columns = [list(c) if c else c for c in anti0.next_move]
+                columns[v][anti0.states.index(label)] = lost[:1]
+                mutant = FiniteStateStrategy(0, anti0.states, anti0.init, anti0.update, columns)
+                assert not wins_from(arena, muller, mutant, w0)
+                assert not verify_bounded_scores(arena, muller, mutant, w0, 2)[0]
+                mutants += 1
+                break
+    assert verdicts == {(True, True): 67, (False, False): 214}
+    assert mutants == 7
 
 
 def test_verifier_matches_the_reference_on_partial_files(example4):
