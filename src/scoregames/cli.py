@@ -328,7 +328,7 @@ def parse_strategy(text: str, arena: Arena) -> FiniteStateStrategy:
 def serialize_strategy(strat: FiniteStateStrategy, arena: Arena) -> str:
     """The strategy file of ``strat``: state ``i`` is labelled ``m<i>``,
     and BOTTOM ``bot``; the entries are written as ``table_entries`` walks
-    them."""
+    them.  A move that is not an edge of ``arena`` raises ValueError."""
     strat.check_arena(arena)
     _check_names(arena)
     names = arena.names
@@ -338,10 +338,12 @@ def serialize_strategy(strat: FiniteStateStrategy, arena: Arena) -> str:
     lines += [f"state {label}" for label in labels]
     lines += [f"init {names[v]} {labels[i]}" for v, i in init]
     lines += [f"update {labels[i]} {names[v]} {labels[j]}" for (i, v), j in update]
-    lines += [
-        f"move {names[v]} {labels[i]} {{ {' '.join(names[u] for u in move)} }}"
-        for (v, i), move in moves
-    ]
+    for (v, i), move in moves:
+        for u in move:
+            if not arena.has_edge(v, u):  # parse_strategy would refuse it
+                target = names[u] if 0 <= u < arena.n else u
+                raise ValueError(f"move {names[v]} -> {target} is not an edge")
+        lines.append(f"move {names[v]} {labels[i]} {{ {' '.join(names[u] for u in move)} }}")
     return "\n".join(lines) + "\n"
 
 
@@ -369,7 +371,7 @@ def export_dot(obj) -> str:
     with double lines), or a strategy product."""
     if isinstance(obj, (Arena, SafetyReduction)):
         arena, safe = (obj, 0) if isinstance(obj, Arena) else (obj.game.arena, obj.game.safe)
-        names = arena.names
+        names = tuple(arena.names)  # a quotient builds each class name once
         nodes = [_node(names[v], arena.owner[v], bool(safe & bit(v))) for v in range(arena.n)]
         edges = [f"{_quote(names[u])} -> {_quote(names[v])}" for u, v in arena.edges()]
         return _dot_lines(nodes, edges)

@@ -193,7 +193,7 @@ def build_safety_game(
         family = family_of(muller.f0)
 
     kernel = PackedKernel(family, base.n, threshold)
-    last, top = kernel.last, kernel.top  # expand inlines last as key >> top
+    last = kernel.last
     # each vertex's successor row as kernel lanes, made once per vertex
     lanes = [kernel.lanes(row) for row in base.succ]
     step_lanes = kernel.step_lanes
@@ -202,7 +202,7 @@ def build_safety_game(
     def expand(key):
         if key < 0:  # the sink's key; every other key is >= 0
             return (-1,)  # the sink is absorbing
-        ys, crossed = step_lanes(key, lanes[key >> top])
+        ys, crossed = step_lanes(key, lanes[last(key)])
         if crossed:
             # every crossing leads to the sink, listed once, where the first is
             unsafe.update([ys[i] for i in crossed])

@@ -229,11 +229,11 @@ def muller_monitor(arena: Arena, muller: MullerCondition) -> MonitorDFA:
     position (v, q) of the product is the quotient class whose key is
     q | v << top; the start is the empty play's vector, 0."""
     kernel = PackedKernel(family_of(f1_loops(arena, muller)), arena.n, 3)
-    fields = (1 << kernel.top) - 1
+    vector = kernel.vector
 
     def step(q, v):
         key = entries_step(q, v, kernel)
-        return REJECT if key < 0 else key & fields
+        return REJECT if key < 0 else vector(key)
 
     return MonitorDFA(arena.n, 0, step)
 

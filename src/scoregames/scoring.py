@@ -42,10 +42,10 @@ class PackedKernel:
     vertex.  A key is a vector with its play's last vertex above the
     ``top`` bits of the fields; a step reads only the fields, so it steps a
     key in place, and the lane of successor ``v`` puts ``v`` above the
-    fields it writes.  ``last(key)`` reads the vertex back; a caller's hot
-    loop may inline it as ``key >> top``, so a change of this layout
-    changes that caller too.  ``rank(key)`` and the module's ``sheet_le``
-    read keys in place.
+    fields it writes.  ``last(key)`` reads the vertex back and
+    ``vector(key)`` strips it; they, ``rank(key)`` and the module's
+    ``sheet_le`` are the only readers of the layout, so a change of it
+    changes this module alone.
     """
 
     def __init__(self, family: Sequence[int], n: int, cap: int):
@@ -65,6 +65,7 @@ class PackedKernel:
         self._accm, self._slo, self._guard, self._bits = accm, slo, guard, bits
         self._score, self._over = ((1 << bits) - 1) * slo, ((1 << bits) - cap) * slo
         self.top = len(self.family) * width
+        self._fields = (1 << self.top) - 1
         # per vertex v, its lane: keep (the fields of sets containing v), rem
         # (f minus v, and all ones for the other fields, which never match),
         # bv (bit v in the fields of keep) and v above the fields
@@ -122,6 +123,10 @@ class PackedKernel:
     def last(self, key: int) -> int:
         """The last vertex of the play whose key is ``key``."""
         return key >> self.top
+
+    def vector(self, key: int) -> int:
+        """The score vector of ``key``: the key without its last vertex."""
+        return key & self._fields
 
     def rank(self, key: int) -> tuple:
         """The sum of the scores and the sum of the accumulator sizes of the

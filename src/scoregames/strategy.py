@@ -326,6 +326,21 @@ def solve_muller(
     return MullerSolution(w0=w0, w1=w1, strategy_p0=strategy_p0, strategy_p1=strategy_p1)
 
 
+def _moves(arena: Arena, rows: tuple, strat: FiniteStateStrategy, player: int, v: int, m: int):
+    """The successors a play consistent with ``strat``, Player ``player``'s
+    strategy, may take from vertex ``v`` in state number ``m``: the whole
+    row ``rows[v]`` at the opponent's vertices, the strategy's move at the
+    player's.  A move that is not an edge raises ValueError."""
+    row = rows[v]
+    if arena.owner[v] != player:
+        return row
+    move = strat.moves_of(v, m)
+    for u in move:
+        if u not in row:
+            raise ValueError(f"strategy proposes a non-edge {v} -> {u}")
+    return move
+
+
 def verify_bounded_scores(
     arena: Arena,
     muller: MullerCondition,
@@ -338,13 +353,14 @@ def verify_bounded_scores(
     ``start``.
 
     Explores the product of the restricted arena with the opposing
-    player's score sheets, breadth-first on a ``Search``, on keys (vertex,
-    memory state number, the ``PackedKernel`` key of the play) and returns
-    (True, None) or (False, witness prefix): the first play prefix, in
-    breadth-first order, whose last step takes a score past ``bound``.  The
-    strategy must be one on the arena's vertices.  The product is capped at
-    the search's state count, beyond which SizeLimitError is raised.  A
-    True verdict certifies that the strategy is winning from ``start``:
+    player's score sheets, breadth-first on a ``Search``, on keys (memory
+    state number, the ``PackedKernel`` key of the play, which holds its
+    last vertex) and returns (True, None) or (False, witness prefix): the
+    first play prefix, in breadth-first order, whose last step takes a
+    score past ``bound``.  The strategy must be one on the arena's
+    vertices, and a move that is not an edge raises ValueError.  The
+    product is capped at the search's state count, beyond which
+    SizeLimitError is raised.  A True verdict certifies that the strategy is winning from ``start``:
     bounded opponent scores force the infinity set into the owner's family.
     Strategies for Player 1 are checked on the role-swapped game.
 
@@ -364,24 +380,22 @@ def verify_bounded_scores(
     family = family_of(f1_loops(arena, muller))
 
     strat.check_arena(arena)
-    moves_of, step_of = strat.moves_of, strat.step_of
+    step_of = strat.step_of
     rows = tuple(arena.succ)  # each vertex's row, read once, not once a state
     search = Search(())
     kernel = PackedKernel(family, arena.n, min(bound + 1, search.max_states + 2))
+    last = kernel.last
     starts = list(iter_bits(start))
     seeds, _ = kernel.step_lanes(0, kernel.lanes(starts))  # one step from the empty play
     for v, key in zip(starts, seeds):
-        search.add((v, strat.init_of(v), key), -1)
-    for i, (v, m, key) in search:
-        succ = rows[v]
-        for u in moves_of(v, m) if arena.owner[v] == 0 else succ:
-            if u not in succ:
-                raise ValueError(f"strategy proposes a non-edge {v} -> {u}")
+        search.add((strat.init_of(v), key), -1)
+    for i, (m, key) in search:
+        for u in _moves(arena, rows, strat, 0, last(key), m):
             nxt = entries_step(key, u, kernel)
             j = step_of(m, u)
             if nxt < 0:
-                return False, _path(search.parents, i, lambda p: search.keys[p][0]) + (u,)
-            search.add((u, j, nxt), i)
+                return False, _path(search.parents, i, lambda p: last(search.keys[p][1])) + (u,)
+            search.add((j, nxt), i)
     return True, None
 
 
@@ -400,6 +414,7 @@ def check_subsumption_bounded(
     the precondition under which permissive strategies promise subsumption.
     The (vertex, state, state) triples are searched breadth-first on a
     ``Search``, past whose default state count SizeLimitError is raised.
+    A move of either strategy that is not an edge raises ValueError.
     """
     if sigma.owner_player != sigma_prime.owner_player:
         raise ValueError("strategies must belong to the same player")
@@ -411,7 +426,7 @@ def check_subsumption_bounded(
     if not ok:
         raise ValueError("candidate strategy does not bound the opponent's scores by 2")
 
-    player = sigma.owner_player
+    player, rows = sigma.owner_player, tuple(arena.succ)
     search = Search([(start, sigma.init_of(start), sigma_prime.init_of(start))])
     # the numbers below ``end`` are the prefixes of at most ``length`` vertices
     end, length = 1, 1
@@ -420,13 +435,11 @@ def check_subsumption_bounded(
             end, length = len(search.keys), length + 1
         if length >= depth:
             break
-        if arena.owner[v] == player:
-            allowed = set(sigma_prime.moves_of(v, mp))
-            targets = sigma.moves_of(v, m)
-            if any(u not in allowed for u in targets):
-                return False
-        else:
-            targets = arena.succ[v]
+        # at the opponent's vertices both are the whole row
+        targets = _moves(arena, rows, sigma, player, v, m)
+        allowed = _moves(arena, rows, sigma_prime, player, v, mp)
+        if not set(targets).issubset(allowed):
+            return False
         for u in targets:
             search.add((u, sigma.step_of(m, u), sigma_prime.step_of(mp, u)), i)
     return True
@@ -443,15 +456,17 @@ class StrategyProduct:
 
 
 def consistent_product(arena: Arena, strat: FiniteStateStrategy, start: int) -> StrategyProduct:
+    """The product from the vertex mask ``start``; a move that is not an
+    edge raises ValueError."""
     if start & ~arena.full_mask:
         raise ValueError("start vertices outside the arena")
     strat.check_arena(arena)
     # searched on state numbers; the nodes are labelled at the end, and
     # each node's edges are in the order the strategy lists its moves
     search = Search([(v, strat.init_of(v)) for v in iter_bits(start)])
-    edges = []
+    rows, edges = tuple(arena.succ), []
     for i, (v, m) in search:
-        for u in strat.moves_of(v, m) if arena.owner[v] == strat.owner_player else arena.succ[v]:
+        for u in _moves(arena, rows, strat, strat.owner_player, v, m):
             edges.append((i, search.add((u, strat.step_of(m, u)), i)))
     nodes = tuple((v, strat.states[m]) for v, m in search.keys)
     return StrategyProduct(arena, nodes, tuple((nodes[a], nodes[b]) for a, b in edges))

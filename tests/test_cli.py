@@ -1,6 +1,7 @@
 import functools
 import re
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -15,7 +16,7 @@ from scoregames.cli import (
     serialize_game,
     serialize_strategy,
 )
-from scoregames import cli, strategy
+from scoregames import cli, reduction, strategy
 from scoregames.arena import Arena, MullerCondition, SizeLimitError
 from scoregames.oracle import GeneratorConfig, random_game
 from scoregames.reduction import Search, build_safety_game
@@ -148,6 +149,16 @@ def test_serialize_strategy_refuses_another_vertex_count(n_strategy, n_arena):
         serialize_strategy(strat, arena)
 
 
+@pytest.mark.parametrize("target, name", [(1, "1"), (7, "7")])
+def test_serialize_strategy_refuses_a_non_edge(example4, target, name):
+    # parse_strategy refuses a move that is not an edge, so the writer does
+    # too, naming both vertices; vertex 1 has no self-loop and 7 is none
+    arena, _ = example4
+    stray = FiniteStateStrategy.from_tables(0, 3, ("s",), [(1, "s")], (), [((1, "s"), (0, target))])
+    with pytest.raises(ValueError, match=f"^move 1 -> {name} is not an edge$"):
+        serialize_strategy(stray, arena)
+
+
 @pytest.mark.parametrize(
     "names", [("ok", "a b"), ("ok", "}"), ("ok", "#x"), ("ok", ""), ("x", "x"), ("ok", "a,b")]
 )
@@ -228,6 +239,23 @@ def test_export_dot_reduction(example4):
     assert dot.count("peripheries=2") == 19
     assert dot.count("peripheries=1") == 1
     assert '"unsafe"' in dot
+
+
+def test_export_dot_builds_each_class_name_once(example4, monkeypatch):
+    # a class name walks the class's parent chain; the export reads each
+    # name once, not once per edge end
+    arena, muller = example4
+    red = build_safety_game(arena, muller)
+    calls = Counter()
+    path = reduction._path
+
+    def counted(parents, c, vertex):
+        calls[c] += 1
+        return path(parents, c, vertex)
+
+    monkeypatch.setattr(reduction, "_path", counted)
+    export_dot(red)
+    assert calls == Counter(c for c in range(red.n_classes) if c != red.sink)
 
 
 def test_export_dot_empty_strategy_product(example4):

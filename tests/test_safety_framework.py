@@ -32,8 +32,9 @@ from scoregames.safety_framework import (
     solve_via_safety,
 )
 from scoregames.safety_solver import solve_safety
+from scoregames.strategy import FiniteStateStrategy, consistent_product
 
-from reference import lasso_accepted_forever, run, winner
+from reference import lasso_accepted_forever, run, winner, wins_from
 from conftest import m, random_lasso, strategy_keeps_reject_unreachable, word
 from test_acceptance import corpus_config
 
@@ -427,6 +428,35 @@ def test_rr_regions_match_a_buchi_solver():
             assert w0 == rr_regions_by_buchi(arena, rr.pairs), (seed, n)
             kinds["full" if w0 == arena.full_mask else "mixed" if w0 else "empty"] += 1
     assert kinds == {"mixed": 86, "full": 79, "empty": 35}
+
+
+def test_cycle_check_accepts_every_monitor_strategy():
+    # the framework corpus (seeds 1000-1099; Buchi, co-Buchi and parity):
+    # the kernel-free cycle check on the Muller encoding accepts each
+    # monitor strategy from its nonempty region, and rejects it with one
+    # reached Player-0 move redirected from W0 into W1, once per game
+    accepted = mutants = 0
+    for seed in range(1000, 1100):
+        density = (0.3, 0.5, 0.7, 0.9)[(seed // 4) % 4]
+        for kind in ("buchi", "cobuchi", "parity"):
+            cfg = GeneratorConfig(n=2 + seed % 4, density=density, seed=seed, kind=kind)
+            arena, condition = random_game(cfg)
+            muller = encode_as_muller(arena, condition)
+            w0, strat = solve_via_safety(arena, condition, monitor_for(arena, condition))
+            if not w0:
+                continue
+            assert wins_from(arena, muller, strat, w0), (seed, kind)
+            accepted += 1
+            for v, label in consistent_product(arena, strat, w0).nodes:
+                lost = [u for u in arena.succ[v] if not w0 & bit(u)]
+                if arena.owner[v] == 0 and lost:
+                    columns = [list(c) if c else c for c in strat.next_move]
+                    columns[v][strat.states.index(label)] = (lost[0],)
+                    mutant = FiniteStateStrategy(0, strat.states, strat.init, strat.update, columns)
+                    assert not wins_from(arena, muller, mutant, w0), (seed, kind)
+                    mutants += 1
+                    break
+    assert (accepted, mutants) == (191, 60)
 
 
 @settings(max_examples=40, deadline=None)

@@ -2,7 +2,8 @@
 private module-level name or private method that nothing in ``src/``
 references, so the leftovers of a removal show up here, no public
 definition that only the tests run, one reader of the strategy tables
-and one reader of the score kernel's fields, so the step has one body."""
+and one reader of the score kernel's fields, so the step has one body,
+and one move rule for the searches over consistent plays."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -121,14 +122,16 @@ def test_only_the_strategy_module_reads_the_strategy_tables():
     assert readers == {"strategy.py"}
 
 
-KERNEL_FIELDS = ("_accm", "_slo", "_score", "_guard", "_over", "_bits", "_lanes", "_alone")
+KERNEL_FIELDS = (
+    "_accm", "_slo", "_score", "_guard", "_over", "_bits", "_fields", "top", "_lanes", "_alone"
+)
 
 
 def test_only_the_kernel_reads_its_fields():
     # a PackedKernel's masks and lane tables have one reader module, so a
     # change of the key layout changes scoring.py alone; the other modules
-    # step keys with step_lanes and entries_step and compare them with
-    # sheet_le and rank.  Inside scoring.py only the kernel's methods and
+    # step keys with step_lanes and entries_step, compare them with
+    # sheet_le and rank, and read them with last and vector.  Inside scoring.py only the kernel's methods and
     # sheet_le read the masks, and entries_step reads only its vertex's
     # one-lane row, so the step's arithmetic has one body, step_lanes
     readers = {
@@ -147,6 +150,32 @@ def test_only_the_kernel_reads_its_fields():
     assert reading(lambda fields: fields & masks) == {"PackedKernel", "sheet_le"}
     assert reading(lambda fields: fields - masks) == {"PackedKernel", "entries_step"}
     assert reads["entries_step"] == {"_alone"}
+
+
+def _readers(attr: str) -> set:
+    """The innermost definitions in ``src/`` that read attribute ``attr``,
+    as module.name or module.Class.method."""
+    out = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == attr:
+                out.add(scope)
+            visit(child, scope)
+
+    for module, tree in TREES.items():
+        visit(tree, module[:-3])
+    return out
+
+
+def test_one_move_rule_reads_the_moves():
+    # the searches over consistent plays ask strategy._moves which
+    # successors a strategy allows, so the owner test and the edge check
+    # have one body; the label reader moves is the other reader
+    assert _readers("moves_of") == {"strategy._moves", "strategy.FiniteStateStrategy.moves"}
 
 
 def _bench_names() -> set:

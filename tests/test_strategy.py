@@ -238,8 +238,13 @@ def test_verify_and_subsumption_reject_bad_strategies(example4):
     stray = FiniteStateStrategy.from_tables(
         0, 3, ("s",), [(1, "s")], [(("s", v), "s") for v in range(3)], [((1, "s"), (1,))]
     )
+    # the three searches share one move rule, and it refuses a non-edge
     with pytest.raises(ValueError, match="^strategy proposes a non-edge 1 -> 1$"):
         verify_bounded_scores(arena, muller, stray, m(1), 2)
+    with pytest.raises(ValueError, match="^strategy proposes a non-edge 1 -> 1$"):
+        consistent_product(arena, stray, m(1))
+    with pytest.raises(ValueError, match="^strategy proposes a non-edge 1 -> 1$"):
+        check_subsumption_bounded(arena, muller, alternating_strategy(), stray, 1, 5)
     player1 = FiniteStateStrategy.from_tables(1, 3, ("s",), (), (), ())
     with pytest.raises(ValueError, match="^strategies must belong to the same player$"):
         check_subsumption_bounded(arena, muller, alternating_strategy(), player1, 1, 5)
@@ -254,6 +259,19 @@ def test_verify_and_subsumption_reject_bad_strategies(example4):
         check_subsumption_bounded(arena, muller, alternating_strategy(), two, 1, 5)
     with pytest.raises(ValueError, match="^strategy is for 2 vertices, the arena has 3$"):
         consistent_product(arena, two, m(0))
+
+
+def test_verify_refuses_a_non_edge_before_stepping():
+    # vertex 0's move takes the self-loop, which crosses bound 1 at once,
+    # and then the non-edge 0 -> 1: the move is refused before either step
+    arena = Arena.build([0, 0], [(0, 0), (1, 1)])
+    muller = MullerCondition(frozenset())
+    strat = FiniteStateStrategy.from_tables(
+        0, 2, ("s",), [(0, "s")], [(("s", 0), "s")], [((0, "s"), (0, 1))]
+    )
+    for verify in (verify_bounded_scores, reference_verify):
+        with pytest.raises(ValueError, match="^strategy proposes a non-edge 0 -> 1$"):
+            verify(arena, muller, strat, m(0), 1)
 
 
 @pytest.mark.parametrize(
@@ -515,9 +533,11 @@ def reference_verify(arena, muller, strat, start, bound):
     while queue:
         node = queue.popleft()
         v, mem, entries = node
-        for u in strat.moves(v, mem) if arena.owner[v] == 0 else arena.succ[v]:
+        targets = strat.moves(v, mem) if arena.owner[v] == 0 else arena.succ[v]
+        for u in targets:  # the whole move is checked before any step
             if u not in arena.succ[v]:
                 raise ValueError(f"strategy proposes a non-edge {v} -> {u}")
+        for u in targets:
             nxt = entries_step(family, entries, u, pairs)
             child = (u, strat.step(mem, u), nxt)
             if entries_terminal(nxt, bound + 1):
@@ -644,6 +664,49 @@ def test_cycle_check_agrees_with_the_verifier():
                 break
     assert verdicts == {(True, True): 67, (False, False): 214}
     assert mutants == 7
+
+
+def test_permissive_strategy_subsumes_every_bounding_strategy():
+    # the permissive theorem: on corpus games 0, 5, ..., 195, each random
+    # memoryless Player-0 strategy that bounds Player 1's scores by 2 from
+    # a vertex is subsumed there by the permissive strategy, searched until
+    # the product runs out; and at a kept Player-0 start vertex, taking the
+    # strategy's move out of a permissive move set of two or more moves in
+    # the start state breaks the subsumption, tried once per start and move
+    tally = Counter()
+    for seed in range(0, 200, 5):
+        arena, muller = random_game(corpus_config(seed))
+        red = build_safety_game(arena, muller, tracked_player=1)
+        perm = build_permissive_strategy(red, solve_safety(red.game))
+        depth = arena.n * len(perm.states) + 2  # more layers than product nodes
+        rng = random.Random(seed)
+        owned = [v for v in range(arena.n) if arena.owner[v] == 0]
+        every = [(("s", v), "s") for v in range(arena.n)]
+        cuts = set()
+        for _ in range(5):
+            moves = [((v, "s"), (rng.choice(arena.succ[v]),)) for v in owned]
+            strat = FiniteStateStrategy.from_tables(
+                0, arena.n, ("s",), [(v, "s") for v in range(arena.n)], every, moves
+            )
+            for v in range(arena.n):
+                tally["pairs"] += 1
+                if not verify_bounded_scores(arena, muller, strat, bit(v), 2)[0]:
+                    continue
+                tally["kept"] += 1
+                assert check_subsumption_bounded(arena, muller, strat, perm, v, depth), (seed, v)
+                if arena.owner[v] != 0:
+                    continue
+                i, (u,) = perm.init_of(v), strat.moves_of(v, 0)
+                allowed = perm.moves_of(v, i)
+                if len(allowed) < 2 or (v, u) in cuts:
+                    continue
+                cuts.add((v, u))
+                columns = [list(c) if c else c for c in perm.next_move]
+                columns[v][i] = tuple(t for t in allowed if t != u)
+                cut = FiniteStateStrategy(0, perm.states, perm.init, perm.update, columns)
+                assert not check_subsumption_bounded(arena, muller, strat, cut, v, depth)
+                tally["mutants"] += 1
+    assert tally == {"pairs": 900, "kept": 194, "mutants": 40}
 
 
 def test_verifier_matches_the_reference_on_partial_files(example4):
