@@ -48,7 +48,7 @@ from .safety_framework import (
     product_game,
     reachable_states,
 )
-from .safety_solver import solve_safety
+from .safety_solver import _flags, solve_safety
 from .strategy import (
     BOTTOM,
     FiniteStateStrategy,
@@ -372,7 +372,8 @@ def export_dot(obj) -> str:
     if isinstance(obj, (Arena, SafetyReduction)):
         arena, safe = (obj, 0) if isinstance(obj, Arena) else (obj.game.arena, obj.game.safe)
         names = tuple(arena.names)  # a quotient builds each class name once
-        nodes = [_node(names[v], arena.owner[v], bool(safe & bit(v))) for v in range(arena.n)]
+        doubled = _flags(safe, arena.n)  # one linear read of the safe mask
+        nodes = [_node(names[v], arena.owner[v], doubled[v]) for v in range(arena.n)]
         edges = [f"{_quote(names[u])} -> {_quote(names[v])}" for u, v in arena.edges()]
         return _dot_lines(nodes, edges)
     if isinstance(obj, StrategyProduct):
@@ -501,9 +502,11 @@ def _cmd_verify(args) -> int:
         except KeyError as exc:
             raise GameParseError(f"--start: {exc.args[0]}") from None
     else:
-        start = _regions(arena, muller)[strat.owner_player]
+        start = _regions(arena, muller, args.max_states)[strat.owner_player]
     try:
-        ok, witness = verify_bounded_scores(arena, muller, strat, start, args.bound)
+        ok, witness = verify_bounded_scores(
+            arena, muller, strat, start, args.bound, args.max_states
+        )
     except ValueError as exc:
         raise GameParseError(f"strategy file: {exc}") from None
     if ok:
@@ -521,7 +524,7 @@ def _cmd_oracle(args) -> int:
         zw0, zw1 = zielonka(arena, condition)
     else:
         zw0, zw1 = zielonka(arena, encode_as_muller(arena, condition))
-    sw0, sw1 = _regions(arena, condition)
+    sw0, sw1 = _regions(arena, condition, args.max_states)
     print(f"oracle W0 = {arena.set_str(zw0)}")
     print(f"oracle W1 = {arena.set_str(zw1)}")
     print(f"solver W0 = {arena.set_str(sw0)}")
@@ -617,10 +620,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("strategy")
     p.add_argument("--bound", type=_at_least_one, default=2)
     p.add_argument("--start", help="comma separated start vertices (default: winning region)")
+    p.add_argument("--max-states", type=_at_least_one, default=DEFAULT_MAX_STATES)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("oracle", help="cross-check the solver against the recursive oracle")
     p.add_argument("game")
+    p.add_argument("--max-states", type=_at_least_one, default=DEFAULT_MAX_STATES)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("random", help="generate a seeded random game")

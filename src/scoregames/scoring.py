@@ -12,7 +12,9 @@ row, read from its lanes, and tells which steps take a score to the
 kernel's cap.  The quotient construction steps rows; the strategy verifier
 and the Muller monitor step one vertex at a time with ``entries_step``, a
 one-lane row.  ``sheet_le`` and ``PackedKernel.rank`` compare and order
-keys without unpacking them.
+keys without unpacking them.  A key may carry a state number above its
+last vertex, which a step drops: the verifier's search states are such
+keys.
 """
 from __future__ import annotations
 
@@ -39,13 +41,15 @@ class PackedKernel:
     score in the next b.  A vector whose scores are below the cap steps to
     scores of at most the cap, which the b bits hold; the all-zero vector
     is the empty play, so stepping it gives the single-letter vector of a
-    vertex.  A key is a vector with its play's last vertex above the
-    ``top`` bits of the fields; a step reads only the fields, so it steps a
-    key in place, and the lane of successor ``v`` puts ``v`` above the
-    fields it writes.  ``last(key)`` reads the vertex back and
-    ``vector(key)`` strips it; they, ``rank(key)`` and the module's
-    ``sheet_le`` are the only readers of the layout, so a change of it
-    changes this module alone.
+    vertex.  A key is a vector with its play's last vertex in the
+    ``max(1, (n - 1).bit_length())`` bits above the ``top`` bits of the
+    fields; a step reads only the fields, so it steps a key in place, and
+    the lane of successor ``v`` puts ``v`` above the fields it writes.
+    ``with_state(key, m)`` puts a state number ``m`` above the vertex,
+    which a step drops again.  ``last(key)`` reads the vertex back,
+    ``state(key)`` the state number and ``vector(key)`` strips both; they,
+    ``rank(key)`` and the module's ``sheet_le`` are the only readers of the
+    layout, so a change of it changes this module alone.
     """
 
     def __init__(self, family: Sequence[int], n: int, cap: int):
@@ -66,6 +70,8 @@ class PackedKernel:
         self._score, self._over = ((1 << bits) - 1) * slo, ((1 << bits) - cap) * slo
         self.top = len(self.family) * width
         self._fields = (1 << self.top) - 1
+        vbits = max(1, (n - 1).bit_length())
+        self._vmask, self._above = (1 << vbits) - 1, self.top + vbits
         # per vertex v, its lane: keep (the fields of sets containing v), rem
         # (f minus v, and all ones for the other fields, which never match),
         # bv (bit v in the fields of keep) and v above the fields
@@ -122,7 +128,16 @@ class PackedKernel:
 
     def last(self, key: int) -> int:
         """The last vertex of the play whose key is ``key``."""
-        return key >> self.top
+        return key >> self.top & self._vmask
+
+    def with_state(self, key: int, m: int) -> int:
+        """``key``, which holds no state number, with the state number
+        ``m >= 0`` above its last vertex."""
+        return key | m << self._above
+
+    def state(self, key: int) -> int:
+        """The state number ``with_state`` put in ``key``."""
+        return key >> self._above
 
     def vector(self, key: int) -> int:
         """The score vector of ``key``: the key without its last vertex."""
@@ -130,8 +145,9 @@ class PackedKernel:
 
     def rank(self, key: int) -> tuple:
         """The sum of the scores and the sum of the accumulator sizes of the
-        tracked sets in ``key``.  A key below another in the score preorder
-        ranks lower, or has equal fields and ranks the same."""
+        tracked sets in ``key``, a key without a state number.  A key below
+        another in the score preorder ranks lower, or has equal fields and
+        ranks the same."""
         slo = self._slo
         scores = sum((key & slo << j).bit_count() << j for j in range(self._bits))
         return scores, (key & self._accm).bit_count()
@@ -146,9 +162,10 @@ def entries_step(key: int, v: int, kernel: PackedKernel) -> int:
 
 
 def sheet_le(kernel: PackedKernel, a: int, b: int) -> bool:
-    """The score preorder on keys of ``kernel``: same last vertex, and for
-    every tracked set either a strictly smaller score or an equal score
-    with a contained accumulator.
+    """The score preorder on keys of ``kernel`` without a state number,
+    such as the quotient's class keys: same last vertex, and for every
+    tracked set either a strictly smaller score or an equal score with a
+    contained accumulator.
 
     Every set is compared at once: ``out`` holds the low score bit of each
     field whose accumulator in ``a`` is not inside the one in ``b`` (the

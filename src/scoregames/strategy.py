@@ -12,10 +12,11 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 
 from .arena import Arena, MullerCondition, bit, f1_loops, iter_bits
 from .reduction import DEFAULT_MAX_STATES, SafetyReduction, Search, _path, build_safety_game
-from .safety_solver import SafetySolution, solve_safety
+from .safety_solver import SafetySolution, _flags, solve_safety
 from .scoring import PackedKernel, entries_step, family_of, sheet_le
 
 
@@ -247,7 +248,7 @@ def build_permissive_strategy(red: SafetyReduction, sol: SafetySolution) -> Fini
     the moves whose class stays in that region."""
     if red.tracked_player != 1:
         raise ValueError("permissive strategies are built from the Player-1-tracking reduction")
-    classes = [c for c in range(red.n_classes) if sol.w0 & bit(c)]
+    classes = list(compress(range(red.n_classes), _flags(sol.w0, red.n_classes)))
     return _class_table(red, sol, classes, _numbering(red, classes).__getitem__, every_move=True)
 
 
@@ -347,26 +348,28 @@ def verify_bounded_scores(
     strat: FiniteStateStrategy,
     start: int,
     bound: int,
+    max_states: int = DEFAULT_MAX_STATES,
 ) -> tuple:
     """Model-check that no play consistent with ``strat`` lets the opposing
     player's scores exceed ``bound``, starting anywhere in the vertex mask
     ``start``.
 
     Explores the product of the restricted arena with the opposing
-    player's score sheets, breadth-first on a ``Search``, on keys (memory
-    state number, the ``PackedKernel`` key of the play, which holds its
-    last vertex) and returns (True, None) or (False, witness prefix): the
-    first play prefix, in breadth-first order, whose last step takes a
-    score past ``bound``.  The strategy must be one on the arena's
-    vertices, and a move that is not an edge raises ValueError.  The
-    product is capped at the search's state count, beyond which
-    SizeLimitError is raised.  A True verdict certifies that the strategy is winning from ``start``:
-    bounded opponent scores force the infinity set into the owner's family.
-    Strategies for Player 1 are checked on the role-swapped game.
+    player's score sheets, breadth-first on a ``Search``, on one int a
+    state: the ``PackedKernel`` key of the play, which holds its last
+    vertex, with the memory state number above it.  Returns (True, None)
+    or (False, witness prefix): the first play prefix, in breadth-first
+    order, whose last step takes a score past ``bound``.  The strategy must
+    be one on the arena's vertices, and a move that is not an edge raises
+    ValueError.  The product is capped at ``max_states`` states, beyond
+    which SizeLimitError is raised.  A True verdict certifies that the
+    strategy is winning from ``start``: bounded opponent scores force the
+    infinity set into the owner's family.  Strategies for Player 1 are
+    checked on the role-swapped game.
 
-    The kernel's cap is bound + 1, or the search's cap plus 2 if that is
+    The kernel's cap is bound + 1, or ``max_states`` plus 2 if that is
     smaller: a numbered key with a score of s has s numbered keys on its
-    parent chain, so no step reaches a score past the search's cap plus 1
+    parent chain, so no step reaches a score past ``max_states`` plus 1
     before SizeLimitError, and the smaller cap changes no verdict while
     keeping a huge bound from widening every key.
     """
@@ -382,20 +385,21 @@ def verify_bounded_scores(
     strat.check_arena(arena)
     step_of = strat.step_of
     rows = tuple(arena.succ)  # each vertex's row, read once, not once a state
-    search = Search(())
-    kernel = PackedKernel(family, arena.n, min(bound + 1, search.max_states + 2))
-    last = kernel.last
+    search = Search((), max_states)
+    kernel = PackedKernel(family, arena.n, min(bound + 1, max_states + 2))
+    last, state, with_state = kernel.last, kernel.state, kernel.with_state
     starts = list(iter_bits(start))
     seeds, _ = kernel.step_lanes(0, kernel.lanes(starts))  # one step from the empty play
     for v, key in zip(starts, seeds):
-        search.add((strat.init_of(v), key), -1)
-    for i, (m, key) in search:
+        search.add(with_state(key, strat.init_of(v)), -1)
+    for i, key in search:
+        m = state(key)
         for u in _moves(arena, rows, strat, 0, last(key), m):
-            nxt = entries_step(key, u, kernel)
+            nxt = entries_step(key, u, kernel)  # the step drops the state number
             j = step_of(m, u)
             if nxt < 0:
-                return False, _path(search.parents, i, lambda p: last(search.keys[p][1])) + (u,)
-            search.add((j, nxt), i)
+                return False, _path(search.parents, i, lambda p: last(search.keys[p])) + (u,)
+            search.add(with_state(nxt, j), i)
     return True, None
 
 

@@ -1,4 +1,3 @@
-import functools
 import re
 import sys
 from collections import Counter
@@ -16,10 +15,10 @@ from scoregames.cli import (
     serialize_game,
     serialize_strategy,
 )
-from scoregames import cli, reduction, strategy
+from scoregames import cli, reduction
 from scoregames.arena import Arena, MullerCondition, SizeLimitError
 from scoregames.oracle import GeneratorConfig, random_game
-from scoregames.reduction import Search, build_safety_game
+from scoregames.reduction import build_safety_game
 from scoregames.safety_solver import solve_safety
 from scoregames.strategy import (
     BOTTOM,
@@ -420,25 +419,43 @@ STUBBORN_TEXT = (
 )
 
 
-def test_verify_is_capped(tmp_path, capsys, monkeypatch):
+def test_verify_is_capped(tmp_path, capsys):
     # the stubborn strategy lets the opponent pump a score up to any bound,
     # so at a large bound its certificate product outgrows a small cap
-    monkeypatch.setattr(strategy, "Search", functools.partial(Search, max_states=50))
     arena, muller = parse_game(EXAMPLE4_GAME_TEXT)
+    stubborn = parse_strategy(STUBBORN_TEXT, arena)
     with pytest.raises(SizeLimitError, match="cap of 50 states"):
-        verify_bounded_scores(arena, muller, parse_strategy(STUBBORN_TEXT, arena), m(1), 1000)
+        verify_bounded_scores(arena, muller, stubborn, m(1), 1000, max_states=50)
     strat = tmp_path / "stubborn.txt"
     strat.write_text(STUBBORN_TEXT)
-    # --start keeps solve_muller, which also searches, out of the patched cap
+    # --start skips the region solve, so the cap meets the certificate search
     argv = ("verify", game_file(tmp_path), str(strat), "--bound", "1000", "--start", "1")
-    code, out, err = run(capsys, *argv)
+    code, out, err = run(capsys, *argv, "--max-states", "50")
     assert code == 3
     assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err == "error: state space exceeds the cap of 50 states\n"
     # at the default cap the opponent's score passes 1000 first
-    monkeypatch.undo()
     code, out, _ = run(capsys, *argv)
     assert code == 1 and out.startswith("violation: ")
+
+
+def test_verify_and_oracle_caps_reach_the_cli(tmp_path, capsys):
+    # --max-states caps verify's region solve and its certificate search,
+    # and oracle's region solve; past the cap is exit 3 with one line
+    game = game_file(tmp_path)
+    strat = tmp_path / "stubborn.txt"
+    strat.write_text(STUBBORN_TEXT)
+    for argv in (
+        ("verify", game, str(strat)),
+        ("verify", game, str(strat), "--start", "1"),
+        ("oracle", game),
+        ("oracle", game_file(tmp_path, PARITY_TEXT, "parity.txt")),
+    ):
+        code, out, err = run(capsys, *argv, "--max-states", "1")
+        assert (code, out) == (3, ""), argv
+        assert err == "error: state space exceeds the cap of 1 states\n", argv
+        code, out, err = run(capsys, *argv, "--max-states", "0")
+        assert code == 2 and out == "", argv
 
 
 SELF_LOOP_TEXT = "vertex a 1\nedge a a\ncondition muller\n"
@@ -446,22 +463,23 @@ SELF_LOOP_STRATEGY_TEXT = "player 0\nstate s\ninit a s\nupdate s a s\n"
 
 
 @pytest.mark.parametrize("cap", [1, 2, 3, 7])
-def test_verify_bound_meets_the_search_cap(tmp_path, capsys, monkeypatch, cap):
+def test_verify_bound_meets_the_search_cap(tmp_path, capsys, cap):
     # Player 1 owns a one-vertex self-loop, whose score rises by one a step,
     # so the certificate product numbers one key a score level: with the
     # search capped at M keys, a bound up to M is violated and a larger one
     # outgrows the cap, however large, whatever cap the kernel is built at
-    monkeypatch.setattr(strategy, "Search", functools.partial(Search, max_states=cap))
     arena, muller = parse_game(SELF_LOOP_TEXT)
     strat = parse_strategy(SELF_LOOP_STRATEGY_TEXT, arena)
     for bound in range(1, cap + 1):
-        assert verify_bounded_scores(arena, muller, strat, 1, bound) == (False, (0,) * (bound + 1))
+        got = verify_bounded_scores(arena, muller, strat, 1, bound, max_states=cap)
+        assert got == (False, (0,) * (bound + 1))
     for bound in (cap + 1, cap + 2, 10**1000):
         with pytest.raises(SizeLimitError, match=f"cap of {cap} states"):
-            verify_bounded_scores(arena, muller, strat, 1, bound)
+            verify_bounded_scores(arena, muller, strat, 1, bound, max_states=cap)
     path = tmp_path / "loop.txt"
     path.write_text(SELF_LOOP_STRATEGY_TEXT)
-    argv = ("verify", game_file(tmp_path, SELF_LOOP_TEXT), str(path), "--start", "a")
+    game = game_file(tmp_path, SELF_LOOP_TEXT)
+    argv = ("verify", game, str(path), "--start", "a", "--max-states", str(cap))
     code, out, err = run(capsys, *argv, "--bound", "9" * 4000)
     assert (code, out) == (3, "") and err.startswith("error: ")
     violation = f"violation: {arena.word_str((0,) * (cap + 1))}\n"
@@ -528,7 +546,7 @@ def test_cli_max_states_defaults_to_the_shared_cap():
         args = _build_parser().parse_args([name] + ["x"] * len(positionals))
         assert args.max_states == DEFAULT_MAX_STATES, name
         capped.add(name)
-    assert capped == {"solve", "reduce", "strategy", "monitor"}
+    assert capped == {"solve", "reduce", "strategy", "verify", "oracle", "monitor"}
 
 
 def test_cli_monitor(tmp_path, capsys):
@@ -727,7 +745,7 @@ def test_cli_priority_longer_than_int_reads_exits_2(tmp_path, capsys):
 
 
 def test_cli_oracle_disagreement_exits_1(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_regions", lambda arena, condition: (0, arena.full_mask))
+    monkeypatch.setattr(cli, "_regions", lambda arena, condition, max_states: (0, arena.full_mask))
     code, out, err = run(capsys, "oracle", game_file(tmp_path))
     assert (code, err) == (1, "")
     assert out.endswith("solver W0 = {}\nsolver W1 = {0,1,2}\nagreement: NO\n")
@@ -875,8 +893,9 @@ def fuzzed_argv(draw, games, strategies, broken):
         "strategy": {"--kind": value("antichain", "permissive"), "--player": value("0", "1"),
                      "--out": value("table", "dot"), "--max-states": count},
         # small bounds keep the certificate product of a losing strategy small
-        "verify": {"--bound": value("1", "2", "3"), "--start": value("0", "1,2", "0,0", "9", ",")},
-        "oracle": {},
+        "verify": {"--bound": value("1", "2", "3"), "--start": value("0", "1,2", "0,0", "9", ","),
+                   "--max-states": count},
+        "oracle": {"--max-states": count},
         # small arenas keep loop enumeration cheap
         "random": {"--vertices": value("1", "2", "3"), "--density": value("0.5", "1", huge),
                    "--owner-bias": value("0.5", "nan"), "--seed": value("1", huge),

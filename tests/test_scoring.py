@@ -260,6 +260,38 @@ def test_packed_step_matches_entries_step(data):
             break
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_state_numbers_ride_above_the_vertex(data):
+    # at caps 2 to 17 and n 1 to 8, a state number put above a key's last
+    # vertex reads back with state, leaves last and vector as they were,
+    # and the step of a row, one lane or many, writes the same fields and
+    # vertices with it as without it, dropping it
+    n = data.draw(st.integers(1, 8), label="n")
+    family = family_of(data.draw(st.lists(st.integers(1, 2**n - 1), min_size=1, max_size=10)))
+    cap = data.draw(st.integers(2, 17), label="cap")
+    bits = max(2, cap.bit_length())
+    kernel = PackedKernel(family, n, cap)
+    entries = data.draw(st.tuples(*(_below(cap, n, f) for f in family)), label="entries")
+    v = data.draw(st.integers(0, n - 1), label="v")
+    key = _pack(n, entries, bits) | v << kernel.top
+    m = data.draw(st.one_of(st.integers(0, 3), st.integers(0, 2**40)), label="m")
+    held = kernel.with_state(key, m)
+    assert kernel.state(held) == m
+    assert kernel.state(key) == 0
+    assert kernel.last(held) == kernel.last(key) == v
+    assert kernel.vector(held) == kernel.vector(key) == _pack(n, entries, bits)
+    assert unpack(family, n, kernel.vector(held), bits).entries == entries
+    row = data.draw(st.lists(st.integers(0, n - 1), max_size=n), label="row")
+    assert kernel.step_lanes(held, kernel.lanes(row)) == kernel.step_lanes(key, kernel.lanes(row))
+    for u in row:
+        y = scoring.entries_step(held, u, kernel)
+        assert y == scoring.entries_step(key, u, kernel)
+        if y >= 0:
+            assert (kernel.state(y), kernel.last(y)) == (0, u)
+            assert kernel.state(kernel.with_state(y, m)) == m
+
+
 @settings(max_examples=150, deadline=None)
 @given(w=st.lists(st.integers(0, 3), min_size=1, max_size=14).map(tuple))
 def test_lar_determines_scores(w):

@@ -123,7 +123,8 @@ def test_only_the_strategy_module_reads_the_strategy_tables():
 
 
 KERNEL_FIELDS = (
-    "_accm", "_slo", "_score", "_guard", "_over", "_bits", "_fields", "top", "_lanes", "_alone"
+    "_accm", "_slo", "_score", "_guard", "_over", "_bits", "_fields", "top", "_vmask", "_above",
+    "_lanes", "_alone",
 )
 
 
@@ -131,9 +132,11 @@ def test_only_the_kernel_reads_its_fields():
     # a PackedKernel's masks and lane tables have one reader module, so a
     # change of the key layout changes scoring.py alone; the other modules
     # step keys with step_lanes and entries_step, compare them with
-    # sheet_le and rank, and read them with last and vector.  Inside scoring.py only the kernel's methods and
-    # sheet_le read the masks, and entries_step reads only its vertex's
-    # one-lane row, so the step's arithmetic has one body, step_lanes
+    # sheet_le and rank, read them with last, state and vector, and put a
+    # state number in one with with_state.  Inside scoring.py only the
+    # kernel's methods and sheet_le read the masks, and entries_step reads
+    # only its vertex's one-lane row, so the step's arithmetic has one
+    # body, step_lanes
     readers = {
         module
         for module, tree in TREES.items()

@@ -747,3 +747,33 @@ def test_permissive_table_is_compact():
         tracemalloc.stop()
     # 14 bytes a cell with array tables and move columns, 156 with dict tables
     assert kept <= 48 * len(perm.states) * arena.n
+
+
+def test_certificate_search_is_compact(monkeypatch):
+    # corpus game 47: certifying the permissive strategy peaks at 160 bytes
+    # or less per certificate state, the search's index, key list and
+    # parents included
+    arena, muller = random_game(corpus_config(47))
+    red = build_safety_game(arena, muller, tracked_player=1)
+    sol = solve_safety(red.game)
+    perm, start = build_permissive_strategy(red, sol), sol.w0 & arena.full_mask
+    del red, sol
+    searches = []
+
+    def recorded(*args):
+        searches.append(Search(*args))
+        return searches[-1]
+
+    monkeypatch.setattr(strategy, "Search", recorded)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        verdict = verify_bounded_scores(arena, muller, perm, start, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict == (True, None)
+    (search,) = searches
+    # 125 bytes a state with one packed int a state, 209 with a (state
+    # number, key) tuple
+    assert peak <= 160 * len(search.keys)
