@@ -16,6 +16,7 @@ from typing import Callable, Iterable, Iterator, Sequence, Union
 Word = tuple  # finite vertex sequence, tuple[int, ...]
 
 DEFAULT_LOOP_LIMIT = 14  # enumerate_loops is exponential in the vertex count
+RANDOM_VERTEX_LIMIT = 1_000  # random_game draws n * n edge coins
 
 
 class SizeLimitError(RuntimeError):
@@ -41,20 +42,56 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-class Successors(_Sequence):
-    """A successor table as compressed sparse rows: two ``array('i')``,
-    four bytes an edge and four a vertex.  ``flat`` holds every row, in
-    vertex order, and ``start`` the n + 1 row offsets, so row ``v`` is
-    ``flat[start[v]:start[v + 1]]``.  ``table[v]`` returns row ``v`` as a
-    tuple, and a slice a tuple of rows; a reader that walks the whole
-    table reads the two arrays.  Tables compare equal by content, to each
-    other and to a tuple of row tuples."""
+class View(_Sequence):
+    """The read-only tuple of ``n`` items ``item(i)``, each built on access:
+    the rows of a ``Successors`` and the names of quotient and product
+    vertices.  It indexes, slices, compares and hashes as that tuple."""
+
+    __slots__ = ("_n", "_item")
+
+    def __init__(self, n: int, item: Callable):
+        self._n = n
+        self._item = item
+
+    def __len__(self):
+        return self._n
+
+    def __getitem__(self, i):
+        if i.__class__ is slice:  # slice has no subclasses; cheaper than isinstance
+            return tuple(map(self._item, range(self._n)[i]))
+        if not 0 <= i < self._n:  # a negative index counts from the end, as in a tuple
+            i = range(self._n)[i]
+        return self._item(i)
+
+    def __iter__(self) -> Iterator:
+        return map(self._item, range(self._n))
+
+    def __eq__(self, other):
+        return tuple(self) == tuple(other) if isinstance(other, (tuple, View)) else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({tuple(self)!r})"
+
+
+class Successors(View):
+    """A successor table as compressed sparse rows, a ``View`` of its rows
+    as tuples: ``flat`` holds every row in vertex order and ``start`` the
+    n + 1 row offsets, two ``array('i')`` of four bytes an entry.  A reader
+    that walks the whole table reads the two arrays."""
 
     __slots__ = ("flat", "start")
 
     def __init__(self, flat: array, start: array):
+        # the row closure holds the arrays, not the table, so no cycle
+        super().__init__(len(start) - 1, lambda v: tuple(flat[start[v] : start[v + 1]]))
         self.flat = flat
         self.start = start
+
+    def __reduce__(self):
+        return Successors, (self.flat, self.start)
 
     @classmethod
     def from_rows(cls, rows: Iterable) -> "Successors":
@@ -63,23 +100,6 @@ class Successors(_Sequence):
             array("i", chain.from_iterable(rows)), array("i", accumulate(map(len, rows), initial=0))
         )
 
-    def __len__(self):
-        return len(self.start) - 1
-
-    def __getitem__(self, v) -> tuple:
-        if v.__class__ is slice:  # slice has no subclasses; cheaper than isinstance
-            return tuple(map(self.__getitem__, range(len(self))[v]))
-        start = self.start
-        if v < 0:
-            v += len(start) - 1
-            if v < 0:
-                raise IndexError("vertex index out of range")
-        return tuple(self.flat[start[v] : start[v + 1]])
-
-    def __iter__(self) -> Iterator:
-        flat, start = self.flat, self.start
-        return (tuple(flat[start[v] : start[v + 1]]) for v in range(len(self)))
-
     def degrees(self) -> Iterator:
         """The length of each row, in vertex order."""
         return map(sub, self.start[1:], self.start)
@@ -87,16 +107,6 @@ class Successors(_Sequence):
     def sources(self) -> Iterator:
         """The vertex whose row holds each entry of ``flat``, in order."""
         return chain.from_iterable(map(repeat, range(len(self)), self.degrees()))
-
-    def __eq__(self, other):
-        if isinstance(other, Successors):
-            return self.start == other.start and self.flat == other.flat
-        if isinstance(other, tuple):
-            return tuple(self) == other
-        return NotImplemented
-
-    def __repr__(self):
-        return f"Successors({tuple(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -109,7 +119,7 @@ class Arena:
     indices of ``v``, and ``succ.flat`` and ``succ.start`` hold every row
     in two int arrays.
     ``names[v]`` is the external name of ``v``; ``names`` is a tuple, or for
-    the arenas built by a reduction or a monitor product a sequence whose
+    the arenas built by a reduction or a monitor product a ``View`` whose
     names are built on access.  Every vertex is expected to have at least
     one successor; ``validate`` reports vertices that do not.
     """
@@ -154,27 +164,26 @@ class Arena:
     def edges(self) -> Iterator:
         return zip(self.succ.sources(), self.succ.flat)
 
-    def predecessors(self) -> tuple:
-        """The predecessors of each vertex as two ``array('i')``, ``start``
-        and ``sources``, four bytes an edge: those of v are
-        ``sources[start[v]:start[v + 1]]``, in increasing order.  In-degrees
-        are counted first; then the edges are walked in order, each source
-        written at its target's cursor, which begins at the slice's first
-        entry and ends at the next slice's, so the cursors, after a 0, are
+    def predecessors(self) -> Successors:
+        """The predecessor table, a ``Successors`` whose row v holds the
+        sources of the edges into v, in increasing order.  In-degrees are
+        counted first; then the edges are walked in order, each source
+        written at its target's cursor, which begins at the row's first
+        entry and ends at the next row's, so the cursors, after a 0, are
         the offsets."""
         flat = self.succ.flat
         indegree = [0] * self.n
         for v in flat:
             indegree[v] += 1
         cursor = array("i", accumulate(indegree, initial=0))
-        cursor.pop()  # the edge count: cursor[v] is the first entry of v's slice
+        cursor.pop()  # the edge count: cursor[v] is the first entry of v's row
         sources = array("i", [0]) * len(flat)
         for u, v in self.edges():
             i = cursor[v]
             cursor[v] = i + 1
             sources[i] = u
         cursor.insert(0, 0)
-        return cursor, sources
+        return Successors(sources, cursor)
 
     def swap_roles(self) -> "Arena":
         """The same graph with the players exchanged."""
@@ -247,7 +256,7 @@ Condition = Union[
 ]
 
 
-def is_loop(arena: Arena, s: int, pred: tuple = None) -> bool:
+def is_loop(arena: Arena, s: int, pred: Successors = None) -> bool:
     """True iff ``s`` is a non-empty strongly connected vertex set.
 
     A singleton {v} counts as a loop only if v has a self-loop: a path from
@@ -263,8 +272,7 @@ def is_loop(arena: Arena, s: int, pred: tuple = None) -> bool:
     # forward and backward reachability inside s from one vertex
     if _reach(s, first, arena.succ.__getitem__) != s:
         return False
-    start, sources = pred or arena.predecessors()
-    return _reach(s, first, lambda u: sources[start[u] : start[u + 1]]) == s
+    return _reach(s, first, (pred or arena.predecessors()).__getitem__) == s
 
 
 def _reach(s: int, first: int, neighbours: Callable) -> int:

@@ -40,7 +40,7 @@ from .arena import (
     mask_of,
     validate,
 )
-from .oracle import GeneratorConfig, encode_as_muller, random_game, zielonka
+from .oracle import GAME_KINDS, GeneratorConfig, encode_as_muller, random_game, zielonka
 from .reduction import DEFAULT_MAX_STATES, SafetyReduction, build_safety_game
 from .safety_framework import (
     MonitorDFA,
@@ -478,8 +478,7 @@ def _cmd_strategy(args) -> int:
     muller = _require_muller(condition)
     if args.kind == "permissive" and args.player != 0:
         raise GameParseError("permissive strategies are computed for player 0")
-    tracked = 1 if args.player == 0 else 0
-    red = build_safety_game(arena, muller, tracked_player=tracked, max_states=args.max_states)
+    red = build_safety_game(arena, muller, 1 - args.player, max_states=args.max_states)
     sol = solve_safety(red.game)
     build = build_permissive_strategy if args.kind == "permissive" else build_antichain_strategy
     strat = build(red, sol)
@@ -633,9 +632,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", type=_unit_interval, default=0.4)
     p.add_argument("--owner-bias", type=_unit_interval, default=0.5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--kind", choices=("muller", "buchi", "cobuchi", "parity", "rr"), default="muller"
-    )
+    p.add_argument("--kind", choices=GAME_KINDS, default="muller")
     p.set_defaults(func=_cmd_random)
 
     p = sub.add_parser("monitor", help="the safety monitor of a game's condition")

@@ -18,6 +18,7 @@ from .arena import (
     Condition,
     MullerCondition,
     ParityCondition,
+    RANDOM_VERTEX_LIMIT,
     RequestResponseCondition,
     SizeLimitError,
     bit,
@@ -28,6 +29,7 @@ from .arena import (
 )
 
 ORACLE_VERTEX_LIMIT = 12
+GAME_KINDS = ("muller", "buchi", "cobuchi", "parity", "rr")  # what random_game draws
 
 
 def _attr(arena: Arena, universe: int, player: int, target: int) -> int:
@@ -119,9 +121,13 @@ class GeneratorConfig:
 
 
 def random_game(cfg: GeneratorConfig) -> tuple:
-    """A seeded, reproducible random game, refused before any draw if it is
-    a Muller game over the loop guard.  Vertices without outgoing edges
-    are repaired with self-loops, so the arena is always well-formed."""
+    """A seeded, reproducible random game, refused before any draw if its
+    kind is unknown, it has over ``RANDOM_VERTEX_LIMIT`` vertices, or it is
+    Muller over the loop guard.  A vertex without successors gets a self-loop."""
+    if cfg.kind not in GAME_KINDS:
+        raise ValueError(f"unknown condition kind {cfg.kind!r}")
+    if cfg.n > RANDOM_VERTEX_LIMIT:
+        raise SizeLimitError(f"{cfg.n} random vertices exceed the guard of {RANDOM_VERTEX_LIMIT}")
     if cfg.kind == "muller":
         check_loop_limit(cfg.n)
     rng = random.Random(cfg.seed)
@@ -146,11 +152,9 @@ def random_game(cfg: GeneratorConfig) -> tuple:
         return arena, CoBuchiCondition(_random_mask(rng, cfg.n))
     if cfg.kind == "parity":
         return arena, ParityCondition(tuple(rng.randrange(2 * cfg.n) for _ in range(cfg.n)))
-    if cfg.kind == "rr":
-        r = 1 + rng.randrange(2)
-        pairs = tuple((_random_mask(rng, cfg.n), _random_mask(rng, cfg.n)) for _ in range(r))
-        return arena, RequestResponseCondition(pairs)
-    raise ValueError(f"unknown condition kind {cfg.kind!r}")
+    r = 1 + rng.randrange(2)
+    pairs = tuple((_random_mask(rng, cfg.n), _random_mask(rng, cfg.n)) for _ in range(r))
+    return arena, RequestResponseCondition(pairs)
 
 
 def _random_mask(rng: random.Random, n: int) -> int:

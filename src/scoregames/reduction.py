@@ -15,7 +15,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from .arena import Arena, MullerCondition, SizeLimitError, Successors, Word, f1_loops
+from .arena import Arena, MullerCondition, SizeLimitError, Successors, View, Word, f1_loops
 from .scoring import PackedKernel, family_of
 
 DEFAULT_MAX_STATES = 500_000
@@ -87,26 +87,6 @@ class SafetyGame:
     safe: int
 
 
-class _ClassView(Sequence):
-    """A read-only sequence of ``n`` items, item ``i`` built on access as
-    ``item(i)``: the vertex names of quotient and product arenas."""
-
-    def __init__(self, n: int, item: Callable):
-        self._n = n
-        self._item = item
-
-    def __len__(self):
-        return self._n
-
-    def __getitem__(self, c):
-        if isinstance(c, slice):
-            return tuple(map(self._item, range(self._n)[c]))
-        return self._item(range(self._n)[c])
-
-    def __eq__(self, other):
-        return isinstance(other, (tuple, _ClassView)) and tuple(self) == tuple(other)
-
-
 def _path(parents: Sequence, c: int, vertex: Callable) -> Word:
     """``vertex(i)`` for each number ``i`` along the parent chain of ``c``,
     oldest first: the play prefix that first reached ``c`` when ``vertex``
@@ -166,6 +146,12 @@ class SafetyReduction:
         return self.kernel.last(self.keys[c])
 
 
+def tracked_family(arena: Arena, muller: MullerCondition, tracked_player: int) -> tuple:
+    """The family whose scores the side tracking ``tracked_player`` bounds:
+    ``f1_loops`` for Player 1 and ``f0`` for Player 0, as ``family_of`` sorts."""
+    return family_of(f1_loops(arena, muller) if tracked_player == 1 else muller.f0)
+
+
 def build_safety_game(
     arena: Arena,
     muller: MullerCondition,
@@ -185,13 +171,8 @@ def build_safety_game(
         raise ValueError("tracked_player must be 0 or 1")
     if threshold not in (2, 3):
         raise ValueError("threshold must be 2 or 3")
-    if tracked_player == 1:
-        base = arena
-        family = family_of(f1_loops(arena, muller))
-    else:
-        base = arena.swap_roles()
-        family = family_of(muller.f0)
-
+    base = arena if tracked_player == 1 else arena.swap_roles()
+    family = tracked_family(arena, muller, tracked_player)
     kernel = PackedKernel(family, base.n, threshold)
     last = kernel.last
     # each vertex's successor row as kernel lanes, made once per vertex
@@ -229,7 +210,7 @@ def build_safety_game(
 
     # one byte a class; the sink is absorbing, so its owner never matters
     owner = bytes(1 if key < 0 else base.owner[last(key)] for key in keys)
-    quotient = Arena(_ClassView(len(keys), name), owner, succ)
+    quotient = Arena(View(len(keys), name), owner, succ)
     safe = (1 << len(keys)) - 1
     if sink is not None:
         safe &= ~(1 << sink)

@@ -20,13 +20,13 @@ from .arena import (
     MullerCondition,
     ParityCondition,
     RequestResponseCondition,
+    View,
     bit,
-    f1_loops,
     mask_of,
 )
-from .reduction import DEFAULT_MAX_STATES, SafetyGame, Search, _ClassView
+from .reduction import DEFAULT_MAX_STATES, SafetyGame, Search, tracked_family
 from .safety_solver import solve_safety
-from .scoring import PackedKernel, entries_step, family_of
+from .scoring import PackedKernel, entries_step
 from .strategy import FiniteStateStrategy
 
 
@@ -109,7 +109,7 @@ def product_game(
 
     owner = tuple(arena.owner[v] for v, _ in states)
     safe = mask_of(i for i, (_, q) in enumerate(states) if dfa.is_accepting(q))
-    return ProductGame(SafetyGame(Arena(_ClassView(len(states), name), owner, succ), safe), states)
+    return ProductGame(SafetyGame(Arena(View(len(states), name), owner, succ), safe), states)
 
 
 def solve_via_safety(
@@ -228,7 +228,7 @@ def muller_monitor(arena: Arena, muller: MullerCondition) -> MonitorDFA:
     ``PackedKernel`` capped at 3, keys without their last vertex, so
     position (v, q) of the product is the quotient class whose key is
     q | v << top; the start is the empty play's vector, 0."""
-    kernel = PackedKernel(family_of(f1_loops(arena, muller)), arena.n, 3)
+    kernel = PackedKernel(tracked_family(arena, muller, 1), arena.n, 3)
     vector = kernel.vector
 
     def step(q, v):

@@ -34,7 +34,8 @@ def _attract(arena: Arena, player: int, flags: bytearray) -> array:
     and return the positional strategy on the attracted vertices outside
     the target, indexed by vertex, -1 where it has no move.  Runs in
     O(V + E) using per-vertex out-degree counters."""
-    start, sources = arena.predecessors()
+    pred = arena.predecessors()
+    start, sources = pred.start, pred.flat
     owner = arena.owner
     remaining = array("i", arena.succ.degrees())
     strategy = array("i", [-1]) * arena.n

@@ -174,6 +174,17 @@ def sheet_le(kernel: PackedKernel, a: int, b: int) -> bool:
     score(a) + out fits in the score bits, and subtracting it from score(b)
     with the guard bit above the field set borrows at most that guard bit,
     which stays set exactly where the inequality holds.
+
+    Domination: a quotient class a below a winning class b wins.  A step
+    by v keeps a' <= b' in each tracked set F.  Outside F, both reset.  A
+    strictly smaller score gains at most one, so stays at most b's, which
+    never falls; if equal, a's accumulator was just emptied.  With equal
+    scores and acc(a) inside acc(b): if b completes F, a's score stays below
+    b's or a completes too; if a completes F, acc(b) holds F minus v and is
+    not F (completing empties it), so b completes as well; otherwise both
+    add v.  So a' crosses the threshold only if b' does.  a and b share the
+    last vertex, hence the owner and moves, so moving from a as b's winning
+    strategy moves from b keeps the pair ordered and a off the sink.
     """
     if a >> kernel.top != b >> kernel.top:
         return False

@@ -14,10 +14,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
 
-from .arena import Arena, MullerCondition, bit, f1_loops, iter_bits
+from .arena import Arena, MullerCondition, bit, iter_bits
 from .reduction import DEFAULT_MAX_STATES, SafetyReduction, Search, _path, build_safety_game
+from .reduction import tracked_family
 from .safety_solver import SafetySolution, _flags, solve_safety
-from .scoring import PackedKernel, entries_step, family_of, sheet_le
+from .scoring import PackedKernel, entries_step, sheet_le
 
 
 class _Bottom:
@@ -300,8 +301,7 @@ def _class_table(
             if allowed:
                 next_move[v][i] = keep(allowed if every_move else allowed[:1])
 
-    owner_player = 0 if red.tracked_player == 1 else 1
-    return FiniteStateStrategy(owner_player, tuple(memory) + (BOTTOM,), init, update, next_move)
+    return FiniteStateStrategy(1 - red.tracked_player, (*memory, BOTTOM), init, update, next_move)
 
 
 def solve_muller(
@@ -364,8 +364,8 @@ def verify_bounded_scores(
     ValueError.  The product is capped at ``max_states`` states, beyond
     which SizeLimitError is raised.  A True verdict certifies that the
     strategy is winning from ``start``: bounded opponent scores force the
-    infinity set into the owner's family.  Strategies for Player 1 are
-    checked on the role-swapped game.
+    infinity set into the owner's family.  A Player-``p`` strategy is
+    checked on the arena as given, with Player ``1 - p`` tracked.
 
     The kernel's cap is bound + 1, or ``max_states`` plus 2 if that is
     smaller: a numbered key with a score of s has s numbered keys on its
@@ -377,11 +377,8 @@ def verify_bounded_scores(
         raise ValueError("bound must be at least 1")
     if start & ~arena.full_mask:
         raise ValueError("start vertices outside the arena")
-    if strat.owner_player == 1:
-        # Player 1's side: players exchanged, f0 the loops Player 0 loses
-        arena, muller = arena.swap_roles(), MullerCondition(frozenset(f1_loops(arena, muller)))
-    family = family_of(f1_loops(arena, muller))
-
+    player = strat.owner_player
+    family = tracked_family(arena, muller, 1 - player)
     strat.check_arena(arena)
     step_of = strat.step_of
     rows = tuple(arena.succ)  # each vertex's row, read once, not once a state
@@ -394,7 +391,7 @@ def verify_bounded_scores(
         search.add(with_state(key, strat.init_of(v)), -1)
     for i, key in search:
         m = state(key)
-        for u in _moves(arena, rows, strat, 0, last(key), m):
+        for u in _moves(arena, rows, strat, player, last(key), m):
             nxt = entries_step(key, u, kernel)  # the step drops the state number
             j = step_of(m, u)
             if nxt < 0:

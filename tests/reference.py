@@ -4,8 +4,9 @@ The scalar scoring step and the score of a word, the latest appearance
 record and its class-count bound, a family's score entries as tuples of
 (score, acc) pairs, the decoding of a packed key back to them, the score
 preorder on decoded sheets, the class of a play prefix, lassos and their
-winner, a monitor's run over a word, and the check of a Muller strategy by
-the cycles of its product, which uses no scores.  No path of the
+winner, a monitor's run over a word, and the checks of a Muller strategy
+and of a request-response strategy by the cycles of their products, which
+use no scores and no monitor.  No path of the
 ``scoregames`` package (command line, library pipeline or benchmark) runs
 this module; the tests check the package's kernel, quotients, solvers and
 certificates against it.
@@ -390,6 +391,23 @@ def components(nodes: Iterable, succ: dict) -> list:
     return out
 
 
+def _cycles(succ: dict, inside: list) -> list:
+    """The non-trivial strongly connected components of the graph whose
+    edges are ``succ[node]``, restricted to the nodes ``inside``: those of
+    more than one node, or of one node with a self-loop."""
+    keep = set(inside)
+    kept = {x: [y for y in succ[x] if y in keep] for x in inside}
+    return [comp for comp in components(inside, kept) if len(comp) > 1 or comp[0] in kept[comp[0]]]
+
+
+def _product_graph(prod) -> dict:
+    """Each node of a strategy product with the list of its successors."""
+    succ: dict = {node: [] for node in prod.nodes}
+    for a, b in prod.edges:
+        succ[a].append(b)
+    return succ
+
+
 def wins_from(
     arena: Arena, muller: MullerCondition, strat: FiniteStateStrategy, start: int
 ) -> bool:
@@ -403,16 +421,50 @@ def wins_from(
     owner loses on (``f1_loops`` for a Player-0 strategy, ``f0`` for a
     Player-1 strategy), no non-trivial component of that restriction may
     project onto exactly F."""
-    prod = consistent_product(arena, strat, start)
-    succ: dict = {node: [] for node in prod.nodes}
-    for a, b in prod.edges:
-        succ[a].append(b)
+    succ = _product_graph(consistent_product(arena, strat, start))
     losing = f1_loops(arena, muller) if strat.owner_player == 0 else muller.f0
     for f in losing:
-        inside = [x for x in prod.nodes if f >> x[0] & 1]
-        kept = {x: [y for y in succ[x] if f >> y[0] & 1] for x in inside}
-        for comp in components(inside, kept):
-            cycle = len(comp) > 1 or comp[0] in kept[comp[0]]
-            if cycle and mask_of(x[0] for x in comp) == f:
-                return False
+        inside = [x for x in succ if f >> x[0] & 1]
+        if any(mask_of(x[0] for x in comp) == f for comp in _cycles(succ, inside)):
+            return False
+    return True
+
+
+def rr_wins_from(
+    arena: Arena, condition: RequestResponseCondition, strat: FiniteStateStrategy, start: int
+) -> bool:
+    """Whether every play consistent with ``strat``, a Player-0 strategy,
+    from the vertex mask ``start`` answers every request, by a cycle check
+    on the strategy product times the set of pending pairs, which uses no
+    monitor and no ages.
+
+    A vertex answers first and then opens a request, as ``rr_monitor``
+    reads it, and the first vertex of a play counts; a node's pending set
+    is the one after its vertex.  A play loses pair j exactly when, from
+    some point on, j stays pending and no response of j is visited: its
+    tail then cycles among the nodes where j is pending and whose vertex
+    is not a response of j.  So no such restriction may hold a non-trivial
+    strongly connected component."""
+    moves = _product_graph(consistent_product(arena, strat, start))
+
+    def pending(before: int, v: int) -> int:
+        for j, (request, response) in enumerate(condition.pairs):
+            if response >> v & 1:
+                before &= ~(1 << j)
+            if request >> v & 1:
+                before |= 1 << j
+        return before
+
+    succ: dict = {}
+    todo = [((v, strat.initial(v)), pending(0, v)) for v in iter_bits(start)]
+    while todo:
+        node = todo.pop()
+        if node not in succ:
+            x, p = node
+            succ[node] = [(y, pending(p, y[0])) for y in moves[x]]
+            todo += succ[node]
+    for j, (_, response) in enumerate(condition.pairs):
+        inside = [(x, p) for x, p in succ if p >> j & 1 and not response >> x[0] & 1]
+        if _cycles(succ, inside):
+            return False
     return True

@@ -234,7 +234,8 @@ def test_muller_winner_depends_only_on_infinity_set(seed):
 
 def check_successor_table(arena: Arena, rows: list) -> None:
     """``arena.succ`` against ``rows``, its rows as plain tuples, and
-    ``edges`` and ``predecessors`` against a naive recomputation from them."""
+    ``edges`` and ``predecessors``, a ``Successors`` of the sources, against
+    a naive recomputation from them."""
     n = arena.n
     assert len(arena.succ) == n
     assert [arena.succ[v] for v in range(n)] == rows
@@ -244,10 +245,9 @@ def check_successor_table(arena: Arena, rows: list) -> None:
     for u in range(n):
         for v in rows[u]:
             naive[v].append(u)
-    start, sources = arena.predecessors()
-    assert len(start) == n + 1 and start[0] == 0 and start[n] == len(sources)
-    for v in range(n):
-        assert list(sources[start[v] : start[v + 1]]) == naive[v]
+    pred = arena.predecessors()
+    assert isinstance(pred, Successors) and pred == tuple(map(tuple, naive))
+    assert len(pred.start) == n + 1 and pred.start[0] == 0 and pred.start[n] == len(pred.flat)
 
 
 @settings(max_examples=60, deadline=None)
@@ -314,3 +314,43 @@ def test_successor_tables_of_monitor_products(seed, kind):
     # position i's row lists one position per arena successor of its vertex
     for i, (v, _) in enumerate(prod.states):
         assert sorted(prod.states[t][0] for t in table.succ[i]) == list(arena.succ[v])
+
+
+def test_arenas_hash_as_they_compare(example4):
+    # a built arena, a quotient and a monitor product each hash as an equal
+    # arena does, fit in a set, and keep their tables' tuple hashes
+    import pickle
+
+    from scoregames.reduction import build_safety_game
+    from scoregames.safety_framework import monitor_for, product_game
+
+    arena, muller = example4
+    quotient = build_safety_game(arena, muller).game.arena
+    product = product_game(arena, monitor_for(arena, muller)).game.arena
+    for a, again in (
+        (arena, Arena.build(arena.owner, arena.edges())),
+        (quotient, build_safety_game(arena, muller).game.arena),
+        (product, product_game(arena, monitor_for(arena, muller)).game.arena),
+    ):
+        plain = Arena(tuple(a.names), a.owner, Successors.from_rows(a.succ))
+        assert a == again == plain and hash(a) == hash(again) == hash(plain)
+        assert {a, again, plain} == {a}
+        assert hash(a.succ) == hash(tuple(a.succ)) and hash(a.names) == hash(tuple(a.names))
+    assert quotient != product and len({arena, quotient, product}) == 3
+    # a table pickles as its two arrays
+    assert pickle.loads(pickle.dumps(arena)) == arena
+
+
+def test_views_index_as_tuples_do():
+    from scoregames.arena import View
+
+    view, items = View(5, lambda i: i * i), (0, 1, 4, 9, 16)
+    assert len(view) == 5 and tuple(view) == items and list(reversed(view)) == list(items[::-1])
+    assert [view[i] for i in range(-5, 5)] == [items[i] for i in range(-5, 5)]
+    assert view[1:4] == items[1:4] and view[::-2] == items[::-2]
+    for i in (5, -6):
+        with pytest.raises(IndexError):
+            view[i]
+    assert view == items and view == View(5, items.__getitem__) and view != items[:4]
+    assert view != list(items) and 9 in view and view.index(16) == 4
+    assert repr(view) == "View((0, 1, 4, 9, 16))"

@@ -519,6 +519,21 @@ def test_cli_random_muller_over_the_loop_guard(capsys):
     assert err == "error: loop enumeration over 15 vertices exceeds the guard of 14\n"
 
 
+def test_cli_random_over_the_vertex_guard(capsys, monkeypatch):
+    # every kind has a vertex guard, checked in process before any draw
+    from scoregames import oracle
+
+    def seeded(*args):
+        raise AssertionError("the generator was seeded")
+
+    monkeypatch.setattr(oracle.random, "Random", seeded)
+    huge = "1" + "0" * 30
+    for kind in ("muller", "buchi", "cobuchi", "parity", "rr"):
+        code, out, err = run(capsys, "random", "--kind", kind, "--vertices", huge)
+        assert (code, out) == (3, "")
+        assert err == f"error: {huge} random vertices exceed the guard of 1000\n"
+
+
 def test_cli_random_roundtrip(capsys):
     code, out, _ = run(capsys, "random", "--seed", "9", "--vertices", "4")
     assert code == 0
@@ -896,8 +911,8 @@ def fuzzed_argv(draw, games, strategies, broken):
         "verify": {"--bound": value("1", "2", "3"), "--start": value("0", "1,2", "0,0", "9", ","),
                    "--max-states": count},
         "oracle": {"--max-states": count},
-        # small arenas keep loop enumeration cheap
-        "random": {"--vertices": value("1", "2", "3"), "--density": value("0.5", "1", huge),
+        # small arenas keep loop enumeration cheap; a huge one is refused
+        "random": {"--vertices": value("1", "2", "3", huge), "--density": value("0.5", "1", huge),
                    "--owner-bias": value("0.5", "nan"), "--seed": value("1", huge),
                    "--kind": value("muller", "buchi", "cobuchi", "parity", "rr")},
         "monitor": {"--out": value("text", "dot"), "--max-states": count},

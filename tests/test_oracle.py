@@ -82,6 +82,27 @@ def test_random_muller_game_over_the_loop_guard_is_refused_before_drawing(monkey
         random_game(GeneratorConfig(n=15, kind="muller"))
 
 
+def test_random_game_refuses_before_drawing(monkeypatch):
+    # an unknown kind, and a game of any kind over the vertex guard, are
+    # refused before the generator is seeded, so nothing is drawn
+    from scoregames import oracle
+    from scoregames.arena import RANDOM_VERTEX_LIMIT
+
+    def seeded(*args):
+        raise AssertionError("the generator was seeded")
+
+    monkeypatch.setattr(oracle.random, "Random", seeded)
+    with pytest.raises(ValueError, match="^unknown condition kind 'mueller'$"):
+        random_game(GeneratorConfig(n=3, kind="mueller"))
+    huge = 10**30
+    for kind in oracle.GAME_KINDS:
+        with pytest.raises(SizeLimitError, match=f"^{huge} random vertices exceed the guard of"):
+            random_game(GeneratorConfig(n=huge, kind=kind))
+    # at the guard itself the generator is seeded
+    with pytest.raises(AssertionError, match="seeded"):
+        random_game(GeneratorConfig(n=RANDOM_VERTEX_LIMIT, kind="buchi"))
+
+
 def test_random_game_density_extremes():
     arena, _ = random_game(GeneratorConfig(n=4, density=1.0, seed=1))
     assert all(arena.succ[v] == (0, 1, 2, 3) for v in range(4))

@@ -34,7 +34,7 @@ from scoregames.safety_framework import (
 from scoregames.safety_solver import solve_safety
 from scoregames.strategy import FiniteStateStrategy, consistent_product
 
-from reference import lasso_accepted_forever, run, winner, wins_from
+from reference import lasso_accepted_forever, run, rr_wins_from, winner, wins_from
 from conftest import m, random_lasso, strategy_keeps_reject_unreachable, word
 from test_acceptance import corpus_config
 
@@ -430,6 +430,18 @@ def test_rr_regions_match_a_buchi_solver():
     assert kinds == {"mixed": 86, "full": 79, "empty": 35}
 
 
+def _redirected(arena, strat, w0):
+    """``strat`` with the move of its first reached Player-0 node that has
+    a successor outside ``w0`` sent there, or None if no node has one."""
+    for v, label in consistent_product(arena, strat, w0).nodes:
+        lost = [u for u in arena.succ[v] if not w0 & bit(u)]
+        if arena.owner[v] == 0 and lost:
+            columns = [list(c) if c else c for c in strat.next_move]
+            columns[v][strat.states.index(label)] = (lost[0],)
+            return FiniteStateStrategy(0, strat.states, strat.init, strat.update, columns)
+    return None
+
+
 def test_cycle_check_accepts_every_monitor_strategy():
     # the framework corpus (seeds 1000-1099; Buchi, co-Buchi and parity):
     # the kernel-free cycle check on the Muller encoding accepts each
@@ -447,16 +459,33 @@ def test_cycle_check_accepts_every_monitor_strategy():
                 continue
             assert wins_from(arena, muller, strat, w0), (seed, kind)
             accepted += 1
-            for v, label in consistent_product(arena, strat, w0).nodes:
-                lost = [u for u in arena.succ[v] if not w0 & bit(u)]
-                if arena.owner[v] == 0 and lost:
-                    columns = [list(c) if c else c for c in strat.next_move]
-                    columns[v][strat.states.index(label)] = (lost[0],)
-                    mutant = FiniteStateStrategy(0, strat.states, strat.init, strat.update, columns)
-                    assert not wins_from(arena, muller, mutant, w0), (seed, kind)
-                    mutants += 1
-                    break
+            mutant = _redirected(arena, strat, w0)
+            if mutant is not None:
+                assert not wins_from(arena, muller, mutant, w0), (seed, kind)
+                mutants += 1
     assert (accepted, mutants) == (191, 60)
+
+
+def test_pending_set_check_accepts_every_rr_monitor_strategy():
+    # the framework corpus's request-response games (seeds 1000-1099, as the
+    # benchmark draws them): the pending-set cycle check, which reads
+    # neither the monitor nor its ages, accepts each monitor strategy from
+    # its nonempty region, and rejects it with one reached Player-0 move
+    # redirected from W0 into W1
+    accepted = mutants = 0
+    for seed in range(1000, 1100):
+        cfg = GeneratorConfig(n=6 + seed % 5, density=0.25, seed=seed, kind="rr")
+        arena, condition = random_game(cfg)
+        w0, strat = solve_via_safety(arena, condition, monitor_for(arena, condition))
+        if not w0:
+            continue
+        assert rr_wins_from(arena, condition, strat, w0), seed
+        accepted += 1
+        mutant = _redirected(arena, strat, w0)
+        if mutant is not None:
+            assert not rr_wins_from(arena, condition, mutant, w0), seed
+            mutants += 1
+    assert (accepted, mutants) == (87, 37)
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,7 +3,8 @@ private module-level name or private method that nothing in ``src/``
 references, so the leftovers of a removal show up here, no public
 definition that only the tests run, one reader of the strategy tables
 and one reader of the score kernel's fields, so the step has one body,
-and one move rule for the searches over consistent plays."""
+one move rule for the searches over consistent plays, and one rule for the
+family a side tracks."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -156,8 +157,8 @@ def test_only_the_kernel_reads_its_fields():
 
 
 def _readers(attr: str) -> set:
-    """The innermost definitions in ``src/`` that read attribute ``attr``,
-    as module.name or module.Class.method."""
+    """The innermost definitions in ``src/`` that read attribute or name
+    ``attr``, as module.name or module.Class.method."""
     out = set()
 
     def visit(node, scope):
@@ -165,7 +166,8 @@ def _readers(attr: str) -> set:
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}")
                 continue
-            if isinstance(child, ast.Attribute) and child.attr == attr:
+            name = child.attr if isinstance(child, ast.Attribute) else getattr(child, "id", None)
+            if name == attr:
                 out.add(scope)
             visit(child, scope)
 
@@ -179,6 +181,18 @@ def test_one_move_rule_reads_the_moves():
     # successors a strategy allows, so the owner test and the edge check
     # have one body; the label reader moves is the other reader
     assert _readers("moves_of") == {"strategy._moves", "strategy.FiniteStateStrategy.moves"}
+
+
+def test_one_rule_chooses_the_tracked_family():
+    # the quotient, the Muller monitor and the verifier ask tracked_family
+    # which loops a side's scores count, and only the quotient swaps roles:
+    # the verifier checks either player's strategy on the arena as given
+    assert _readers("f1_loops") == {"reduction.tracked_family"}
+    assert _readers("tracked_family") == {
+        "reduction.build_safety_game", "safety_framework.muller_monitor",
+        "strategy.verify_bounded_scores",
+    }
+    assert _readers("swap_roles") == {"reduction.build_safety_game"}
 
 
 def _bench_names() -> set:
