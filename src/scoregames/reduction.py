@@ -6,16 +6,16 @@ classes that reach the threshold are merged into one absorbing sink.
 ``Search`` is the package's one breadth-first engine: it also builds the
 monitor products of ``safety_framework`` (the quotient is the arena times
 the Muller monitor), and the strategy products and certificate checks of
-``strategy``.
+``strategy``.  It numbers keys and nothing else: quotient names rebuild
+their parent links on demand, and only the certificate check records them.
 """
 from __future__ import annotations
 
 from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from .arena import Arena, MullerCondition, SizeLimitError, Successors, View, Word, f1_loops
+from .arena import Arena, MullerCondition, SizeLimitError, Successors, View, f1_loops
 from .scoring import PackedKernel, family_of
 
 DEFAULT_MAX_STATES = 500_000
@@ -25,28 +25,26 @@ class Search:
     """A breadth-first search over hashable keys, numbered in discovery
     order with the seeds first (duplicates dropped).
 
-    ``keys[i]`` is the key numbered ``i`` and ``parents[i]`` the number
-    whose expansion first found it (-1 for the seeds); ``parents`` is an
-    ``array('i')``, four bytes a key.  ``add(key, parent)``
-    returns a key's number, numbering it if it is new; numbering more than
-    ``max_states`` keys raises SizeLimitError.  Iterating yields
-    ``(number, key)`` in number order while ``keys`` grows, so a loop that
-    expands each key it is given and ``add``s the successors is the FIFO
-    queue: it may stop at any time, and a kept iterator resumes where it
-    stopped.  ``table(expand)`` runs a fresh search to its end.
+    ``keys[i]`` is the key numbered ``i``; the key index is the only other
+    thing kept a key.  ``add(key)`` returns a key's number, numbering it if
+    it is new; numbering more than ``max_states`` keys raises
+    SizeLimitError.  Iterating yields ``(number, key)`` in number order
+    while ``keys`` grows, so a loop that expands each key it is given and
+    ``add``s the successors is the FIFO queue: it may stop at any time, and
+    a kept iterator resumes where it stopped.  ``table(expand)`` runs a
+    fresh search to its end.
     """
 
-    __slots__ = ("keys", "parents", "max_states", "_index")
+    __slots__ = ("keys", "max_states", "_index")
 
     def __init__(self, seeds: Iterable, max_states: int = DEFAULT_MAX_STATES):
         self.keys: list = []
-        self.parents = array("i")
         self.max_states = max_states
         self._index: dict = {}
         for key in seeds:
-            self.add(key, -1)
+            self.add(key)
 
-    def add(self, key, parent: int) -> int:
+    def add(self, key) -> int:
         i = self._index.get(key)
         if i is None:
             i = len(self.keys)
@@ -54,7 +52,6 @@ class Search:
                 raise SizeLimitError(f"state space exceeds the cap of {self.max_states} states")
             self._index[key] = i
             self.keys.append(key)
-            self.parents.append(parent)
         return i
 
     def __iter__(self):
@@ -71,7 +68,7 @@ class Search:
         get, add = self._index.get, self.add
         flat, start = array("i"), array("i", [0])
         for i, key in self:
-            row = [j if (j := get(k)) is not None else add(k, i) for k in expand(key)]
+            row = [j if (j := get(k)) is not None else add(k) for k in expand(key)]
             row.sort()
             flat.extend(row)
             start.append(len(flat))
@@ -83,19 +80,8 @@ class Search:
 class SafetyGame:
     """An arena plus the set of vertices Player 0 must never leave."""
 
-    arena: Arena
-    safe: int
-
-
-def _path(parents: Sequence, c: int, vertex: Callable) -> Word:
-    """``vertex(i)`` for each number ``i`` along the parent chain of ``c``,
-    oldest first: the play prefix that first reached ``c`` when ``vertex``
-    gives the vertex a search key ends in."""
-    out = []
-    while c >= 0:
-        out.append(vertex(c))
-        c = parents[c]
-    return tuple(reversed(out))
+    arena: Arena = field(repr=False)  # a quotient's repr builds every name
+    safe: int = field(repr=False)  # an int as wide as the arena
 
 
 @dataclass
@@ -110,26 +96,26 @@ class SafetyReduction:
 
     Stored per class: ``keys[c]``, the class's score sheet and last vertex
     packed into one int by ``kernel``, a ``scoring.PackedKernel`` (-1 for
-    the sink), which also compares and ranks keys, and
-    ``parents[c]``, the class whose expansion found ``c`` (-1 for the
-    embedded vertices).  The quotient arena is the only successor table: a
-    successor ``t`` of ``c`` other than the sink is the edge labelled
-    ``last(t)``, and every other successor of the last vertex leads to the
-    sink (whose only successor is itself); the strategy tables read a
-    class's row this way.  Also stored: ``unsafe_class_count``, the number
-    of distinct keys that reached the threshold.
+    the sink), which also compares and ranks keys.  The quotient arena is
+    the only successor table: a successor ``t`` of ``c`` other than the
+    sink is the edge labelled ``last(t)``, and every other successor of the
+    last vertex leads to the sink (whose only successor is itself); the
+    strategy tables read a class's row this way.  Also stored:
+    ``unsafe_class_count``, the number of distinct keys that reached the
+    threshold.
 
     Derived on access: the quotient's vertex names (``[`` + the base vertex
-    names along the first play prefix that reached the class, read off the
-    parent chain, + ``]``, joined as ``Arena.word_str`` joins them; the
-    sink's is ``unsafe``).
+    names along the first play prefix that reached the class + ``]``,
+    joined as ``Arena.word_str`` joins them; the sink's is ``unsafe``).  An
+    embedded vertex is its own prefix; any other class was first found by
+    the lowest class whose row holds it, and the first name that needs
+    these parent links reads them all off the successor table at once.
     """
 
-    game: SafetyGame
+    game: SafetyGame = field(repr=False)
     base_arena: Arena
     embed: tuple
-    keys: list
-    parents: array
+    keys: list = field(repr=False)
     tracked_player: int
     threshold: int
     family: tuple
@@ -197,16 +183,26 @@ def build_safety_game(
     seeds, _ = step_lanes(0, kernel.lanes(range(base.n)))
     search = Search(seeds, max_states)
     succ = search.table(expand)
-    keys, parents = search.keys, search.parents
+    keys, n = search.keys, base.n
     sink = keys.index(-1) if -1 in keys else None
+    parents = array("i")  # filled by the first name past the embedded vertices
 
-    # a class's name walks its first play prefix up the parent chain; the
-    # closure holds no reference back to the reduction, so a reduction in
-    # no cycle is freed as soon as its last reference goes
+    # the closure holds no reference back to the reduction, so a reduction
+    # in no cycle is freed as soon as its last reference goes
     def name(c):
         if c == sink:
             return "unsafe"
-        return "[" + base.word_str(_path(parents, c, lambda i: last(keys[i]))) + "]"
+        if c >= n and not parents:
+            parents[:] = array("i", [-1]) * len(keys)
+            for i, t in zip(succ.sources(), succ.flat):
+                if parents[t] < 0:
+                    parents[t] = i
+        word = []
+        while c >= n:
+            word.append(last(keys[c]))
+            c = parents[c]
+        word.append(c)  # vertex v is class v
+        return "[" + base.word_str(word[::-1]) + "]"
 
     # one byte a class; the sink is absorbing, so its owner never matters
     owner = bytes(1 if key < 0 else base.owner[last(key)] for key in keys)
@@ -219,7 +215,6 @@ def build_safety_game(
         base_arena=base,
         embed=tuple(range(base.n)),
         keys=keys,
-        parents=parents,
         tracked_player=tracked_player,
         threshold=threshold,
         family=family,

@@ -9,7 +9,7 @@ reaches them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .arena import (
@@ -22,10 +22,9 @@ from .arena import (
     RequestResponseCondition,
     View,
     bit,
-    mask_of,
 )
 from .reduction import DEFAULT_MAX_STATES, SafetyGame, Search, tracked_family
-from .safety_solver import solve_safety
+from .safety_solver import _mask, solve_safety
 from .scoring import PackedKernel, entries_step
 from .strategy import FiniteStateStrategy
 
@@ -69,7 +68,7 @@ def reachable_states(dfa: MonitorDFA, max_states: int = DEFAULT_MAX_STATES) -> t
     once; more than ``max_states`` states raise SizeLimitError."""
     search = Search([dfa.start], max_states)
     letters = range(dfa.alphabet_size)
-    rows = [tuple(search.add(dfa.step(q, v), i) for v in letters) for i, q in search]
+    rows = [tuple(search.add(dfa.step(q, v)) for v in letters) for _, q in search]
     return tuple(search.keys), rows
 
 
@@ -80,8 +79,8 @@ class ProductGame:
     ``v`` is vertex ``v``'s seed (v, step(start, v)), so a product region
     masked with ``arena.full_mask`` is a region of the arena."""
 
-    game: SafetyGame
-    states: tuple
+    game: SafetyGame = field(repr=False)
+    states: tuple = field(repr=False)
 
 
 def product_game(
@@ -108,7 +107,7 @@ def product_game(
         return f"{arena.names[v]}|{q!r}"
 
     owner = tuple(arena.owner[v] for v, _ in states)
-    safe = mask_of(i for i, (_, q) in enumerate(states) if dfa.is_accepting(q))
+    safe = _mask(bytearray(dfa.is_accepting(q) for _, q in states))  # linear, unlike mask_of
     return ProductGame(SafetyGame(Arena(View(len(states), name), owner, succ), safe), states)
 
 

@@ -9,7 +9,7 @@ edge.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress
 
 from .arena import Arena
@@ -77,9 +77,9 @@ class SafetySolution:
     strategy towards the unsafe vertices is ``attractor``'s.
     """
 
-    w0: int
-    w1: int
-    strategy0: array
+    w0: int = field(repr=False)  # the three are as wide as the arena
+    w1: int = field(repr=False)
+    strategy0: array = field(repr=False)
 
 
 def solve_safety(game: SafetyGame) -> SafetySolution:

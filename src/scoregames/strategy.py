@@ -15,7 +15,7 @@ from functools import cached_property
 from itertools import compress
 
 from .arena import Arena, MullerCondition, bit, iter_bits
-from .reduction import DEFAULT_MAX_STATES, SafetyReduction, Search, _path, build_safety_game
+from .reduction import DEFAULT_MAX_STATES, SafetyReduction, Search, build_safety_game
 from .reduction import tracked_family
 from .safety_solver import SafetySolution, _flags, solve_safety
 from .scoring import PackedKernel, entries_step, sheet_le
@@ -189,9 +189,9 @@ def _reachable_under(red: SafetyReduction, sol: SafetySolution) -> list:
     quotient = red.game.arena
     flat, start, owner = quotient.succ.flat, quotient.succ.start, quotient.owner
     search = Search(iter_bits(sol.w0 & red.base_arena.full_mask), red.n_classes)
-    for i, c in search:
+    for _, c in search:
         for t in (sol.strategy0[c],) if owner[c] == 0 else flat[start[c] : start[c + 1]]:
-            search.add(t, i)
+            search.add(t)
     return sorted(search.keys)
 
 
@@ -359,8 +359,9 @@ def verify_bounded_scores(
     state: the ``PackedKernel`` key of the play, which holds its last
     vertex, with the memory state number above it.  Returns (True, None)
     or (False, witness prefix): the first play prefix, in breadth-first
-    order, whose last step takes a score past ``bound``.  The strategy must
-    be one on the arena's vertices, and a move that is not an edge raises
+    order, whose last step takes a score past ``bound``, read back along
+    the parent links only this search records.  The strategy must be one
+    on the arena's vertices, and a move that is not an edge raises
     ValueError.  The product is capped at ``max_states`` states, beyond
     which SizeLimitError is raised.  A True verdict certifies that the
     strategy is winning from ``start``: bounded opponent scores force the
@@ -382,21 +383,25 @@ def verify_bounded_scores(
     strat.check_arena(arena)
     step_of = strat.step_of
     rows = tuple(arena.succ)  # each vertex's row, read once, not once a state
-    search = Search((), max_states)
     kernel = PackedKernel(family, arena.n, min(bound + 1, max_states + 2))
     last, state, with_state = kernel.last, kernel.state, kernel.with_state
     starts = list(iter_bits(start))
     seeds, _ = kernel.step_lanes(0, kernel.lanes(starts))  # one step from the empty play
-    for v, key in zip(starts, seeds):
-        search.add(with_state(key, strat.init_of(v)), -1)
+    search = Search(map(with_state, seeds, map(strat.init_of, starts)), max_states)
+    parents = array("i", [-1]) * len(search.keys)
     for i, key in search:
         m = state(key)
         for u in _moves(arena, rows, strat, player, last(key), m):
             nxt = entries_step(key, u, kernel)  # the step drops the state number
             j = step_of(m, u)
             if nxt < 0:
-                return False, _path(search.parents, i, lambda p: last(search.keys[p])) + (u,)
-            search.add(with_state(nxt, j), i)
+                word = [u]
+                while i >= 0:
+                    word.append(last(search.keys[i]))
+                    i = parents[i]
+                return False, tuple(reversed(word))
+            if search.add(with_state(nxt, j)) == len(parents):
+                parents.append(i)
     return True, None
 
 
@@ -442,7 +447,7 @@ def check_subsumption_bounded(
         if not set(targets).issubset(allowed):
             return False
         for u in targets:
-            search.add((u, sigma.step_of(m, u), sigma_prime.step_of(mp, u)), i)
+            search.add((u, sigma.step_of(m, u), sigma_prime.step_of(mp, u)))
     return True
 
 
@@ -468,6 +473,6 @@ def consistent_product(arena: Arena, strat: FiniteStateStrategy, start: int) -> 
     rows, edges = tuple(arena.succ), []
     for i, (v, m) in search:
         for u in _moves(arena, rows, strat, strat.owner_player, v, m):
-            edges.append((i, search.add((u, strat.step_of(m, u)), i)))
+            edges.append((i, search.add((u, strat.step_of(m, u)))))
     nodes = tuple((v, strat.states[m]) for v, m in search.keys)
     return StrategyProduct(arena, nodes, tuple((nodes[a], nodes[b]) for a, b in edges))

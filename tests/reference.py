@@ -295,21 +295,24 @@ def class_of(red: SafetyReduction, word: Word) -> int:
     return c
 
 
-def rep_word(red: SafetyReduction, c: int) -> Optional[Word]:
-    """The first play prefix that reached class ``c``, read off the parent
-    chain; None for the sink."""
-    if c == red.sink:
-        return None
-    out = []
-    while c >= 0:
-        out.append(red.last(c))
-        c = red.parents[c]
-    return tuple(reversed(out))
-
-
 def rep_words(red: SafetyReduction) -> list:
-    """``rep_word`` of every class, in class order."""
-    return [rep_word(red, c) for c in range(red.n_classes)]
+    """The first play prefix that reached each class, in class order (None
+    for the sink), read off no parent link: a breadth-first search over
+    play prefixes through ``class_of`` that expands each class only from
+    the first prefix that reaches it.  Asserts that the classes are
+    discovered in number order."""
+    words: dict = {}
+    queue = [(v,) for v in range(red.base_arena.n)]
+    for w in queue:  # the queue grows while it is read
+        c = class_of(red, w)
+        if c in words:
+            continue
+        assert c == len(words), f"class {c} discovered as class {len(words)}"
+        words[c] = None if c == red.sink else w
+        if c != red.sink:
+            queue.extend(w + (u,) for u in red.base_arena.succ[w[-1]])
+    assert len(words) == red.n_classes
+    return [words[c] for c in range(red.n_classes)]
 
 
 # -- monitors ------------------------------------------------------------

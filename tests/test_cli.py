@@ -15,7 +15,7 @@ from scoregames.cli import (
     serialize_game,
     serialize_strategy,
 )
-from scoregames import cli, reduction
+from scoregames import cli
 from scoregames.arena import Arena, MullerCondition, SizeLimitError
 from scoregames.oracle import GeneratorConfig, random_game
 from scoregames.reduction import build_safety_game
@@ -241,20 +241,20 @@ def test_export_dot_reduction(example4):
 
 
 def test_export_dot_builds_each_class_name_once(example4, monkeypatch):
-    # a class name walks the class's parent chain; the export reads each
-    # name once, not once per edge end
+    # a class name joins the base names along the class's first play
+    # prefix; the export reads each name once, not once per edge end
     arena, muller = example4
     red = build_safety_game(arena, muller)
     calls = Counter()
-    path = reduction._path
+    word_str = Arena.word_str
 
-    def counted(parents, c, vertex):
-        calls[c] += 1
-        return path(parents, c, vertex)
+    def counted(self, word):
+        calls[tuple(word)] += 1
+        return word_str(self, word)
 
-    monkeypatch.setattr(reduction, "_path", counted)
+    monkeypatch.setattr(Arena, "word_str", counted)
     export_dot(red)
-    assert calls == Counter(c for c in range(red.n_classes) if c != red.sink)
+    assert list(calls.values()) == [1] * (red.n_classes - 1)  # every class but the sink
 
 
 def test_export_dot_empty_strategy_product(example4):

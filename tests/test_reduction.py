@@ -1,6 +1,8 @@
 import gc
 import hashlib
 import tracemalloc
+from collections.abc import Sized
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,6 @@ from reference import (
     entries_step,
     entries_terminal,
     lar_sum_bound,
-    rep_word,
     rep_words,
     step_class,
 )
@@ -37,21 +38,20 @@ def test_search_numbers_keys_breadth_first():
         for i, k in it:
             expanded.append(i)
             for t in expand(k):
-                search.add(t, i)
+                search.add(t)
             if len(expanded) == stop:
                 break
         return expanded
 
     # seeds come first, duplicates dropped
     search = Search([3, 1, 3])
-    assert (search.keys, list(search.parents)) == ([3, 1], [-1, -1])
-    assert search.add(1, 0) == 1 and len(search.keys) == 2
+    assert search.keys == [3, 1]
+    assert search.add(1) == 1 and len(search.keys) == 2
     # an iterator stopped mid-search resumes where it stopped
     it = iter(search)
     assert drive(search, it, stop=3) == [0, 1, 2]
     assert drive(search, it) == list(range(3, 10))
     assert search.keys == [3, 1, 7, 6, 2, 5, 4, 0, 9, 8]
-    assert list(search.parents) == [-1, -1, 0, 0, 1, 2, 2, 5, 6, 6]
 
     # exactly max_states keys are admitted
     full = Search([3, 1, 3], max_states=10)
@@ -92,11 +92,11 @@ def unsafe_steps(red):
 def check_unsafe_steps(red):
     # the build counts one key per distinct crossing, and each crossing
     # leads from its class's representative prefix to the sink
-    steps = unsafe_steps(red)
+    steps, words = unsafe_steps(red), rep_words(red)
     assert len(steps) == red.unsafe_class_count
     assert (red.sink is None) == (not steps)
     for (u, _), c in steps.items():
-        assert class_of(red, rep_word(red, c) + (u,)) == red.sink
+        assert class_of(red, words[c] + (u,)) == red.sink
 
 
 @pytest.fixture
@@ -169,7 +169,7 @@ def test_quotient_ownership_and_edges(ex4_reduction, example4):
 def test_sink_is_terminal_and_looped(ex4_reduction):
     red = ex4_reduction
     assert red.keys[red.sink] == -1 and class_sheet(red, red.sink) is None
-    assert rep_word(red, red.sink) is None
+    assert rep_words(red)[red.sink] is None
     assert red.game.arena.succ[red.sink] == (red.sink,)
     check_unsafe_steps(red)
 
@@ -278,9 +278,9 @@ def test_class_names_follow_rep_words(example4, names, joiner):
     assert quotient.names[red.sink] == "unsafe"
     assert quotient.names[1:3] == (quotient.names[1], quotient.names[2])
     assert len(set(quotient.names)) == quotient.n
-    for c in range(red.n_classes):
+    for c, w in enumerate(rep_words(red)):
         if c != red.sink:
-            expected = "[" + joiner.join(names[v] for v in rep_word(red, c)) + "]"
+            expected = "[" + joiner.join(names[v] for v in w) + "]"
             assert quotient.names[c] == expected
 
 
@@ -301,6 +301,7 @@ def test_transitions_agree_with_class_lookup(seed):
 
     arena, muller = random_muller_game(seed, max_n=4)
     red = build_safety_game(arena, muller)
+    words = rep_words(red)
     rng = rnd.Random(seed)
     v = rng.randrange(arena.n)
     path = (v,)
@@ -316,9 +317,9 @@ def test_transitions_agree_with_class_lookup(seed):
         if c == red.sink:
             assert entries_terminal(entries, red.threshold)
             break
-        assert class_of(red, rep_word(red, c)) == c
+        assert class_of(red, words[c]) == c
         assert class_sheet(red, c) == (v, entries)
-        assert class_sheet(red, c) == fold(rep_word(red, c), pairs)
+        assert class_sheet(red, c) == fold(words[c], pairs)
 
 
 @settings(max_examples=20, deadline=None)
@@ -341,7 +342,7 @@ def test_build_peak_stays_near_what_the_reduction_keeps():
     # corpus game 7, Player-1 side (10,346 classes): rows are written
     # straight into the successor arrays and the search's key index is
     # dropped at the end, so the build peaks at the kept classes plus the
-    # index (154 bytes a class; 210 when the rows were tuples)
+    # index (150 bytes a class; 154 with parent links, 210 with tuple rows)
     arena, muller = random_game(GeneratorConfig(n=6, density=0.4, seed=7, kind="muller"))
     gc.collect()
     tracemalloc.start()
@@ -357,8 +358,8 @@ def test_build_peak_stays_near_what_the_reduction_keeps():
 
 def test_quotient_keeps_few_bytes_per_class_and_solving_adds_little():
     # corpus game 7, Player-1 side (10,346 classes): a class keeps one int
-    # key, four bytes of parent, its owner and its successor row in the
-    # table's int arrays (81 bytes a class; 164 with tuple rows), and
+    # key, its owner and its successor row in the table's int arrays (70
+    # bytes a class; 74 with parent links, 164 with tuple rows), and
     # solve_safety counts its predecessors into two int arrays and reads
     # the out-degrees off the row offsets (29 bytes a class; 52 before)
     arena, muller = random_game(GeneratorConfig(n=6, density=0.4, seed=7, kind="muller"))
@@ -375,8 +376,13 @@ def test_quotient_keeps_few_bytes_per_class_and_solving_adds_little():
     finally:
         tracemalloc.stop()
     assert red.n_classes == 10_346 and sol.w0
-    assert kept <= 100 * red.n_classes
+    assert kept <= 72 * red.n_classes
     assert peak - kept <= 40 * red.n_classes
+    # no parent links: a search holds its keys, their index and its cap,
+    # and a reduction's one field with an entry a class is its keys
+    assert Search.__slots__ == ("keys", "max_states", "_index")
+    values = [(f.name, getattr(red, f.name)) for f in fields(red)]
+    assert [k for k, v in values if isinstance(v, Sized) and len(v) == red.n_classes] == ["keys"]
 
 
 @pytest.mark.parametrize(
@@ -394,11 +400,14 @@ def test_quotient_keeps_few_bytes_per_class_and_solving_adds_little():
 )
 def test_quotient_keys_and_numbering_are_pinned(seed, tracked, threshold, digest):
     # the packed keys, the class numbering and the successor table, bit
-    # for bit: a change to the key layout or the search order shows here
+    # for bit: a change to the key layout or the search order shows here;
+    # a class past the seeds was first found by its lowest predecessor,
+    # so the parent links the search once recorded are hashed as before
     arena, muller = random_game(corpus_config(seed))
     red = build_safety_game(arena, muller, tracked_player=tracked, threshold=threshold)
-    succ = red.game.arena.succ
-    arrays = (red.keys, red.parents, succ.flat, succ.start)
+    succ, pred = red.game.arena.succ, red.game.arena.predecessors()
+    parents = [pred.flat[pred.start[c]] if c >= arena.n else -1 for c in range(red.n_classes)]
+    arrays = (red.keys, parents, succ.flat, succ.start)
     text = "\n".join(" ".join(map(str, seq)) for seq in arrays)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 

@@ -13,11 +13,12 @@ from scoregames.arena import (
     MullerCondition,
     ParityCondition,
     RequestResponseCondition,
+    Successors,
     bit,
     mask_of,
 )
 from scoregames.oracle import GeneratorConfig, encode_as_muller, random_game, zielonka
-from scoregames.reduction import build_safety_game
+from scoregames.reduction import SafetyGame, SafetyReduction, build_safety_game
 from scoregames.safety_framework import (
     REJECT,
     MonitorDFA,
@@ -162,6 +163,28 @@ def test_product_with_instant_reject(example4):
     dfa = MonitorDFA(arena.n, 0, lambda q, v: REJECT)
     w0, _ = solve_via_safety(arena, condition, dfa)
     assert w0 == 0
+
+
+def test_reprs_leave_out_the_fields_as_wide_as_the_game():
+    # an int of 20,000 bits has more decimal digits than int -> str converts
+    # by default, so a repr that printed safe, w0 or w1 raised ValueError;
+    # no quotient is built: the reduction wraps a 20,000-vertex game
+    n = 20_000
+    arena = Arena(tuple(map(str, range(n))), (0,) * n, Successors.from_rows((v,) for v in range(n)))
+    game = SafetyGame(arena, arena.full_mask)
+    sol = solve_safety(game)
+    prod = product_game(arena, MonitorDFA(n, 0, lambda q, v: 0))
+    assert [repr(x) for x in (game, sol, prod)] == [
+        "SafetyGame()",
+        "SafetySolution()",
+        "ProductGame()",
+    ]
+    loop = Arena.build([0], [(0, 0)])
+    red = SafetyReduction(game, loop, (0,), list(range(n)), 1, 3, (), None, 0, kernel=None)
+    assert repr(red) == (
+        f"SafetyReduction(base_arena={loop!r}, embed=(0,), tracked_player=1, threshold=3, "
+        "family=(), sink=None, unsafe_class_count=0)"
+    )
 
 
 def test_product_isomorphic_to_reduction(example4):

@@ -751,8 +751,8 @@ def test_permissive_table_is_compact():
 
 def test_certificate_search_is_compact(monkeypatch):
     # corpus game 47: certifying the permissive strategy peaks at 160 bytes
-    # or less per certificate state, the search's index, key list and
-    # parents included
+    # or less per certificate state, the search's index and key list and
+    # the verifier's parent links included
     arena, muller = random_game(corpus_config(47))
     red = build_safety_game(arena, muller, tracked_player=1)
     sol = solve_safety(red.game)
