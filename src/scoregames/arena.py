@@ -114,7 +114,7 @@ class Arena:
     """A finite directed game graph with a vertex partition between two players.
 
     ``owner[v]`` is 0 or 1; ``owner`` is a tuple, or ``bytes`` in a
-    reduction's quotient.  ``succ`` is the successor table, a
+    quotient or a monitor product.  ``succ`` is the successor table, a
     ``Successors``: ``succ[v]`` is the sorted tuple of the successor
     indices of ``v``, and ``succ.flat`` and ``succ.start`` hold every row
     in two int arrays.

@@ -106,7 +106,7 @@ def product_game(
         v, q = states[i]
         return f"{arena.names[v]}|{q!r}"
 
-    owner = tuple(arena.owner[v] for v, _ in states)
+    owner = bytes(arena.owner[v] for v, _ in states)
     safe = _mask(bytearray(dfa.is_accepting(q) for _, q in states))  # linear, unlike mask_of
     return ProductGame(SafetyGame(Arena(View(len(states), name), owner, succ), safe), states)
 

@@ -29,16 +29,13 @@ def _mask(flags: bytearray) -> int:
     return int(flags.translate(_TO_DIGITS)[::-1] or b"0", 2)
 
 
-def _attract(arena: Arena, player: int, flags: bytearray) -> array:
-    """Grow ``flags`` in place from the target to its ``player`` attractor
-    and return the positional strategy on the attracted vertices outside
-    the target, indexed by vertex, -1 where it has no move.  Runs in
-    O(V + E) using per-vertex out-degree counters."""
+def _attract(arena: Arena, player: int, flags: bytearray) -> None:
+    """Grow ``flags`` in place from the target to its ``player`` attractor.
+    Runs in O(V + E) using per-vertex out-degree counters."""
     pred = arena.predecessors()
     start, sources = pred.start, pred.flat
     owner = arena.owner
     remaining = array("i", arena.succ.degrees())
-    strategy = array("i", [-1]) * arena.n
     queue = array("i", compress(range(arena.n), flags))
     # queue grows while it is read, so reading it in order is the FIFO
     for u in queue:
@@ -47,42 +44,41 @@ def _attract(arena: Arena, player: int, flags: bytearray) -> array:
                 continue
             if owner[w] == player:
                 flags[w] = 1
-                strategy[w] = u
                 queue.append(w)
             else:
                 remaining[w] -= 1
                 if remaining[w] == 0:
                     flags[w] = 1
                     queue.append(w)
-    return strategy
 
 
-def attractor(arena: Arena, player: int, target: int) -> tuple:
-    """The least set from which ``player`` can force a visit to ``target``,
-    plus a positional strategy on the attracted vertices outside the target
-    (an ``array('i')`` indexed by vertex, -1 where it has no move).
-    """
+def attractor(arena: Arena, player: int, target: int) -> int:
+    """The least set from which ``player`` can force a visit to ``target``."""
+    if target < 0 or target >> arena.n:
+        raise ValueError("target vertices outside the arena")
     flags = _flags(target, arena.n)
-    strategy = _attract(arena, player, flags)
-    return _mask(flags), strategy
+    _attract(arena, player, flags)
+    return _mask(flags)
 
 
 @dataclass
 class SafetySolution:
-    """Winning regions of a safety game with Player 0's positional strategy.
+    """Player 0's winning region and positional strategy in a safety game.
 
     ``strategy0`` is an ``array('i')`` indexed by vertex, -1 where Player 0
     has no move: for each Player 0 vertex in ``w0``, it picks the lowest
-    indexed successor that stays in ``w0``.  Player 1's attractor
-    strategy towards the unsafe vertices is ``attractor``'s.
+    indexed successor that stays in ``w0``.  Player 1 wins exactly the
+    other vertices, ``arena.full_mask & ~w0``.
     """
 
-    w0: int = field(repr=False)  # the three are as wide as the arena
-    w1: int = field(repr=False)
+    w0: int = field(repr=False)  # both are as wide as the arena
     strategy0: array = field(repr=False)
 
 
 def solve_safety(game: SafetyGame) -> SafetySolution:
+    """Player 0's winning region and positional strategy in ``game``: the
+    vertices outside Player 1's attractor of the unsafe ones, and a move
+    that stays among them."""
     arena = game.arena
     lost = _flags(arena.full_mask & ~game.safe, arena.n)
     _attract(arena, 1, lost)
@@ -94,5 +90,4 @@ def solve_safety(game: SafetyGame) -> SafetySolution:
                 if not lost[u]:
                     strategy0[v] = u
                     break
-    w1 = _mask(lost)
-    return SafetySolution(arena.full_mask & ~w1, w1, strategy0)
+    return SafetySolution(arena.full_mask & ~_mask(lost), strategy0)

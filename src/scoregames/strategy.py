@@ -222,7 +222,7 @@ def build_antichain_strategy(red: SafetyReduction, sol: SafetySolution) -> Finit
         maximal_by_last[last] = sorted(maxima)
     maximal = sorted(c for group in maximal_by_last.values() for c in group)
 
-    number = _numbering(red, maximal)
+    number = {c: i for i, c in enumerate(maximal)}
     bottom = len(maximal)
     above_cache: dict = {}
 
@@ -250,16 +250,11 @@ def build_permissive_strategy(red: SafetyReduction, sol: SafetySolution) -> Fini
     if red.tracked_player != 1:
         raise ValueError("permissive strategies are built from the Player-1-tracking reduction")
     classes = list(compress(range(red.n_classes), _flags(sol.w0, red.n_classes)))
-    return _class_table(red, sol, classes, _numbering(red, classes).__getitem__, every_move=True)
-
-
-def _numbering(red: SafetyReduction, memory: list) -> array:
-    """Each class's state number: its position in ``memory``, and
-    ``len(memory)``, BOTTOM's number, for every other class."""
-    number = array("i", [len(memory)]) * red.n_classes
-    for i, c in enumerate(memory):
+    # each class's state number, and BOTTOM's outside the region
+    number = array("i", [len(classes)]) * red.n_classes
+    for i, c in enumerate(classes):
         number[c] = i
-    return number
+    return _class_table(red, sol, classes, number.__getitem__, every_move=True)
 
 
 def _class_table(

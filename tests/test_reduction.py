@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from scoregames.arena import Arena, MullerCondition, SizeLimitError, bit, mask_of
 from scoregames.oracle import GeneratorConfig, random_game
 from scoregames.reduction import Search, build_safety_game
-from scoregames.safety_solver import solve_safety
+from scoregames.safety_framework import buchi_monitor, product_game
+from scoregames.safety_solver import SafetySolution, solve_safety
+from scoregames.strategy import build_antichain_strategy
 
 from reference import (
     ScoreSheet,
@@ -361,7 +363,9 @@ def test_quotient_keeps_few_bytes_per_class_and_solving_adds_little():
     # key, its owner and its successor row in the table's int arrays (70
     # bytes a class; 74 with parent links, 164 with tuple rows), and
     # solve_safety counts its predecessors into two int arrays and reads
-    # the out-degrees off the row offsets (29 bytes a class; 52 before)
+    # the out-degrees off the row offsets (29 bytes a class; 52 before);
+    # the antichain builder numbers only its maximal classes (under 1 byte
+    # a class; 4.5 with a state number for every class)
     arena, muller = random_game(GeneratorConfig(n=6, density=0.4, seed=7, kind="muller"))
     gc.collect()
     tracemalloc.start()
@@ -373,11 +377,21 @@ def test_quotient_keeps_few_bytes_per_class_and_solving_adds_little():
         tracemalloc.reset_peak()
         sol = solve_safety(red.game)
         peak = tracemalloc.get_traced_memory()[1] - base
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        build_antichain_strategy(red, sol)
+        antichain = tracemalloc.get_traced_memory()[1] - live
     finally:
         tracemalloc.stop()
     assert red.n_classes == 10_346 and sol.w0
     assert kept <= 72 * red.n_classes
     assert peak - kept <= 40 * red.n_classes
+    assert antichain <= 2 * red.n_classes
+    # a solution answers for Player 0 only, and owners are a byte apiece
+    # in a monitor product as in the quotient
+    assert [f.name for f in fields(SafetySolution)] == ["w0", "strategy0"]
+    assert type(red.game.arena.owner) is bytes
+    assert type(product_game(arena, buchi_monitor(arena, 1)).game.arena.owner) is bytes
     # no parent links: a search holds its keys, their index and its cap,
     # and a reduction's one field with an entry a class is its keys
     assert Search.__slots__ == ("keys", "max_states", "_index")

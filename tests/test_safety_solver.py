@@ -1,5 +1,4 @@
-from array import array
-
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,54 +13,73 @@ from conftest import m, random_muller_game, word
 
 def test_attractor_trivial_targets():
     arena = Arena.build([0, 1], [(0, 1), (1, 0)])
-    assert attractor(arena, 0, arena.full_mask)[0] == arena.full_mask
-    assert attractor(arena, 0, 0) == (0, array("i", [-1, -1]))
+    assert attractor(arena, 0, arena.full_mask) == arena.full_mask
+    assert attractor(arena, 0, 0) == 0
+
+
+def test_attractor_refuses_targets_outside_the_arena():
+    # a negative int or a bit past the last vertex names no vertex set
+    two = Arena.build([0, 1], [(0, 1), (1, 0)])
+    three = Arena.build([0, 1, 1], [(0, 1), (1, 2), (2, 0)])
+    for arena, target in ((two, -1), (two, -2), (two, 1 << 5), (two, 1 << 2), (three, -1)):
+        with pytest.raises(ValueError, match="target vertices outside the arena"):
+            attractor(arena, 0, target)
 
 
 def test_attractor_chain():
     # a -> b -> c, all Player 1, c loops
     arena = Arena.build([1, 1, 1], [(0, 1), (1, 2), (2, 2)])
-    attr, strat = attractor(arena, 1, m(2))
-    assert attr == m(0, 1, 2)
-    assert strat == array("i", [1, 2, -1])
+    assert attractor(arena, 1, m(2)) == m(0, 1, 2)
 
 
 def test_attractor_opponent_choice():
     # Player 0 at vertex 0 can escape to 2, so 0 is not attracted to 1
     arena = Arena.build([0, 1, 1], [(0, 1), (0, 2), (1, 1), (2, 2)])
-    attr, _ = attractor(arena, 1, m(1))
-    assert attr == m(1)
+    assert attractor(arena, 1, m(1)) == m(1)
     # but if both successors lead in, it is
     arena2 = Arena.build([0, 1, 1], [(0, 1), (0, 2), (1, 1), (2, 1), (2, 2)])
-    attr2, _ = attractor(arena2, 1, m(1, 2))
-    assert attr2 == m(0, 1, 2)
+    assert attractor(arena2, 1, m(1, 2)) == m(0, 1, 2)
 
 
 def test_solve_safety_all_safe():
     arena = Arena.build([0, 1], [(0, 1), (1, 0)])
     sol = solve_safety(SafetyGame(arena, arena.full_mask))
     assert sol.w0 == arena.full_mask
-    assert sol.w1 == 0
 
 
 def test_solve_safety_example4(example4):
     arena, muller = example4
     red = build_safety_game(arena, muller)
     sol = solve_safety(red.game)
+    w1 = red.game.arena.full_mask & ~sol.w0
     for v in range(3):
         assert sol.w0 & bit(red.embed[v])
-    assert sol.w1 & bit(class_of(red, word("10010")))
+    assert w1 & bit(class_of(red, word("10010")))
     assert bin(sol.w0).count("1") == 15
     # classes from which the opponent forces a third traversal
     for w in ("1010", "1212", "10010"):
-        assert sol.w1 & bit(class_of(red, word(w)))
+        assert w1 & bit(class_of(red, word(w)))
+
+
+def greatest_fixpoint(game: SafetyGame) -> int:
+    """Player 0's region found independently of the solver: keep the safe
+    vertices whose owner can stay inside until nothing changes."""
+    arena = game.arena
+    win = {v for v in range(arena.n) if game.safe & bit(v)}
+    while True:
+        kept = {
+            v
+            for v in win
+            if (any if arena.owner[v] == 0 else all)(u in win for u in arena.succ[v])
+        }
+        if kept == win:
+            return mask_of(win)
+        win = kept
 
 
 def check_solution(game: SafetyGame):
     arena = game.arena
     sol = solve_safety(game)
-    assert sol.w0 & sol.w1 == 0
-    assert sol.w0 | sol.w1 == arena.full_mask
     assert sol.w0 & ~game.safe == 0
 
     # Player 0 strategy choices and every Player 1 move stay inside w0
@@ -72,37 +90,13 @@ def check_solution(game: SafetyGame):
             assert sol.strategy0[v] == min(t for t in arena.succ[v] if sol.w0 & bit(t))
         else:
             assert all(sol.w0 & bit(t) for t in arena.succ[v])
-    # Player 1's region is the attractor of the unsafe vertices, and its
-    # strategy is ``attractor``'s. -1 exactly where there is no move:
-    # outside the won Player-0 vertices, and outside the attracted Player-1
-    # vertices that are not unsafe
-    unsafe = arena.full_mask & ~game.safe
-    attracted, strategy1 = attractor(arena, 1, unsafe)
-    assert attracted == sol.w1
-    assert len(sol.strategy0) == len(strategy1) == arena.n
+    # -1 exactly where there is no move: outside the won Player-0 vertices
+    assert len(sol.strategy0) == arena.n
     for v in range(arena.n):
         won0 = arena.owner[v] == 0 and sol.w0 & bit(v)
-        attracted1 = arena.owner[v] == 1 and sol.w1 & ~unsafe & bit(v)
         assert (sol.strategy0[v] == -1) == (not won0)
-        assert (strategy1[v] == -1) == (not attracted1)
-
-    # under strategy1, Player 1 reaches the unsafe set within |V| steps from
-    # every w1 vertex, whatever Player 0 does
-    frontier = unsafe
-    reach = unsafe
-    for _ in range(arena.n):
-        add = 0
-        for v in iter_bits(sol.w1 & ~reach):
-            if arena.owner[v] == 1:
-                if reach & bit(strategy1[v]):
-                    add |= bit(v)
-            else:
-                if all(reach & bit(t) for t in arena.succ[v]):
-                    add |= bit(v)
-        if not add:
-            break
-        reach |= add
-    assert reach & sol.w1 == sol.w1
+    # Player 1 wins every other vertex: w0 is the greatest fixpoint
+    assert sol.w0 == greatest_fixpoint(game)
     return sol
 
 
@@ -113,22 +107,10 @@ def test_large_quotient_matches_naive_fixpoint():
     game = build_safety_game(arena, muller, tracked_player=0).game
     quotient = game.arena
     assert quotient.n > 5000
-    # greatest fixpoint: keep the safe classes whose owner can stay inside
-    win = {v for v in range(quotient.n) if game.safe & bit(v)}
-    while True:
-        kept = {
-            v
-            for v in win
-            if (any if quotient.owner[v] == 0 else all)(u in win for u in quotient.succ[v])
-        }
-        if kept == win:
-            break
-        win = kept
     sol = check_solution(game)
-    assert sol.w0 == mask_of(win)
-    assert 0 < len(win) < quotient.n
+    assert 0 < sol.w0.bit_count() < quotient.n
     unsafe = quotient.full_mask & ~game.safe
-    assert attractor(quotient, 1, unsafe)[0] == sol.w1
+    assert attractor(quotient, 1, unsafe) == quotient.full_mask & ~sol.w0
 
 
 @settings(max_examples=60, deadline=None)
