@@ -413,7 +413,7 @@ def _read_text(path: str) -> str:
     usage error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            return fh.read().removeprefix("\ufeff")
     except OSError as exc:
         raise GameParseError(f"{path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
@@ -476,8 +476,6 @@ def _cmd_reduce(args) -> int:
 def _cmd_strategy(args) -> int:
     arena, condition = _load_game(args.game)
     muller = _require_muller(condition)
-    if args.kind == "permissive" and args.player != 0:
-        raise GameParseError("permissive strategies are computed for player 0")
     red = build_safety_game(arena, muller, 1 - args.player, max_states=args.max_states)
     sol = solve_safety(red.game)
     build = build_permissive_strategy if args.kind == "permissive" else build_antichain_strategy
@@ -609,7 +607,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("strategy", help="synthesize a finite-state strategy")
     p.add_argument("game")
     p.add_argument("--kind", choices=("antichain", "permissive"), default="antichain")
-    p.add_argument("--player", type=int, choices=(0, 1), default=0)
+    p.add_argument("--player", type=int, choices=(0, 1), default=0, help="the strategy's owner")
     p.add_argument("--out", choices=("table", "dot"), default="table")
     p.add_argument("--max-states", type=_at_least_one, default=DEFAULT_MAX_STATES)
     p.set_defaults(func=_cmd_strategy)

@@ -244,11 +244,10 @@ def build_antichain_strategy(red: SafetyReduction, sol: SafetySolution) -> Finit
 
 
 def build_permissive_strategy(red: SafetyReduction, sol: SafetySolution) -> FiniteStateStrategy:
-    """The most general multi-strategy bounding the opponent's scores: its
-    memory is the full winning region of the quotient and it allows exactly
-    the moves whose class stays in that region."""
-    if red.tracked_player != 1:
-        raise ValueError("permissive strategies are built from the Player-1-tracking reduction")
+    """Player ``1 - red.tracked_player``'s most general multi-strategy
+    bounding the tracked player's scores, from either reduction: its memory
+    is the full winning region of the quotient and it allows exactly the
+    moves whose class stays in that region."""
     classes = list(compress(range(red.n_classes), _flags(sol.w0, red.n_classes)))
     # each class's state number, and BOTTOM's outside the region
     number = array("i", [len(classes)]) * red.n_classes

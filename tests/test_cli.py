@@ -801,11 +801,43 @@ def test_cli_determinism_across_processes(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_cli_permissive_for_player1_is_rejected(tmp_path, capsys):
+def test_cli_permissive_for_player1_verifies_and_round_trips(tmp_path, capsys):
+    # the seed-3 game gives Player 1 the region {1,3}: Player 1's permissive
+    # file verifies from there and reads back to the same bytes
+    code, text, _ = run(capsys, "random", "--seed", "3", "--vertices", "5")
+    assert code == 0
+    path = game_file(tmp_path, text)
+    code, out, _ = run(capsys, "strategy", path, "--kind", "permissive", "--player", "1")
+    assert code == 0
+    strat_path = game_file(tmp_path, out, "p1.txt")
+    for bound in ("1", "2"):
+        code, verified, _ = run(capsys, "verify", path, strat_path, "--bound", bound)
+        assert (code, verified) == (0, f"verified: scores bounded by {bound} from {{1,3}}\n")
+    arena, _ = parse_game(text)
+    assert serialize_strategy(parse_strategy(out, arena), arena) == out
+
+
+def test_cli_reads_past_a_byte_order_mark(tmp_path, capsys):
+    # a UTF-8 byte-order mark in front of a game or strategy file changes
+    # nothing, and a bad byte after one is still reported at its offset in
+    # the file
+    bom = "\ufeff"
     path = game_file(tmp_path)
-    code, _, err = run(capsys, "strategy", path, "--kind", "permissive", "--player", "1")
+    alt = game_file(tmp_path, ALTERNATING_TEXT, "alt.txt")
+    marked_game = game_file(tmp_path, bom + EXAMPLE4_GAME_TEXT, "bom.txt")
+    marked_alt = game_file(tmp_path, bom + ALTERNATING_TEXT, "bom-alt.txt")
+    for plain, marked in (
+        (("solve", path), ("solve", marked_game)),
+        (("verify", path, alt), ("verify", path, marked_alt)),
+    ):
+        expected = run(capsys, *plain)
+        assert expected[0] == 0
+        assert run(capsys, *marked) == expected
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(bom.encode() + b"ab\xff")
+    code, _, err = run(capsys, "solve", str(bad))
     assert code == 2
-    assert "player 0" in err
+    assert err.endswith("at byte 5)\n")
 
 
 JUNK = ("{", "}", "0", "1", "2", "3", "-1", "a", "b", "x", "bot", "s", "go0", "\u00b2", "player")

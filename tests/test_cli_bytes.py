@@ -166,6 +166,18 @@ def corpus_strategy(rec):
                 rec.run("verify", game, table, "--bound", bound)
 
 
+def corpus_permissive_player1(rec):
+    # Player 1's permissive strategy, from the Player-0-tracking reduction,
+    # as a table and as DOT, and verify of the table at bounds 1 and 2
+    for seed in CORPUS_SEEDS:
+        game = rec.write(f"c{seed}.txt", serialize_game(*random_game(corpus_config(seed))))
+        options = ("--kind", "permissive", "--player", "1")
+        table = rec.write(f"c{seed}-permissive1.txt", rec.run("strategy", game, *options))
+        rec.run("strategy", game, *options, "--out", "dot")
+        for bound in ("1", "2"):
+            rec.run("verify", game, table, "--bound", bound)
+
+
 def framework(rec):
     for kind in FRAMEWORK_KINDS:
         for seed in FRAMEWORK_SEEDS:
@@ -189,6 +201,7 @@ GROUPS = {
     corpus_solve: "f00d373a1fc903fc4b3f7dd4973075f1d2f4220f5868ca8ad23b4d6001e9f0be",
     corpus_reduce: "69722243e39bf221adbf0cae890714b2f48f4ea1710f4a4aa2b621aa447add66",
     corpus_strategy: "488ecb1cad1bba00d4eda2262d3d78d9c9bae6bf5c1e653bc19ad5023134d851",
+    corpus_permissive_player1: "eaf7741a4f177ecd7441a88c04320ccc1d9e8e13d2bc03aa9f4310997631f332",
     framework: "36ae5f951fa436dd95cc4664b1544601063edd6fb8d42a81e4eb44dc1669454e",
     parse_errors: "5590197d974b6e51c4889ef29ceb29e3a8e84b01740d68c90b3a69ce8c5ec056",
 }

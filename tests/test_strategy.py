@@ -164,12 +164,23 @@ def test_permissive_moves_frozen_values(ex4_pipeline):
     assert perm.moves(1, BOTTOM) in ((0,), (2,))
 
 
-def test_permissive_requires_player1_tracking(example4):
-    arena, muller = example4
+def test_permissive_strategy_of_player1_from_the_player0_tracking_side():
+    # the Player-0-tracking reduction yields Player 1's permissive strategy:
+    # one memory state per won class of {1,3}, plus BOTTOM; it bounds
+    # Player 0's scores from W1 and allows every move of Player 1's
+    # antichain strategy
+    arena, muller = random_game(GeneratorConfig(n=5, seed=3))
     red = build_safety_game(arena, muller, tracked_player=0)
     sol = solve_safety(red.game)
-    with pytest.raises(ValueError):
-        build_permissive_strategy(red, sol)
+    perm = build_permissive_strategy(red, sol)
+    w1 = sol.w0 & arena.full_mask
+    assert (perm.owner_player, len(perm.states)) == (1, 3)
+    assert w1 == solve_muller(arena, muller).w1 == m(1, 3)
+    for bound in (1, 2):
+        assert verify_bounded_scores(arena, muller, perm, w1, bound)[0]
+    anti = build_antichain_strategy(red, sol)
+    for v in (1, 3):
+        assert check_subsumption_bounded(arena, muller, anti, perm, v, 20)
 
 
 def test_permissive_characterization(ex4_pipeline):
@@ -666,27 +677,36 @@ def test_cycle_check_agrees_with_the_verifier():
     assert mutants == 7
 
 
-def test_permissive_strategy_subsumes_every_bounding_strategy():
+@pytest.mark.parametrize(
+    "player, expected",
+    [
+        (0, {"pairs": 900, "kept": 194, "mutants": 40}),
+        (1, {"pairs": 900, "kept": 275, "mutants": 56}),
+    ],
+    ids=["player0", "player1"],
+)
+def test_permissive_strategy_subsumes_every_bounding_strategy(player, expected):
     # the permissive theorem: on corpus games 0, 5, ..., 195, each random
-    # memoryless Player-0 strategy that bounds Player 1's scores by 2 from
-    # a vertex is subsumed there by the permissive strategy, searched until
-    # the product runs out; and at a kept Player-0 start vertex, taking the
-    # strategy's move out of a permissive move set of two or more moves in
-    # the start state breaks the subsumption, tried once per start and move
+    # memoryless strategy of ``player`` that bounds the opponent's scores by
+    # 2 from a vertex is subsumed there by the permissive strategy, searched
+    # until the product runs out; and at a kept start vertex of ``player``,
+    # taking the strategy's move out of a permissive move set of two or
+    # more moves in the start state breaks the subsumption, tried once per
+    # start and move
     tally = Counter()
     for seed in range(0, 200, 5):
         arena, muller = random_game(corpus_config(seed))
-        red = build_safety_game(arena, muller, tracked_player=1)
+        red = build_safety_game(arena, muller, tracked_player=1 - player)
         perm = build_permissive_strategy(red, solve_safety(red.game))
         depth = arena.n * len(perm.states) + 2  # more layers than product nodes
         rng = random.Random(seed)
-        owned = [v for v in range(arena.n) if arena.owner[v] == 0]
+        owned = [v for v in range(arena.n) if arena.owner[v] == player]
         every = [(("s", v), "s") for v in range(arena.n)]
         cuts = set()
         for _ in range(5):
             moves = [((v, "s"), (rng.choice(arena.succ[v]),)) for v in owned]
             strat = FiniteStateStrategy.from_tables(
-                0, arena.n, ("s",), [(v, "s") for v in range(arena.n)], every, moves
+                player, arena.n, ("s",), [(v, "s") for v in range(arena.n)], every, moves
             )
             for v in range(arena.n):
                 tally["pairs"] += 1
@@ -694,7 +714,7 @@ def test_permissive_strategy_subsumes_every_bounding_strategy():
                     continue
                 tally["kept"] += 1
                 assert check_subsumption_bounded(arena, muller, strat, perm, v, depth), (seed, v)
-                if arena.owner[v] != 0:
+                if arena.owner[v] != player:
                     continue
                 i, (u,) = perm.init_of(v), strat.moves_of(v, 0)
                 allowed = perm.moves_of(v, i)
@@ -703,10 +723,10 @@ def test_permissive_strategy_subsumes_every_bounding_strategy():
                 cuts.add((v, u))
                 columns = [list(c) if c else c for c in perm.next_move]
                 columns[v][i] = tuple(t for t in allowed if t != u)
-                cut = FiniteStateStrategy(0, perm.states, perm.init, perm.update, columns)
+                cut = FiniteStateStrategy(player, perm.states, perm.init, perm.update, columns)
                 assert not check_subsumption_bounded(arena, muller, strat, cut, v, depth)
                 tally["mutants"] += 1
-    assert tally == {"pairs": 900, "kept": 194, "mutants": 40}
+    assert tally == expected
 
 
 def test_verifier_matches_the_reference_on_partial_files(example4):
